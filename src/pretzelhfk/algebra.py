@@ -7,7 +7,9 @@ immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, Mapping, Tuple
 
 
@@ -181,14 +183,6 @@ class LaurentPolynomial:
         return "".join(parts)
 
 
-def poly_add(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
-    return p + q
-
-
-def poly_eval_at_unit(p: LaurentPolynomial, at_minus_one: bool = False) -> int:
-    return p.eval_at_unit(at_minus_one)
-
-
 def normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
     """Conway-normalize an Alexander polynomial known only up to +-t^k.
 
@@ -216,44 +210,62 @@ def normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
 class GeneratorMultiset:
     """Multiset of bigraded generators (alexander, delta) with multiplicities.
 
-    Alexander gradings are plain integers: unhalved labels before the pair
-    reduction, final gradings after it.  Ranks are strictly positive.
+    Stored as constant-rank runs (lo, hi, delta, rank), which may overlap; the
+    per-cell `entries` are summed once, on first access.  Alexander gradings
+    are plain integers: unhalved labels before the pair reduction, final
+    gradings after it.  Ranks are never negative.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("runs", "_entries")
 
     def __init__(self, entries: Mapping[Tuple[int, HalfInteger], int] | None = None):
-        self.entries: Dict[Tuple[int, HalfInteger], int] = {}
-        for key, rk in (entries or {}).items():
-            if rk < 0:
-                raise AlgebraError("negative rank in generator multiset")
-            if rk:
-                self.entries[key] = rk
+        self._set_runs((s, s, d, rk) for (s, d), rk in (entries or {}).items())
+
+    def _set_runs(self, runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> None:
+        self.runs = tuple(run for run in runs if run[3] and run[0] <= run[1])
+        if any(rk < 0 for _, _, _, rk in self.runs):
+            raise AlgebraError("negative rank in generator multiset")
+        self._entries: Dict[Tuple[int, HalfInteger], int] | None = None
+
+    @staticmethod
+    def of_runs(runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> "GeneratorMultiset":
+        out = GeneratorMultiset.__new__(GeneratorMultiset)
+        out._set_runs(runs)
+        return out
 
     @staticmethod
     def from_generators(gens: Iterable[Tuple[int, HalfInteger]]) -> "GeneratorMultiset":
-        out: Dict[Tuple[int, HalfInteger], int] = {}
-        for key in gens:
-            out[key] = out.get(key, 0) + 1
-        return GeneratorMultiset(out)
+        return GeneratorMultiset(Counter(gens))
 
     @staticmethod
     def interval(lo: int, hi: int, delta: HalfInteger) -> "GeneratorMultiset":
         """One generator at each Alexander grading lo..hi (empty if lo > hi)."""
-        return GeneratorMultiset({(s, delta): 1 for s in range(lo, hi + 1)})
+        return GeneratorMultiset.of_runs([(lo, hi, delta, 1)])
+
+    @property
+    def entries(self) -> Dict[Tuple[int, HalfInteger], int]:
+        """Rank per (alexander, delta) cell, summed by a difference array per delta."""
+        if self._entries is None:
+            diffs: Dict[HalfInteger, Counter] = defaultdict(Counter)
+            for lo, hi, d, rk in self.runs:
+                diffs[d][lo] += rk
+                diffs[d][hi + 1] -= rk
+            self._entries = {}
+            for d, diff in diffs.items():
+                edges = sorted(diff)
+                for lo, stop, rk in zip(edges, edges[1:], accumulate(diff[s] for s in edges)):
+                    self._entries.update(((s, d), rk) for s in range(lo, stop) if rk)
+        return self._entries
 
     def add(self, other: "GeneratorMultiset") -> "GeneratorMultiset":
-        out = dict(self.entries)
-        for key, rk in other.entries.items():
-            out[key] = out.get(key, 0) + rk
-        return GeneratorMultiset(out)
+        return GeneratorMultiset.of_runs(self.runs + other.runs)
 
     @property
     def total_rank(self) -> int:
-        return sum(self.entries.values())
+        return sum((hi - lo + 1) * rk for lo, hi, _, rk in self.runs)
 
     def deltas(self) -> set:
-        return {d for (_, d) in self.entries}
+        return {d for (_, _, d, _) in self.runs}
 
     def alexanders(self) -> set:
         return {s for (s, _) in self.entries}
@@ -263,7 +275,7 @@ class GeneratorMultiset:
 
     def negated(self) -> "GeneratorMultiset":
         """The multiset with every Alexander grading negated, deltas fixed."""
-        return GeneratorMultiset({(-s, d): rk for (s, d), rk in self.entries.items()})
+        return GeneratorMultiset.of_runs((-hi, -lo, d, rk) for lo, hi, d, rk in self.runs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneratorMultiset):

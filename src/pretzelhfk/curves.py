@@ -171,8 +171,8 @@ def slope_AB(a: int, b: int) -> Tuple[int, int, int]:
     A = 2 * (a - b) - 1
     B = 4 * b * (a - b - 1) + 2 * a
     M = 2 * b + 2
-    assert B == A * (2 * b + 1) + 1
-    assert math.gcd(A, B) == 1
+    if B != A * (2 * b + 1) + 1 or math.gcd(A, B) != 1:
+        raise CurveError(f"inconsistent general-slope data A={A}, B={B} at a={a}, b={b}")
     return A, B, M
 
 

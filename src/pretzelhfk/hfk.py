@@ -1,10 +1,10 @@
 """Assembly of the full knot Floer homology table plus classification and checks.
 
-compute_hfk sums the per-curve reduced pairings over the whole tangle curve
-list.  classify predicts the shape of the table (thin / two disjoint delta
-lines / overlap) straight from the parameters, and verify re-derives the same
-shape from the table itself, cross-checking against the Alexander-polynomial
-oracle and the symmetry laws.  Disagreement anywhere is a reported failure.
+compute_hfk sums the runs of all tangle curves' reduced pairings in one pass.
+classify predicts the shape of the table (thin / two disjoint delta lines /
+overlap) straight from the parameters, and verify re-derives the same shape
+from the table itself, cross-checking against the Alexander-polynomial oracle
+and the symmetry laws.  Disagreement anywhere is a reported failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 from .alexander import build_pretzel_diagram, fox_alexander, pretzel_determinant
 from .algebra import (
     GeneratorMultiset,
-    HalfInteger,
     HfkTable,
     euler_characteristic,
     normalize_alexander,
@@ -60,10 +59,10 @@ def closure_slope(params: TangleParams) -> ReducedSlope:
 
 def compute_hfk(params: TangleParams) -> HfkTable:
     """Knot Floer homology of P(2a, -2b-1, +-(2c+1)) from the curve pairings."""
-    total = GeneratorMultiset()
+    runs = []
     for curve in pretzel_tangle_curves(params.a, params.b):
-        total = total.add(pair_curve(params.sign, params.c, curve).generators)
-    return HfkTable(params=params, entries=dict(total.entries))
+        runs.extend(pair_curve(params.sign, params.c, curve).generators.runs)
+    return HfkTable(params=params, entries=GeneratorMultiset.of_runs(runs).entries)
 
 
 def classify(params: TangleParams) -> Classification:

@@ -3,14 +3,15 @@
 Each function computes the "reduced" pairing of one tangle curve with the
 rational closure curve r(-+1/(2c+1)): generator pairs whose Alexander labels
 differ by 2 are merged into a single generator at half the averaged label.
-The general-slope pairings are emitted block-by-block and truncated at the
+Every pairing is given as at most four constant-rank runs: an interval, or
+blocks alternating between neighbouring gradings, truncated at the
 intersection count L given by the rational-curve determinant law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .algebra import GeneratorMultiset, HalfInteger
 from .curves import CurveKind, GradedCurve, ReducedSlope
@@ -111,27 +112,20 @@ def pair_rational_pos_half(closure: str, c: int, n: int, curve: GradedCurve) -> 
     return ReducedPairing(gens)
 
 
-def _blocks(base0: int, step_second: int, block: int, total: int) -> GeneratorMultiset:
-    """Emit `total` generators in blocks of `block`, alternating base / base+step.
+def _blocks(base0: int, step: int, A: int, L: int, delta: HalfInteger) -> GeneratorMultiset:
+    """L generators in blocks of A alternating base / base + step, as runs.
 
-    Block i has base base0 + i; odd positions within a block carry the base,
-    even positions carry base + step_second.  The emission is truncated at
-    exactly `total` generators.
+    Block i puts ceil(A/2) generators at its base base0 + i and floor(A/2) at
+    base + step; the last block is cut to the remainder of L.
     """
-    gens: List[int] = []
-    i = 0
-    while len(gens) < total:
-        base = base0 + i
-        for pos in range(block):
-            if len(gens) == total:
-                break
-            gens.append(base if pos % 2 == 0 else base + step_second)
-        i += 1
-    return GeneratorMultiset.from_generators((s, HalfInteger(0)) for s in gens)
-
-
-def _with_delta(ms: GeneratorMultiset, delta: HalfInteger) -> GeneratorMultiset:
-    return GeneratorMultiset({(s, delta): rk for (s, _), rk in ms.entries.items()})
+    full, rest = divmod(L, A)
+    last = base0 + full
+    return GeneratorMultiset.of_runs([
+        (base0, last - 1, delta, (A + 1) // 2),
+        (base0 + step, last - 1 + step, delta, A // 2),
+        (last, last, delta, (rest + 1) // 2),
+        (last + step, last + step, delta, rest // 2),
+    ])
 
 
 def pair_rational_general(closure: str, c: int, slope: ReducedSlope, M: int) -> ReducedPairing:
@@ -140,21 +134,16 @@ def pair_rational_general(closure: str, c: int, slope: ReducedSlope, M: int) -> 
     B = slope.denominator
     if A <= 0 or A % 2 == 0 or B % 2:
         raise PairingError(f"slope {slope} is not of the -A/B Case III shape")
-    if A * (2 * c + 1) == B:
+    Ac = A * (2 * c + 1)
+    if Ac == B:
         raise PairingError("slope tie: closure slope equals curve slope")
     if closure == "-":
-        L = B + A * (2 * c + 1)
-        gens = _blocks(-M // 2 - c, +1, A, L)
-        delta = DELTA_HALF
-    elif A * (2 * c + 1) > B:
-        L = A * (2 * c + 1) - B
-        gens = _blocks(M // 2 - c, -1, A, L)
-        delta = DELTA_MINUS_HALF
+        gens = _blocks(-M // 2 - c, +1, A, B + Ac, DELTA_HALF)
+    elif Ac > B:
+        gens = _blocks(M // 2 - c, -1, A, Ac - B, DELTA_MINUS_HALF)
     else:
-        L = B - A * (2 * c + 1)
-        gens = _blocks(-M // 2 + c + 1, +1, A, L)
-        delta = DELTA_HALF
-    return ReducedPairing(_with_delta(gens, delta))
+        gens = _blocks(-M // 2 + c + 1, +1, A, B - Ac, DELTA_HALF)
+    return ReducedPairing(gens)
 
 
 def pair_curve(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:

@@ -13,6 +13,7 @@ from pretzelhfk.algebra import (
     euler_characteristic,
     normalize_alexander,
 )
+from pretzelhfk.pairing import ReducedPairing
 
 polys = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -114,6 +115,74 @@ class TestGeneratorMultiset:
     def test_rejects_negative_ranks(self):
         with pytest.raises(AlgebraError):
             GeneratorMultiset({(0, HalfInteger(0)): -1})
+
+
+runs = st.lists(
+    st.tuples(
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+        st.sampled_from([HalfInteger(-1), HalfInteger(1), HalfInteger(3)]),
+        st.integers(0, 4),
+    ),
+    max_size=6,
+)
+
+
+def cells(run_list):
+    """The per-cell ranks of a run list, summed generator by generator."""
+    out = {}
+    for lo, hi, d, rk in run_list:
+        for s in range(lo, hi + 1):
+            out[(s, d)] = out.get((s, d), 0) + rk
+    return {key: rk for key, rk in out.items() if rk}
+
+
+class TestGeneratorMultisetRuns:
+    @given(runs)
+    def test_runs_and_dict_build_the_same_multiset(self, run_list):
+        from_runs = GeneratorMultiset.of_runs(run_list)
+        assert from_runs == GeneratorMultiset(cells(run_list))
+        assert from_runs.entries == cells(run_list)
+
+    @given(runs, runs)
+    def test_add_sums_overlapping_runs_per_cell(self, first, second):
+        total = GeneratorMultiset.of_runs(first).add(GeneratorMultiset.of_runs(second))
+        assert total.entries == cells(first + second)
+
+    def test_add_of_overlapping_runs(self):
+        d = HalfInteger.halves(1)
+        ms = GeneratorMultiset.of_runs([(0, 3, d, 1)]).add(
+            GeneratorMultiset.of_runs([(2, 5, d, 2)])
+        )
+        assert ms.entries == {
+            (0, d): 1, (1, d): 1, (2, d): 3, (3, d): 3, (4, d): 2, (5, d): 2,
+        }
+
+    @given(runs)
+    def test_negated_and_total_rank_agree_with_entries(self, run_list):
+        ms = GeneratorMultiset.of_runs(run_list)
+        assert ms.total_rank == sum(ms.entries.values())
+        assert ms.negated().entries == {(-s, d): rk for (s, d), rk in ms.entries.items()}
+        assert ms.deltas() == {d for (_, d) in ms.entries}
+
+    def test_run_with_lo_above_hi_is_empty(self):
+        ms = GeneratorMultiset.of_runs([(3, 2, HalfInteger(1), 5)])
+        assert ms.total_rank == 0
+        assert ms.entries == {} and ms.runs == ()
+        assert ms == GeneratorMultiset()
+
+    def test_negative_rank_run_raises(self):
+        with pytest.raises(AlgebraError):
+            GeneratorMultiset.of_runs([(0, 2, HalfInteger(1), -1)])
+        with pytest.raises(AlgebraError):
+            GeneratorMultiset.of_runs([(0, 2, HalfInteger(1), 2), (1, 1, HalfInteger(1), -1)])
+
+    def test_reduced_pairing_still_wraps_a_dict_built_multiset(self):
+        d = HalfInteger.halves(1)
+        wrapped = ReducedPairing(GeneratorMultiset({(0, d): 2, (1, d): 1}))
+        assert wrapped.total_rank == 3
+        assert wrapped == ReducedPairing(GeneratorMultiset.of_runs([(0, 1, d, 1), (0, 0, d, 1)]))
+        assert wrapped != ReducedPairing(GeneratorMultiset({(0, d): 1}))
 
 
 class TestEulerCharacteristic:

@@ -3,9 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pretzelhfk
+from pretzelhfk import cli
 from pretzelhfk.cli import main
 
 
@@ -111,6 +117,39 @@ class TestAlex:
         _, first = run(capsys, "alex", "--p", "6", "--q", "-3", "--r", "5")
         _, second = run(capsys, "alex", "--p", "6", "--q", "-3", "--r", "5")
         assert first == second
+
+    def test_determinant_mismatch_prints_a_witness_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "pretzel_determinant", lambda p, q, r: 4)
+        code = main(["alex", "--p", "6", "--q", "-3", "--r", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "polynomial determinant 3 != |pq+qr+rp| = 4" in err
+
+    def test_output_is_unchanged_under_python_O(self):
+        src = str(Path(pretzelhfk.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["-m", "pretzelhfk.cli", "alex", "--p", "6", "--q", "-3", "--r", "5"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+            for flags in ([], ["-O"])
+        )
+        assert optimized.returncode == plain.returncode == 0
+        assert optimized.stdout == plain.stdout == (
+            "t^3 - 2*t^2 + 3 - 2*t^-2 + t^-3\ndeterminant 3\n"
+        )
+
+
+def test_ascii_plot_rejects_a_generator_off_the_mu_grid():
+    record = {
+        "knot": {"p": 2, "q": -3, "r": 5},
+        "generators": [
+            {"s": 0, "delta_times_2": 1, "rank": 1},
+            {"s": 0, "delta_times_2": 2, "rank": 1},
+        ],
+    }
+    with pytest.raises(ValueError):
+        cli._format_ascii(record)
 
 
 def test_missing_subcommand_exits_2():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretzelhfk.algebra import HalfInteger, HfkTable
-from pretzelhfk.curves import TangleParams
+from pretzelhfk.curves import TangleParams, pretzel_tangle_curves
 from pretzelhfk.hfk import (
     Shape,
     classification_from_table,
@@ -18,6 +18,7 @@ from pretzelhfk.hfk import (
     compute_hfk,
     verify,
 )
+from pretzelhfk.pairing import pair_curve
 
 D = HalfInteger.halves
 
@@ -118,3 +119,18 @@ class TestVerify:
         report = verify(TangleParams(1, 1, 2, "+"))
         assert report.checks["thin_ranks_match_alexander"] == "pass"
         assert report.checks["overlap_ranks"] == "skip"
+
+
+class TestAssemblySize:
+    """Sizes, not times: pairings stay a few runs however large the rank."""
+
+    @pytest.mark.parametrize("a, b, c", [(100, 20, 100), (100, 99, 100), (20, 100, 20)])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_every_pairing_is_at_most_four_runs(self, a, b, c, sign):
+        for curve in pretzel_tangle_curves(a, b):
+            assert len(pair_curve(sign, c, curve).generators.runs) <= 4, curve
+
+    def test_large_table_rank_and_cells(self):
+        table = table_of(100, 20, 100, "+")
+        assert table.total_rank == 27119
+        assert len(table.entries) == 243

@@ -1,7 +1,9 @@
 """Tests for the closed-form curve pairings and the pair reduction."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pretzelhfk.algebra import GeneratorMultiset, HalfInteger
@@ -18,6 +20,32 @@ from pretzelhfk.pairing import (
 )
 
 D = HalfInteger.halves
+
+
+def reference_blocks(base0, step, block, total, delta):
+    """Per-generator emission: `total` generators in blocks alternating base / base+step."""
+    gens = []
+    i = 0
+    while len(gens) < total:
+        base = base0 + i
+        for pos in range(block):
+            if len(gens) == total:
+                break
+            gens.append(base if pos % 2 == 0 else base + step)
+        i += 1
+    return GeneratorMultiset.from_generators((s, delta) for s in gens)
+
+
+def reference_general(closure, c, A, B, M):
+    """pair_rational_general, one generator at a time, with its intersection count L."""
+    if closure == "-":
+        L = B + A * (2 * c + 1)
+        return reference_blocks(-M // 2 - c, +1, A, L, D(1)), L
+    if A * (2 * c + 1) > B:
+        L = A * (2 * c + 1) - B
+        return reference_blocks(M // 2 - c, -1, A, L, D(-1)), L
+    L = B - A * (2 * c + 1)
+    return reference_blocks(-M // 2 + c + 1, +1, A, L, D(1)), L
 
 
 class TestReduction:
@@ -113,6 +141,30 @@ class TestGeneralSlopePairing:
                 for c in (1, 2, 3):
                     gens = pair_rational_general(closure, c, slope, 2 * b + 2).generators
                     assert gens == gens.negated()
+
+    @given(
+        st.integers(0, 7).map(lambda k: 2 * k + 1),
+        st.integers(1, 60).map(lambda k: 2 * k),
+        st.integers(0, 12),
+        st.integers(-12, 12),
+        st.sampled_from(["+", "-"]),
+    )
+    # truncation remainders L mod A; a reduced slope has gcd(A, B) = 1, so 0 needs A = 1
+    @example(5, 6, 2, 4, "-")  # L = 31: remainder 1
+    @example(5, 4, 2, 4, "-")  # L = 29: remainder A - 1
+    @example(5, 4, 2, 4, "+")  # L = 21 = A(2c+1) - B: remainder 1
+    @example(5, 6, 2, 4, "+")  # L = 19: remainder A - 1
+    @example(3, 22, 1, 4, "+")  # L = 13 = B - A(2c+1): remainder 1
+    @example(3, 20, 1, 4, "+")  # L = 11: remainder A - 1
+    @example(1, 2, 3, 4, "+")  # L = 5: remainder 0, single-generator blocks
+    @example(1, 2, 3, 4, "-")  # L = 9: remainder 0
+    def test_runs_match_the_per_generator_emission(self, A, B, c, M, closure):
+        assume(A * (2 * c + 1) != B and math.gcd(A, B) == 1)
+        got = pair_rational_general(closure, c, ReducedSlope(-A, B), M).generators
+        want, L = reference_general(closure, c, A, B, M)
+        assert got == want
+        assert got.total_rank == L
+        assert len(got.runs) <= 4
 
     def test_odd_denominator_rejected(self):
         with pytest.raises(PairingError):
