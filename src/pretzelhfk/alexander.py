@@ -4,14 +4,34 @@ The pretzel diagram is transcribed combinatorially (three vertical twist
 bands, closed cyclically at top and bottom), a Wirtinger presentation is read
 off crossing by crossing, and the Alexander polynomial is extracted as a
 minor of the Fox-derivative matrix over Z[t, 1/t].
+
+The determinant runs on a private dense form: a polynomial is a pair
+(lowest exponent, list of int coefficients), trimmed so that both ends are
+nonzero, and None is zero.  Unit-pivot elimination updates a row entry
+a - f*b with one shifted slice update of b per coefficient of the short
+factor f.  The residual Bareiss block multiplies by Kronecker substitution:
+both factors are packed at t = 2^K into one integer each and multiplied once.
+K = bit_length(max|a| * sum|b|) + 2 bounds every product coefficient below
+2^(K-2), so the signed base-2^K digits of the product decode exactly.  The
+result becomes a LaurentPolynomial once, at the end.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from operator import add, sub
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraError, LaurentPolynomial, normalize_alexander
+
+
+# A dense polynomial is (lowest exponent, coefficients) with both ends nonzero;
+# None is the zero polynomial.
+Poly = Tuple[int, List[int]]
+Dense = Optional[Poly]
+DenseRow = Dict[int, Poly]
+_ONE = (0, [1])
 
 
 class DiagramError(ValueError):
@@ -151,124 +171,209 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     return diagram
 
 
-def _fox_matrix(d: PretzelDiagram) -> List[Dict[int, LaurentPolynomial]]:
+def _fox_matrix(d: PretzelDiagram) -> List[DenseRow]:
     """Rows of Fox derivatives of the Wirtinger relators, abelianized at t.
 
     Relator x_o^e x_i x_o^-e x_j^-1 has derivatives (1 - t^e) at o, t^e at i
     and -1 at j (rows with e = -1 are scaled by the unit t, which is harmless).
+    Every entry lies in exponents 0..1, so each column is accumulated as
+    [t^0 coefficient, t^1 coefficient] before trimming.
     """
-    t = LaurentPolynomial.monomial(1)
-    one = LaurentPolynomial.one()
     rows = []
     for c in d.crossings:
-        row: Dict[int, LaurentPolynomial] = {}
-
-        def bump(col: int, val: LaurentPolynomial) -> None:
-            row[col] = row.get(col, LaurentPolynomial.zero()) + val
-
         if c.exponent == 1:
-            bump(c.over, one - t)
-            bump(c.incoming, t)
-            bump(c.outgoing, -one)
+            terms = ((c.over, 1, -1), (c.incoming, 0, 1), (c.outgoing, -1, 0))
         else:
             # derivatives (1 - 1/t, 1/t, -1) scaled by t
-            bump(c.over, t - one)
-            bump(c.incoming, one)
-            bump(c.outgoing, -t)
-        rows.append({k: v for k, v in row.items() if not v.is_zero()})
+            terms = ((c.over, -1, 1), (c.incoming, 1, 0), (c.outgoing, 0, -1))
+        acc: Dict[int, List[int]] = {}
+        for col, c0, c1 in terms:
+            pair = acc.setdefault(col, [0, 0])
+            pair[0] += c0
+            pair[1] += c1
+        rows.append({col: p for col, pair in acc.items() if (p := _trim(0, pair))})
     return rows
 
 
-def _is_unit(p: LaurentPolynomial) -> bool:
-    return len(p.coeffs) == 1 and abs(next(iter(p.coeffs.values()))) == 1
+def _trim(lo: int, cs: List[int]) -> Dense:
+    """The dense polynomial sum cs[i] t^(lo+i), with zero ends stripped."""
+    i, j = 0, len(cs)
+    while i < j and not cs[i]:
+        i += 1
+    if i == j:
+        return None
+    while not cs[j - 1]:
+        j -= 1
+    return (lo + i, cs[i:j] if i or j < len(cs) else cs)
 
 
-def _poly_divexact(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact division in Z[t, 1/t]; the quotient is known to exist."""
-    if num.is_zero():
+def _to_laurent(p: Dense) -> LaurentPolynomial:
+    if p is None:
         return LaurentPolynomial.zero()
-    n = dict(num.coeffs)
-    d = den.coeffs
-    d_hi = den.max_exp
-    d_lead = d[d_hi]
-    out: Dict[int, int] = {}
-    while n:
-        hi = max(n)
-        coeff, rem = divmod(n[hi], d_lead)
-        if rem:
-            raise AlgebraError("inexact polynomial division")
-        exp = hi - d_hi
-        out[exp] = coeff
-        for e, c in d.items():
-            k = e + exp
-            v = n.get(k, 0) - c * coeff
-            if v:
-                n[k] = v
-            else:
-                n.pop(k, None)
-    return LaurentPolynomial(out)
+    lo, cs = p
+    return LaurentPolynomial({lo + i: c for i, c in enumerate(cs)})
 
 
-def _determinant(rows: List[Dict[int, LaurentPolynomial]]) -> LaurentPolynomial:
-    """Determinant over Z[t, 1/t], up to a unit +-t^k.
+def _is_unit(p: Poly) -> bool:
+    return len(p[1]) == 1 and abs(p[1][0]) == 1
 
-    Unit entries (Wirtinger rows are full of them) are used as pivots first,
-    which keeps the elimination division-free; any residual block falls back
-    to fraction-free Bareiss elimination.
+
+def _sub_mul(a: Dense, f: Poly, b: Poly) -> Dense:
+    """a - f*b, as one shifted slice update of b per coefficient of f.
+
+    Cheap for a short f: in the unit-pivot phase f is an entry divided by a
+    unit, which at the pretzel knots is nearly always one to three terms.
     """
-    rows = [dict(r) for r in rows]
-    cols = set()
-    for r in rows:
-        cols |= r.keys()
-    if len(rows) != len(cols):
+    flo, fc = f
+    blo, bc = b
+    lo, stop = flo + blo, flo + blo + len(fc) + len(bc) - 1
+    if a is not None:
+        alo, ac = a
+        lo, stop = min(lo, alo), max(stop, alo + len(ac))
+    out = [0] * (stop - lo)
+    if a is not None:
+        out[alo - lo : alo - lo + len(ac)] = ac
+    n = len(bc)
+    for i, c in enumerate(fc):
+        if not c:
+            continue
+        s = flo + i + blo - lo
+        seg = out[s : s + n]
+        if c == 1:
+            out[s : s + n] = map(sub, seg, bc)
+        elif c == -1:
+            out[s : s + n] = map(add, seg, bc)
+        else:
+            out[s : s + n] = map(sub, seg, map(c.__mul__, bc))
+    return _trim(lo, out)
+
+
+def _mul(a: Dense, b: Dense) -> Dense:
+    """a*b by Kronecker substitution: evaluate both at t = 2^K, multiply once.
+
+    Every product coefficient is a sum of a_i b_j over i + j = k, so its
+    absolute value is at most max|a| * sum|b| < 2^(K-2) for
+    K = bit_length(max|a| * sum|b|) + 2 (rounded up to whole bytes here).  The
+    coefficients of a and b obey the same bound.  Each digit therefore lies
+    in (-2^(K-1), 2^(K-1)), and adding 2^(K-1) to every digit makes the packed
+    integer an ordinary base-2^K numeral, so packing and unpacking through
+    bytes are exact.  The ends of a product of trimmed polynomials are
+    nonzero, so the result needs no trimming.
+    """
+    if a is None or b is None:
+        return None
+    (alo, ac), (blo, bc) = a, b
+    width = ((max(map(abs, ac)) * sum(map(abs, bc))).bit_length() + 2 + 7) // 8  # K in bytes
+    half = 1 << (8 * width - 1)
+    digit = bytes(width - 1) + b"\x80"  # half, little-endian
+
+    def pack(cs: List[int]) -> int:
+        raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(raw, "little") - int.from_bytes(digit * len(cs), "little")
+
+    n = len(ac) + len(bc) - 1
+    value = pack(ac) * pack(bc) + int.from_bytes(digit * n, "little")
+    raw = value.to_bytes(n * width, "little")
+    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)]
+    return (alo + blo, out)
+
+
+def _divexact(num: Dense, den: Poly) -> Dense:
+    """num / den in Z[t, 1/t] by schoolbook division from the top.
+
+    Raises AlgebraError unless den divides num exactly.
+    """
+    if num is None:
+        return None
+    (nlo, nc), (dlo, dc) = num, den
+    m = len(dc)
+    size = len(nc) - m + 1
+    if size < 1:
+        raise AlgebraError("inexact polynomial division")
+    rem = list(nc)
+    lead = dc[-1]
+    q = [0] * size
+    for i in range(size - 1, -1, -1):
+        c, r = divmod(rem[i + m - 1], lead)
+        if r:
+            raise AlgebraError("inexact polynomial division")
+        if c:
+            q[i] = c
+            rem[i : i + m] = map(sub, rem[i : i + m], map(c.__mul__, dc))
+    if any(rem[: m - 1]):
+        raise AlgebraError("inexact polynomial division")
+    # exact: the quotient's ends divide the nonzero ends of num, so q is trimmed
+    return (nlo - dlo, q)
+
+
+def _determinant(rows: List[DenseRow]) -> Dense:
+    """Determinant over Z[t, 1/t], up to a unit +-t^k; None is zero.
+
+    Entries are dense polynomials: (lowest exponent, list of coefficients),
+    both ends nonzero.  Unit entries (Wirtinger rows are full of them) are used
+    as pivots first, which keeps the elimination division-free: dividing by
+    +-t^k only shifts and negates, and each row update a - f*b is one shifted
+    slice update of b per coefficient of f.  Any residual block falls back to
+    fraction-free Bareiss (1968) elimination, whose long products go through
+    Kronecker substitution (`_mul`) and whose exact divisions are schoolbook.
+    """
+    rows = dict(enumerate(dict(r) for r in rows))
+    where: Dict[int, set] = defaultdict(set)  # column -> ids of the rows holding it
+    for ri, row in rows.items():
+        for col in row:
+            where[col].add(ri)
+    if len(rows) != len(where):
         raise AlgebraError("determinant of a non-square matrix")
 
     # phase 1: unit pivots
     while rows:
-        pick = None
-        for ri, row in enumerate(rows):
-            for col, val in row.items():
-                if _is_unit(val):
-                    pick = (ri, col, val)
-                    break
-            if pick:
-                break
+        pick = next(
+            ((ri, col, val) for ri, row in rows.items() for col, val in row.items() if _is_unit(val)),
+            None,
+        )
         if pick is None:
             break
-        ri, col, pivot = pick
+        ri, col, (plo, pc) = pick
         prow = rows.pop(ri)
-        for row in rows:
-            if col in row:
-                factor = _poly_divexact(row.pop(col), pivot)
-                for c2, v2 in prow.items():
-                    if c2 == col:
-                        continue
-                    v = row.get(c2, LaurentPolynomial.zero()) - factor * v2
-                    if v.is_zero():
-                        row.pop(c2, None)
-                    else:
-                        row[c2] = v
-        if not rows:
-            return LaurentPolynomial.one()
+        del prow[col]
+        for c2 in prow:
+            where[c2].discard(ri)
+        for rj in where.pop(col) - {ri}:
+            row = rows[rj]
+            val = row.pop(col)
+            factor = (val[0] - plo, val[1] if pc[0] == 1 else [-x for x in val[1]])
+            for c2, v2 in prow.items():
+                v = _sub_mul(row.get(c2), factor, v2)
+                if v is None:
+                    del row[c2]
+                    where[c2].discard(rj)
+                else:
+                    row[c2] = v
+                    where[c2].add(rj)
+    if not rows:
+        return _ONE
 
     # phase 2: Bareiss on the residual dense block
-    cols = sorted({c for r in rows for c in r})
+    cols = sorted(set().union(*rows.values()))
     if len(cols) != len(rows):
-        return LaurentPolynomial.zero()
-    mat = [[row.get(c, LaurentPolynomial.zero()) for c in cols] for row in rows]
+        return None
+    mat = [[row.get(c) for c in cols] for row in rows.values()]
     n = len(mat)
-    prev = LaurentPolynomial.one()
+    prev = _ONE
     for k in range(n - 1):
-        if mat[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not mat[i][k].is_zero()), None)
+        if mat[k][k] is None:
+            swap = next((i for i in range(k + 1, n) if mat[i][k] is not None), None)
             if swap is None:
-                return LaurentPolynomial.zero()
+                return None
             mat[k], mat[swap] = mat[swap], mat[k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = _poly_divexact(num, prev)
-            mat[i][k] = LaurentPolynomial.zero()
+                num = _mul(mat[k][k], mat[i][j])
+                sub = _mul(mat[i][k], mat[k][j])
+                if sub is not None:
+                    num = _sub_mul(num, _ONE, sub)
+                mat[i][j] = _divexact(num, prev)
+            mat[i][k] = None
         prev = mat[k][k]
     return mat[n - 1][n - 1]
 
@@ -282,11 +387,8 @@ def fox_alexander(d: PretzelDiagram) -> LaurentPolynomial:
     """
     rows = _fox_matrix(d)
     drop_col = d.arc_count - 1
-    trimmed = []
-    for row in rows[:-1]:
-        trimmed.append({c: v for c, v in row.items() if c != drop_col})
-    det = _determinant(trimmed)
-    return normalize_alexander(det)
+    trimmed = [{c: v for c, v in row.items() if c != drop_col} for row in rows[:-1]]
+    return normalize_alexander(_to_laurent(_determinant(trimmed)))
 
 
 def pretzel_determinant(p: int, q: int, r: int) -> int:

@@ -23,12 +23,11 @@ from .algebra import (
 from .curves import (
     CaseLabel,
     CurveKind,
-    ReducedSlope,
     TangleParams,
     case_of,
     pretzel_tangle_curves,
 )
-from .geometry import det_pair_count
+from .geometry import closure_curve, det_pair_count
 from .pairing import pair_curve
 
 
@@ -49,12 +48,6 @@ class Classification:
     shape: Shape
     overlap_gradings: Optional[Tuple[int, int]] = None
     overlap_ranks: Optional[Tuple[int, int]] = None
-
-
-def closure_slope(params: TangleParams) -> ReducedSlope:
-    """Slope of the closing rational curve: -+1/(2c+1) for sign +-."""
-    num = -1 if params.positive_closure else 1
-    return ReducedSlope(num, 2 * params.c + 1)
 
 
 def compute_hfk(params: TangleParams) -> HfkTable:
@@ -179,7 +172,7 @@ def verify(params: TangleParams) -> VerificationReport:
 
     # (vi) rank counting: odd total, per-curve counts match the determinant law
     counts_ok = table.total_rank % 2 == 1
-    red = closure_slope(params)
+    red = closure_curve(params.c, params.sign).slope
     for curve in pretzel_tangle_curves(params.a, params.b):
         got = pair_curve(params.sign, params.c, curve).total_rank
         if curve.kind is CurveKind.RATIONAL:

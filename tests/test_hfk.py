@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pretzelhfk import hfk
 from pretzelhfk.algebra import HalfInteger, HfkTable
 from pretzelhfk.curves import TangleParams, pretzel_tangle_curves
+from pretzelhfk.geometry import closure_curve
 from pretzelhfk.hfk import (
     Shape,
     classification_from_table,
     classify,
-    closure_slope,
     compute_hfk,
     verify,
 )
@@ -92,9 +93,9 @@ class TestClassification:
 
 class TestClosureSlope:
     def test_convention(self):
-        assert closure_slope(TangleParams(1, 1, 3, "+")).numerator == -1
-        assert closure_slope(TangleParams(1, 1, 3, "-")).numerator == 1
-        assert closure_slope(TangleParams(1, 1, 3, "-")).denominator == 7
+        assert closure_curve(3, "+").slope.numerator == -1
+        assert closure_curve(3, "-").slope.numerator == 1
+        assert closure_curve(3, "-").slope.denominator == 7
 
 
 class TestVerify:
@@ -119,6 +120,19 @@ class TestVerify:
         report = verify(TangleParams(1, 1, 2, "+"))
         assert report.checks["thin_ranks_match_alexander"] == "pass"
         assert report.checks["overlap_ranks"] == "skip"
+
+    @pytest.mark.parametrize(
+        "a, b, c, sign",
+        [(1, 1, 1, "+"), (1, 1, 2, "+"), (3, 1, 2, "+"), (2, 3, 1, "-"), (6, 6, 6, "-")],
+    )
+    @pytest.mark.parametrize("step", [-2, 2])
+    def test_oracle_check_rejects_a_neighbouring_knot(self, monkeypatch, a, b, c, sign, step):
+        # P(p, q, r + 2) has determinant |pq + (p+q)(r+2)|, which differs from
+        # P(p, q, r)'s since p + q is odd, so its Alexander polynomial differs
+        real = hfk.build_pretzel_diagram
+        monkeypatch.setattr(hfk, "build_pretzel_diagram", lambda p, q, r: real(p, q, r + step))
+        report = verify(TangleParams(a, b, c, sign))
+        assert report.checks["euler_matches_alexander_oracle"] == "fail"
 
 
 class TestAssemblySize:
