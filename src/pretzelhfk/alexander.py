@@ -306,8 +306,9 @@ def _divexact(num: Dense, den: Poly) -> Dense:
     return (nlo - dlo, q)
 
 
-def _determinant(rows: List[DenseRow]) -> Dense:
-    """Determinant over Z[t, 1/t], up to a unit +-t^k; None is zero.
+def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
+    """Determinant over Z[t, 1/t] of a matrix with ncols columns, up to a unit
+    +-t^k; None is zero, also for an all-zero row or column.
 
     Entries are dense polynomials: (lowest exponent, list of coefficients),
     both ends nonzero.  Unit entries (Wirtinger rows are full of them) are used
@@ -322,8 +323,12 @@ def _determinant(rows: List[DenseRow]) -> Dense:
     for ri, row in rows.items():
         for col in row:
             where[col].add(ri)
-    if len(rows) != len(where):
-        raise AlgebraError("determinant of a non-square matrix")
+    if len(rows) != ncols:
+        raise AlgebraError(f"determinant of a non-square matrix ({len(rows)}x{ncols})")
+    if not set(where) <= set(range(ncols)):
+        raise AlgebraError(f"matrix entry outside columns 0..{ncols - 1}")
+    if len(where) != ncols or not all(rows.values()):
+        return None
 
     # phase 1: unit pivots
     while rows:
@@ -388,7 +393,8 @@ def fox_alexander(d: PretzelDiagram) -> LaurentPolynomial:
     rows = _fox_matrix(d)
     drop_col = d.arc_count - 1
     trimmed = [{c: v for c, v in row.items() if c != drop_col} for row in rows[:-1]]
-    return normalize_alexander(_to_laurent(_determinant(trimmed)))
+    # columns 0 .. drop_col - 1 remain
+    return normalize_alexander(_to_laurent(_determinant(trimmed, drop_col)))
 
 
 def pretzel_determinant(p: int, q: int, r: int) -> int:

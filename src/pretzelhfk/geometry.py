@@ -19,38 +19,43 @@ anchored so the minimum over one period equals the curve's stored m, and the
 computed span is checked against M - m.
 
 The delta grading is computed the same way with a half per covered puncture,
-using per-curve delta labels on the grid crossings.  The remaining discrete
-conventions (which puncture rows are positive, the orientation sign, and the
-per-curve delta labels) are not determined by the construction alone; they
-were fixed once by requiring agreement with the closed-form pairings on a
-calibration sweep and are hard-coded below.  The resolved delta labels are:
-curves with odd slope denominator (the closure curves) carry
--sign(slope) * 1/2 on vertical-edge crossings and 0 on horizontal ones,
-curves with even slope denominator (the tangle curves) carry 0 on
-vertical-edge crossings and sign(slope) * 1/2 on horizontal ones, and each
-covered puncture contributes +1/2 regardless of its sign.
+using per-curve delta labels on the grid crossings.  Two discrete conventions
+are not determined by the construction alone: the orientation sign CW_SIGN
+and the per-curve delta labels.  They were fixed once by requiring agreement
+with the closed-form pairings, and the tests show that flipping either one
+breaks agreement on every pairing, so both are pinned, not merely fitted.
+The resolved delta labels are: curves with odd slope denominator (the
+closure curves) carry -sign(slope) * 1/2 on vertical-edge crossings and 0 on
+horizontal ones, curves with even slope denominator (the tangle curves)
+carry 0 on vertical-edge crossings and sign(slope) * 1/2 on horizontal ones,
+and each covered puncture contributes +1/2 regardless of its sign.  Which
+puncture rows are positive is a gauge choice: the opposite rule gives the
+same unreduced multisets, so punctures on even rows are positive.
+
+All coordinates are integers on one lattice per pairing.  With
+det = pr*qb - pb*qr, the scale N = lcm(2qr, 2|pr|, 4qb, 4|pb|, 4|det|) puts
+every grid crossing, every intersection point and every cell corner on
+(1/N) Z^2, so a point is stored as (N x, N y) and a line as (p, q, C) with
+q Y = p X + C.  Every division that yields a coordinate is exact (`_exact`
+raises otherwise); only cell indices and the window of translates are floors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import GeneratorMultiset, HalfInteger
 from .curves import CurveKind, GradedCurve, ReducedSlope
 
-# Calibrated conventions (see module docstring): EPS_SIGN fixes which rows of
-# punctures are positive, CW_SIGN is the shoelace sign accepted as clockwise.
-EPS_SIGN = 1
+# The shoelace sign accepted as clockwise (see module docstring).
 CW_SIGN = -1
 
-Point = Tuple[Fraction, Fraction]
+Line = Tuple[int, int, int]  # (p, q, C): q Y = p X + C in scaled coordinates
 
 
 class GeometryError(ValueError):
-    """Raised on parallel slopes or non-rational curve inputs."""
+    """Raised on parallel slopes, non-rational curves or a broken construction."""
 
 
 def det_pair_count(s1: ReducedSlope, s2: ReducedSlope) -> int:
@@ -61,48 +66,32 @@ def det_pair_count(s1: ReducedSlope, s2: ReducedSlope) -> int:
     return abs(d)
 
 
-def _eps(corner: Tuple[int, int]) -> int:
-    """Sign of the puncture at a lattice point; rows alternate."""
-    return EPS_SIGN * (1 if corner[1] % 2 == 0 else -1)
+def _exact(num: int, den: int) -> int:
+    """num / den, which must be an integer: points never leave the lattice."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise GeometryError(f"{num}/{den} is not on the lattice")
+    return quo
 
 
-@dataclass(frozen=True)
-class LiftedLine:
-    """The line q y = p x + q * intercept, missing the integer lattice."""
-
-    p: int
-    q: int  # > 0
-    intercept: Fraction
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    def y_at(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
-
-    def x_at(self, y: Fraction) -> Fraction:
-        return (y - self.intercept) / self.slope
+def _eps(row: int) -> int:
+    """Sign of the punctures in a row of the lattice; rows alternate."""
+    return 1 if row % 2 == 0 else -1
 
 
-def _grid_crossings(line: LiftedLine, x_lo: Fraction, x_hi: Fraction):
-    """Crossings of the line with the grid for x in [x_lo, x_hi), sorted by x.
+def _grid_crossings(line: Line, x_lo: int, x_hi: int, n: int):
+    """Crossings of the line with the grid for x_lo <= X < x_hi, sorted by X.
 
-    Returns triples (x, y, kind) with kind "V" (x integral) or "H" (y
-    integral).
+    Returns triples (X, Y, kind) with kind "V" (X on a vertical grid line) or
+    "H" (Y on a horizontal one).  x_lo and x_hi are multiples of n.
     """
-    pts = []
-    x = math.ceil(x_lo)
-    while x < x_hi:
-        pts.append((Fraction(x), line.y_at(Fraction(x)), "V"))
-        x += 1
-    y_ends = (line.y_at(x_lo), line.y_at(x_hi))
-    y = math.ceil(min(y_ends))
-    while y < max(y_ends):
-        xx = line.x_at(Fraction(y))
-        if x_lo <= xx < x_hi:
-            pts.append((xx, Fraction(y), "H"))
-        y += 1
+    p, q, c = line
+    pts = [(x, _exact(p * x + c, q), "V") for x in range(x_lo, x_hi, n)]
+    y_ends = sorted((_exact(p * x_lo + c, q), _exact(p * x_hi + c, q)))
+    for y in range(-(-y_ends[0] // n) * n, y_ends[1], n):
+        x = _exact(q * y - c, p)
+        if x_lo <= x < x_hi:
+            pts.append((x, y, "H"))
     pts.sort()
     return pts
 
@@ -110,20 +99,21 @@ def _grid_crossings(line: LiftedLine, x_lo: Fraction, x_hi: Fraction):
 class CurveLabels:
     """Alexander and delta labels of one lifted curve's grid crossings.
 
-    Labels are periodic with x-period 2q and anchored so the minimum over a
+    Labels are periodic with x-period 2qN and anchored so the minimum over a
     period is the curve's m; construction fails if the realized span differs
     from M - m (which would mean the line does not lift the decorated curve).
+    The table is keyed by the scaled X of a crossing modulo the period.
     """
 
-    def __init__(self, line: LiftedLine, m: int, M: int):
-        self.line = line
-        self.period = 2 * line.q
-        pts = _grid_crossings(line, Fraction(0), Fraction(2 * self.period))
+    def __init__(self, line: Line, m: int, M: int, n: int):
+        self.p, self.q = line[0], line[1]
+        self.period = 2 * self.q * n
+        pts = _grid_crossings(line, 0, 2 * self.period, n)
         labs = [0]
         for (x1, y1, k1), (x2, y2, k2) in zip(pts, pts[1:]):
-            row = math.floor((y1 + y2) / 2)
+            row = (y1 + y2) // (2 * n)
             mag = 2 if (k1 == "V" and k2 == "V") else 1
-            labs.append(labs[-1] + mag * _eps((0, row)))
+            labs.append(labs[-1] + mag * _eps(row))
         by_x = {x: lab for (x, _, _), lab in zip(pts, labs)}
         base = [(x, lab) for (x, _, _), lab in zip(pts, labs) if x < self.period]
         if not all(by_x.get(x + self.period) == lab for x, lab in base):
@@ -135,94 +125,71 @@ class CurveLabels:
                 f"decoration span {M - m}"
             )
         shift = m - min(values)
-        self.table: Dict[Fraction, int] = {x: lab + shift for x, lab in base}
+        self.table: Dict[int, int] = {x: lab + shift for x, lab in base}
 
-    def alexander(self, x: Fraction) -> int:
-        key = x - self.period * (x // self.period)
-        return self.table[key]
+    def alexander(self, x: int) -> int:
+        return self.table[x % self.period]
 
     def delta_halves(self, kind: str) -> int:
-        sgn = 1 if self.line.p > 0 else -1
-        if self.line.q % 2:
+        sgn = 1 if self.p > 0 else -1
+        if self.q % 2:
             return -sgn if kind == "V" else 0
         return 0 if kind == "V" else sgn
 
 
-def _boundary_param(pt: Point, i: int, j: int) -> Fraction:
-    """Position of a cell-boundary point along the counterclockwise walk
-    starting at corner (i, j): bottom, right, top, left edges in order."""
+def _boundary_param(pt: Tuple[int, int], x0: int, y0: int, n: int) -> int:
+    """Position in [0, 4n) of a cell-boundary point along the counterclockwise
+    walk starting at corner (x0, y0): bottom, right, top, left edges in order."""
     x, y = pt
-    if y == j:
-        return x - i
-    if x == i + 1:
-        return 1 + (y - j)
-    if y == j + 1:
-        return 2 + (i + 1 - x)
-    if x == i:
-        return 3 + (j + 1 - y)
+    if y == y0:
+        return x - x0
+    if x == x0 + n:
+        return n + (y - y0)
+    if y == y0 + n:
+        return 2 * n + (x0 + n - x)
+    if x == x0:
+        return 3 * n + (y0 + n - y)
     raise GeometryError("point not on cell boundary")
 
 
-_CORNER_PARAMS = [Fraction(0), Fraction(1), Fraction(2), Fraction(3)]
-
-
-def _corner_at(t: Fraction, i: int, j: int) -> Tuple[int, int]:
-    return [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)][int(t)]
-
-
-def _cell_crossings(pts, i: int, j: int):
-    """Filter grid crossings lying on the boundary of cell [i,i+1]x[j,j+1]."""
+def _cell_crossings(pts, x0: int, y0: int, n: int):
+    """Filter grid crossings lying on the boundary of the cell with corner (x0, y0)."""
     out = []
     for x, y, kind in pts:
-        if kind == "V" and x in (i, i + 1) and j < y < j + 1:
+        if kind == "V" and x in (x0, x0 + n) and y0 < y < y0 + n:
             out.append(((x, y), kind))
-        elif kind == "H" and y in (j, j + 1) and i < x < i + 1:
+        elif kind == "H" and y in (y0, y0 + n) and x0 < x < x0 + n:
             out.append(((x, y), kind))
     return out
 
 
-def _shoelace(poly: List[Point]) -> Fraction:
-    area = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-        area += x1 * y2 - x2 * y1
-    return area
+def _shoelace(poly: List[Tuple[int, int]]) -> int:
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
 
 
-def _grade_point(
-    z: Point,
-    red_pts,
-    blue_pts,
-    red_alex,
-    blue_alex,
-    red_delta,
-    blue_delta,
-) -> Tuple[int, int]:
+def _grade_point(z, n, red_pts, blue_pts, red_alex, blue_alex, red_delta, blue_delta):
     """Alexander label and delta label (in halves) of one intersection point.
 
     red_pts/blue_pts are the two cell-boundary crossings of each curve;
     *_alex and *_delta map a crossing to its labels.  All clockwise disk
     configurations are evaluated and must agree.
     """
-    i, j = math.floor(z[0]), math.floor(z[1])
-    marked = [(p, k, "red") for p, k in red_pts] + [(p, k, "blue") for p, k in blue_pts]
-    marked.sort(key=lambda e: _boundary_param(e[0], i, j))
-    colors = [c for _, _, c in marked]
-    if colors in (["red", "blue", "red", "blue"], ["blue", "red", "blue", "red"]):
-        pass
-    else:
+    x0, y0 = z[0] // n * n, z[1] // n * n
+    cell = [(x0, y0), (x0 + n, y0), (x0 + n, y0 + n), (x0, y0 + n)]
+    marked = [(_boundary_param(p, x0, y0, n), p, k, c)
+              for pts, c in ((red_pts, "red"), (blue_pts, "blue")) for p, k in pts]
+    marked.sort(key=lambda e: e[0])
+    colors = [c for _, _, _, c in marked]
+    if colors not in (["red", "blue", "red", "blue"], ["blue", "red", "blue", "red"]):
         raise GeometryError("cell boundary points do not alternate colors")
 
     results = []
-    n = len(marked)
-    for idx in range(n):
-        p1, k1, c1 = marked[idx]
-        p2, k2, c2 = marked[(idx + 1) % n]
-        t1 = _boundary_param(p1, i, j)
-        t2 = _boundary_param(p2, i, j)
-        corner_ts = [t for t in _CORNER_PARAMS if (t1 < t < t2) or (t2 < t1 and (t > t1 or t < t2))]
+    for idx, (t1, p1, k1, c1) in enumerate(marked):
+        t2, p2, k2, _ = marked[(idx + 1) % len(marked)]
+        corner_ts = [t for t in range(0, 4 * n, n) if (t1 < t < t2) or (t2 < t1 and (t > t1 or t < t2))]
         if t2 < t1:
             corner_ts.sort(key=lambda t: (t <= t2, t))  # wrap order: after t1 first
-        corners = [_corner_at(t, i, j) for t in corner_ts]
+        corners = [cell[t // n] for t in corner_ts]
         # the disk boundary: blue from y to z, red from z to x, grid from x
         # back to y through the sector's corners
         if c1 == "red":
@@ -231,13 +198,10 @@ def _grade_point(
         else:
             x_pt, x_kind, y_pt, y_kind = p2, k2, p1, k1
             arc = corners[::-1]  # walk backward from x at t2 to y at t1
-        poly = [y_pt, z, x_pt] + [
-            (Fraction(cx), Fraction(cy)) for cx, cy in arc
-        ]
-        area = _shoelace(poly)
+        area = _shoelace([y_pt, z, x_pt] + arc)
         if area == 0 or (1 if area > 0 else -1) != CW_SIGN:
             continue
-        alex = blue_alex(y_pt) - red_alex(x_pt) + sum(_eps(c) for c in corners)
+        alex = blue_alex(y_pt) - red_alex(x_pt) + sum(_eps(cy // n) for _, cy in corners)
         delta = blue_delta(y_kind) - red_delta(x_kind) + len(corners)
         results.append((alex, delta))
     if not results:
@@ -273,52 +237,49 @@ def enumerate_geometric_pairing(
     pb, qb = blue.slope.numerator, blue.slope.denominator
     if qr == 0 or qb == 0:
         raise GeometryError("infinite slopes are not supported")
-    det_pair_count(red.slope, blue.slope)  # raises on parallel slopes
+    expected = 2 * det_pair_count(red.slope, blue.slope)  # raises on parallel slopes
+    det = pr * qb - pb * qr
+    n = math.lcm(2 * qr, 2 * pr or 1, 4 * qb, 4 * pb or 1, 4 * det)
 
-    red_line = LiftedLine(pr, qr, Fraction(1, 2 * qr))
-    blue_base = LiftedLine(pb, qb, Fraction(1, 4 * qb))
-    red_labels = CurveLabels(red_line, red.m, red.M)
-    blue_labels = CurveLabels(blue_base, blue.m, blue.M)
-
-    sr, sb = red_line.slope, blue_base.slope
-    cr = red_line.intercept
-    ub = blue_base.intercept  # 1/(4 qb)
+    # the red lift has intercept 1/(2 qr), the blue translates sigma/(4 qb) + 2k/qb
+    red_line = (pr, qr, _exact(n, 2))
+    red_labels = CurveLabels(red_line, red.m, red.M, n)
+    blue_labels = CurveLabels((pb, qb, _exact(n, 4)), blue.m, blue.M, n)
     pb_inv = pow(pb % qb, -1, qb)
 
-    period = Fraction(2 * qr)
+    period = red_labels.period
     gens: List[Tuple[int, HalfInteger]] = []
     for sigma in (1, -1):
-        # blue family sigma: intercepts sigma*ub + 2k/qb; window of k values
-        # whose line meets the red lift with 0 <= x < one red period
-        c_ends = (cr, cr + (sr - sb) * period)
-        k_lo = math.ceil((min(c_ends) - sigma * ub) * qb / 2)
-        k_hi = math.ceil((max(c_ends) - sigma * ub) * qb / 2)
+        # k window: the unscaled x* = (sigma qr + 8k qr - 2qb) / (4 det) lies
+        # in [0, 2qr) only for 8k qr between 2qb - sigma qr and that plus 8 det qr
+        ends = sorted((2 * qb - sigma * qr, 2 * qb - sigma * qr + 8 * det * qr))
+        k_lo, k_hi = (-(-e // (8 * qr)) for e in ends)
         for k in range(k_lo, k_hi):
-            c_off = sigma * ub + Fraction(2 * k, qb)
-            x_star = (c_off - cr) / (sr - sb)
+            x_star = _exact(n * (sigma * qr + 8 * k * qr - 2 * qb), 4 * det)
             if not (0 <= x_star < period):
                 continue
-            z = (x_star, red_line.y_at(x_star))
-            if z[0].denominator == 1 or z[1].denominator == 1:
+            z = (x_star, _exact(n * (sigma * pr + 8 * k * pr - 2 * pb), 4 * det))
+            if z[0] % n == 0 or z[1] % n == 0:
                 raise GeometryError("intersection point lies on the grid")
-            blue_line = LiftedLine(pb, qb, c_off)
+            blue_line = (pb, qb, _exact(n * (sigma + 8 * k), 4))
 
             # transport a point of this translate back to the base blue lift:
             # solve t*qb - s*pb = k for the translation (2s, 2t)
             s0 = (-k) * pb_inv % qb
             # base point of (x, y): x - 2 s0 for sigma=+1, 2 s0 - x for -1
 
-            def blue_alex(pt: Point, s0=s0, sigma=sigma) -> int:
-                return blue_labels.alexander(sigma * (pt[0] - 2 * s0))
+            def blue_alex(pt, shift=2 * s0 * n, sigma=sigma) -> int:
+                return blue_labels.alexander(sigma * (pt[0] - shift))
 
-            i, j = math.floor(z[0]), math.floor(z[1])
-            window = (Fraction(i) - 1, Fraction(i) + 2)
-            red_pts = _cell_crossings(_grid_crossings(red_line, *window), i, j)
-            blue_pts = _cell_crossings(_grid_crossings(blue_line, *window), i, j)
+            x0, y0 = z[0] // n * n, z[1] // n * n
+            window = (x0 - n, x0 + 2 * n, n)
+            red_pts = _cell_crossings(_grid_crossings(red_line, *window), x0, y0, n)
+            blue_pts = _cell_crossings(_grid_crossings(blue_line, *window), x0, y0, n)
             if len(red_pts) != 2 or len(blue_pts) != 2:
                 raise GeometryError("expected exactly two boundary crossings per curve")
             alex, delta_halves = _grade_point(
                 z,
+                n,
                 red_pts,
                 blue_pts,
                 lambda pt: red_labels.alexander(pt[0]),
@@ -328,7 +289,6 @@ def enumerate_geometric_pairing(
             )
             gens.append((alex, HalfInteger(delta_halves)))
 
-    expected = 2 * det_pair_count(red.slope, blue.slope)
     if len(gens) != expected:
         raise GeometryError(f"enumerated {len(gens)} points, expected {expected}")
     return GeneratorMultiset.from_generators(gens)

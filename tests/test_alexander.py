@@ -184,9 +184,6 @@ def sparse_matrices(draw):
         # few units: scale each unit entry by (1 + t) so phase 2 gets a block
         mat = [[_mul(e, (0, [1, 1])) if e and len(e[1]) == 1 and abs(e[1][0]) == 1 else e
                 for e in row] for row in mat]
-    for j in range(n):  # a column without entries would read as a missing column
-        if all(row[j] is None for row in mat):
-            mat[draw(st.integers(0, n - 1))][j] = draw(dense(st.integers(-3, 3), 3))
     return mat
 
 
@@ -195,14 +192,22 @@ class TestDeterminant:
     @settings(max_examples=300, deadline=None)
     @example([[None, (0, [2]), None], [(0, [2]), None, None], [None, None, (1, [2, 1])]])
     @example([[(0, [1, 1]), (0, [2])], [(0, [2]), (0, [1, -1])]])
+    @example([[(0, [1]), None], [(0, [2]), None]])  # a zero column
     def test_equals_laplace_expansion_up_to_a_unit(self, mat):
         rows = [{j: e for j, e in enumerate(row) if e is not None} for row in mat]
         expect = laplace([[_to_laurent(e) for e in row] for row in mat])
-        assert equal_up_to_unit(_to_laurent(_determinant(rows)), expect)
+        assert equal_up_to_unit(_to_laurent(_determinant(rows, len(mat))), expect)
 
     def test_non_square_is_rejected(self):
         with pytest.raises(AlgebraError):
-            _determinant([{0: (0, [1])}, {0: (0, [2])}])
+            _determinant([{0: (0, [1])}, {0: (0, [2])}], 1)
+        with pytest.raises(AlgebraError):
+            _determinant([{0: (0, [1]), 2: (0, [1])}, {1: (0, [2])}], 2)
+
+    def test_zero_row_or_column_gives_zero(self):
+        assert _determinant([{0: (0, [1])}, {0: (0, [2])}], 2) is None
+        assert _determinant([{0: (0, [1]), 1: (0, [3])}, {}], 2) is None
+        assert _determinant([], 0) == (0, [1])
 
 
 # -- past the 6x6x6 grid: outputs only, never times -------------------------

@@ -1,12 +1,17 @@
 """Tests for the geometric intersection oracle on the planar cover."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pretzelhfk import geometry
 from pretzelhfk.curves import CurveKind, GradedCurve, ReducedSlope, pretzel_tangle_curves
 from pretzelhfk.geometry import (
     GeometryError,
+    _exact,
     closure_curve,
     det_pair_count,
     enumerate_geometric_pairing,
@@ -52,9 +57,9 @@ class TestGeometricPairing:
         assert gens.total_rank == 2 * det_pair_count(red.slope, blue.slope)
 
     @given(
-        st.integers(1, 4),
-        st.integers(1, 4),
-        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(1, 8),
         st.sampled_from(["+", "-"]),
     )
     @settings(max_examples=25, deadline=None)
@@ -73,3 +78,113 @@ class TestGeometricPairing:
         reduced = reduce_generator_pairs(enumerate_geometric_pairing(red, blue))
         assert reduced.generators == pair_curve("-", 1, blue).generators
         assert reduced.total_rank == 5
+
+
+def test_exact_division_raises_on_a_remainder():
+    assert _exact(-12, 4) == -3
+    with pytest.raises(GeometryError, match="not on the lattice"):
+        _exact(7, 2)
+    with pytest.raises(GeometryError, match="not on the lattice"):
+        _exact(-7, 4)
+
+
+# -- pinned unreduced outputs -------------------------------------------------
+
+
+def rational_pairings(n):
+    """(sign, c, blue) for every rational tangle curve of the n x n x n grid, both signs."""
+    return [
+        (sign, c, blue)
+        for sign in ("+", "-")
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+        for c in range(1, n + 1)
+        for blue in pretzel_tangle_curves(a, b)
+        if blue.kind is CurveKind.RATIONAL
+    ]
+
+
+def unreduced_digest(pairings):
+    """sha256 over the sorted unreduced cells of each distinct pairing, in key order."""
+    unique = {}
+    for sign, c, blue in pairings:
+        unique.setdefault((sign, c, blue.slope.numerator, blue.slope.denominator, blue.m, blue.M), blue)
+    h = hashlib.sha256()
+    for key in sorted(unique):
+        gens = enumerate_geometric_pairing(closure_curve(key[1], key[0]), unique[key])
+        cells = sorted((s, d.twice, rk) for (s, d), rk in gens.entries.items())
+        h.update(repr((key, cells)).encode())
+    return len(unique), h.hexdigest()
+
+
+# the 612 distinct pairings of acceptance criterion 6, computed with exact
+# rational arithmetic; a regrading that survives reduction changes the digest
+CRITERION_6_DIGEST = (612, "404c69007447b486bbed9b5b88d97f1536eb6f1967e1ceb54c2ea9e98b609c7c")
+
+
+def test_unreduced_pairings_of_criterion_6_are_pinned():
+    assert unreduced_digest(rational_pairings(6)) == CRITERION_6_DIGEST
+
+
+# -- calibration: the conventions are pinned, not fitted ----------------------
+
+
+def disagreements(pairings):
+    """Pairings whose geometric reduction fails or differs from the closed form."""
+    bad = 0
+    for sign, c, blue in pairings:
+        try:
+            unreduced = enumerate_geometric_pairing(closure_curve(c, sign), blue)
+        except GeometryError:
+            bad += 1
+            continue
+        bad += reduce_generator_pairs(unreduced).generators != pair_curve(sign, c, blue).generators
+    return bad
+
+
+class TestCalibration:
+    """Each convention flipped alone, over the 102 rational pairings of the 3x3x3 grid."""
+
+    def test_flipped_orientation_sign_disagrees_everywhere(self, monkeypatch):
+        monkeypatch.setattr(geometry, "CW_SIGN", -geometry.CW_SIGN)
+        assert disagreements(rational_pairings(3)) == 102
+
+    def test_negated_delta_labels_disagree_everywhere(self, monkeypatch):
+        delta_halves = geometry.CurveLabels.delta_halves
+        monkeypatch.setattr(
+            geometry.CurveLabels, "delta_halves", lambda self, kind: -delta_halves(self, kind)
+        )
+        assert disagreements(rational_pairings(3)) == 102
+
+    def test_the_row_sign_is_a_gauge_choice(self, monkeypatch):
+        eps = geometry._eps
+        monkeypatch.setattr(geometry, "_eps", lambda row: -eps(row))
+        assert unreduced_digest(rational_pairings(6)) == CRITERION_6_DIGEST
+
+
+# -- past the 6x6x6 grid: large Case III curves ---------------------------------
+
+
+def case_iii_sample(seed=2024, size=40, max_points=1200):
+    """Seeded Case III (a > b + 1) rational pairings with a, c up to 30.
+
+    Pairings with more than max_points intersection points are redrawn, which
+    keeps the test near a second; the geo-oracle benchmark covers larger ones.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < size:
+        a = rng.randint(3, 30)
+        b, c, sign = rng.randint(1, a - 2), rng.randint(1, 30), rng.choice("+-")
+        blue = next(cv for cv in pretzel_tangle_curves(a, b) if cv.kind is CurveKind.RATIONAL)
+        if 2 * det_pair_count(closure_curve(c, sign).slope, blue.slope) <= max_points:
+            out.append((sign, c, blue))
+    return out
+
+
+def test_large_case_iii_pairings_match_the_closed_form():
+    for sign, c, blue in case_iii_sample():
+        red = closure_curve(c, sign)
+        unreduced = enumerate_geometric_pairing(red, blue)
+        assert unreduced.total_rank == 2 * det_pair_count(red.slope, blue.slope)
+        assert reduce_generator_pairs(unreduced).generators == pair_curve(sign, c, blue).generators
