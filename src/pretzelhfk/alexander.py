@@ -5,11 +5,28 @@ bands, closed cyclically at top and bottom), a Wirtinger presentation is read
 off crossing by crossing, and the Alexander polynomial is extracted as a
 minor of the Fox-derivative matrix over Z[t, 1/t].
 
+That matrix is never built in full.  Inside a band the crossings chain:
+crossing j takes its over-arc y_{j+1} and its incoming arc y_j and emits
+y_{j+2} = (1 - t^e) y_{j+1} + t^e y_j, the abelianized Fox row of its
+relation (Fox, Free differential calculus I, 1953).  So (y_{j+2}, y_{j+1}) =
+T_e (y_{j+1}, y_j) with T_e = [[1 - t^e, t^e], [1, 0]], and a band of n
+crossings maps its top arcs to its bottom arcs by the product of n such
+matrices.  The exponents of a band have period at most 2, so that product is
+a power M^m of one period matrix (times one more T_e on the left for an odd
+antiparallel band).  M has eigenvalue 1: trace M = 1 + delta with
+delta = det M a unit monomial, and Cayley-Hamilton gives
+M^m = s_m M - delta s_{m-1} I with s_m = 1 + delta + ... + delta^(m-1).
+Each band thus contributes the relations of its two bottom arcs (one for a
+single crossing).  Eliminating the interior arcs this way is unimodular, so
+after one relation and one arc column are deleted the minor, at most 5x5, is
+the Alexander polynomial up to a unit.
+
 The determinant runs on a private dense form: a polynomial is a pair
 (lowest exponent, list of int coefficients), trimmed so that both ends are
 nonzero, and None is zero.  Unit-pivot elimination updates a row entry
-a - f*b with one shifted slice update of b per coefficient of the short
-factor f.  The residual Bareiss block multiplies by Kronecker substitution:
+a - f*b with one shifted slice update per coefficient of the shorter of
+f and b.  Products whose factors both have more than four terms, as in
+the residual Bareiss block of a large knot, use Kronecker substitution:
 both factors are packed at t = 2^K into one integer each and multiplied once.
 K = bit_length(max|a| * sum|b|) + 2 bounds every product coefficient below
 2^(K-2), so the signed base-2^K digits of the product decode exactly.  The
@@ -18,10 +35,10 @@ result becomes a LaurentPolynomial once, at the end.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, sub
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraError, LaurentPolynomial, normalize_alexander
 
@@ -31,7 +48,10 @@ from .algebra import AlgebraError, LaurentPolynomial, normalize_alexander
 Poly = Tuple[int, List[int]]
 Dense = Optional[Poly]
 DenseRow = Dict[int, Poly]
+Matrix2 = Tuple[Tuple[Dense, Dense], Tuple[Dense, Dense]]
 _ONE = (0, [1])
+_MINUS_ONE = (0, [-1])
+_SHORT = 4  # longest factor _mul multiplies by slice updates
 
 
 class DiagramError(ValueError):
@@ -171,30 +191,6 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     return diagram
 
 
-def _fox_matrix(d: PretzelDiagram) -> List[DenseRow]:
-    """Rows of Fox derivatives of the Wirtinger relators, abelianized at t.
-
-    Relator x_o^e x_i x_o^-e x_j^-1 has derivatives (1 - t^e) at o, t^e at i
-    and -1 at j (rows with e = -1 are scaled by the unit t, which is harmless).
-    Every entry lies in exponents 0..1, so each column is accumulated as
-    [t^0 coefficient, t^1 coefficient] before trimming.
-    """
-    rows = []
-    for c in d.crossings:
-        if c.exponent == 1:
-            terms = ((c.over, 1, -1), (c.incoming, 0, 1), (c.outgoing, -1, 0))
-        else:
-            # derivatives (1 - 1/t, 1/t, -1) scaled by t
-            terms = ((c.over, -1, 1), (c.incoming, 1, 0), (c.outgoing, 0, -1))
-        acc: Dict[int, List[int]] = {}
-        for col, c0, c1 in terms:
-            pair = acc.setdefault(col, [0, 0])
-            pair[0] += c0
-            pair[1] += c1
-        rows.append({col: p for col, pair in acc.items() if (p := _trim(0, pair))})
-    return rows
-
-
 def _trim(lo: int, cs: List[int]) -> Dense:
     """The dense polynomial sum cs[i] t^(lo+i), with zero ends stripped."""
     i, j = 0, len(cs)
@@ -218,12 +214,19 @@ def _is_unit(p: Poly) -> bool:
     return len(p[1]) == 1 and abs(p[1][0]) == 1
 
 
-def _sub_mul(a: Dense, f: Poly, b: Poly) -> Dense:
-    """a - f*b, as one shifted slice update of b per coefficient of f.
+def _neg(a: Dense) -> Dense:
+    return None if a is None else (a[0], [-x for x in a[1]])
 
-    Cheap for a short f: in the unit-pivot phase f is an entry divided by a
-    unit, which at the pretzel knots is nearly always one to three terms.
+
+def _sub_mul(a: Dense, f: Poly, b: Poly) -> Dense:
+    """a - f*b, as one shifted slice update of the longer factor per
+    coefficient of the shorter one.
+
+    Cheap when one factor is short: in the band transfer one factor is an
+    entry of a period matrix, at most three terms.
     """
+    if len(f[1]) > len(b[1]):
+        f, b = b, f
     flo, fc = f
     blo, bc = b
     lo, stop = flo + blo, flo + blo + len(fc) + len(bc) - 1
@@ -249,7 +252,11 @@ def _sub_mul(a: Dense, f: Poly, b: Poly) -> Dense:
 
 
 def _mul(a: Dense, b: Dense) -> Dense:
-    """a*b by Kronecker substitution: evaluate both at t = 2^K, multiply once.
+    """a*b: by slice updates when a factor has at most _SHORT terms, else by
+    Kronecker substitution (evaluate both at t = 2^K, multiply once).
+
+    Packing into bytes costs more than it saves for a short factor: an entry
+    of a band's period matrix, a unit, or a small knot's residual block.
 
     Every product coefficient is a sum of a_i b_j over i + j = k, so its
     absolute value is at most max|a| * sum|b| < 2^(K-2) for
@@ -262,6 +269,10 @@ def _mul(a: Dense, b: Dense) -> Dense:
     """
     if a is None or b is None:
         return None
+    if len(a[1]) > len(b[1]):
+        a, b = b, a
+    if len(a[1]) <= _SHORT:
+        return _sub_mul(None, _neg(a), b)
     (alo, ac), (blo, bc) = a, b
     width = ((max(map(abs, ac)) * sum(map(abs, bc))).bit_length() + 2 + 7) // 8  # K in bytes
     half = 1 << (8 * width - 1)
@@ -311,23 +322,21 @@ def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
     +-t^k; None is zero, also for an all-zero row or column.
 
     Entries are dense polynomials: (lowest exponent, list of coefficients),
-    both ends nonzero.  Unit entries (Wirtinger rows are full of them) are used
-    as pivots first, which keeps the elimination division-free: dividing by
+    both ends nonzero.  Unit entries (every band relation has one) are used as
+    pivots first, which keeps the elimination division-free: dividing by
     +-t^k only shifts and negates, and each row update a - f*b is one shifted
-    slice update of b per coefficient of f.  Any residual block falls back to
-    fraction-free Bareiss (1968) elimination, whose long products go through
-    Kronecker substitution (`_mul`) and whose exact divisions are schoolbook.
+    slice update per coefficient of the shorter factor.  Any residual block
+    falls back to fraction-free Bareiss (1968) elimination, whose long
+    products go through Kronecker substitution (`_mul`) and whose exact
+    divisions are schoolbook.
     """
     rows = dict(enumerate(dict(r) for r in rows))
-    where: Dict[int, set] = defaultdict(set)  # column -> ids of the rows holding it
-    for ri, row in rows.items():
-        for col in row:
-            where[col].add(ri)
     if len(rows) != ncols:
         raise AlgebraError(f"determinant of a non-square matrix ({len(rows)}x{ncols})")
-    if not set(where) <= set(range(ncols)):
+    used = set().union(*rows.values())
+    if not used <= set(range(ncols)):
         raise AlgebraError(f"matrix entry outside columns 0..{ncols - 1}")
-    if len(where) != ncols or not all(rows.values()):
+    if len(used) != ncols or not all(rows.values()):
         return None
 
     # phase 1: unit pivots
@@ -341,20 +350,17 @@ def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
         ri, col, (plo, pc) = pick
         prow = rows.pop(ri)
         del prow[col]
-        for c2 in prow:
-            where[c2].discard(ri)
-        for rj in where.pop(col) - {ri}:
-            row = rows[rj]
-            val = row.pop(col)
+        for row in rows.values():
+            val = row.pop(col, None)
+            if val is None:
+                continue
             factor = (val[0] - plo, val[1] if pc[0] == 1 else [-x for x in val[1]])
             for c2, v2 in prow.items():
                 v = _sub_mul(row.get(c2), factor, v2)
                 if v is None:
                     del row[c2]
-                    where[c2].discard(rj)
                 else:
                     row[c2] = v
-                    where[c2].add(rj)
     if not rows:
         return _ONE
 
@@ -383,18 +389,122 @@ def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
     return mat[n - 1][n - 1]
 
 
+def _add(a: Dense, b: Dense) -> Dense:
+    return a if b is None else _sub_mul(a, _MINUS_ONE, b)
+
+
+def _sub(a: Dense, b: Dense) -> Dense:
+    return a if b is None else _sub_mul(a, _ONE, b)
+
+
+def _transfer(e: int) -> Matrix2:
+    """T_e, which maps (y_{j+1}, y_j) to (y_{j+2}, y_{j+1}) across a crossing
+    with exponent e: y_{j+2} = (1 - t^e) y_{j+1} + t^e y_j."""
+    return ((_add(_ONE, (e, [-1])), (e, [1])), (_ONE, None))
+
+
+def _matmul2(x: Matrix2, y: Matrix2) -> Matrix2:
+    (a, b), (c, d) = y
+    return tuple((_add(_mul(u, a), _mul(v, c)), _add(_mul(u, b), _mul(v, d))) for u, v in x)
+
+
+def _geometric(delta: Poly, m: int) -> Dense:
+    """s_m = 1 + delta + ... + delta^(m-1) for a unit monomial delta = +-t^k."""
+    k, (c,) = delta
+    if k == 0:
+        return _trim(0, [m if c == 1 else m % 2])
+    terms = [c**i for i in range(m)]
+    cs = [0] * (abs(k) * (m - 1) + 1)
+    cs[:: abs(k)] = terms if k > 0 else terms[::-1]
+    return (min(0, k * (m - 1)), cs)
+
+
+@lru_cache(maxsize=16)
+def _period(e0: int, e1: int, odd: bool) -> Tuple[Matrix2, Matrix2, Poly]:
+    """(X M, X, delta) for the period matrix M of a band with exponents
+    e0, e1, e0, ...: M is T_e0 (parallel strands) or T_e1 T_e0 (antiparallel
+    strands), delta = det M, and X is T_e0 for an odd antiparallel band, else I.
+
+    Cayley-Hamilton gives M^m = s_m M - delta s_{m-1} I only when M has
+    eigenvalue 1, that is trace M = 1 + delta; DiagramError is raised unless
+    that holds with delta a unit monomial.  The result is shared by every
+    caller, so its polynomials must not be mutated.
+    """
+    period = _transfer(e0) if e0 == e1 else _matmul2(_transfer(e1), _transfer(e0))
+    (a, b), (c, d) = period
+    delta = _sub(_mul(a, d), _mul(b, c))
+    if delta is None or not _is_unit(delta) or _add(a, d) != _add(_ONE, delta):
+        raise DiagramError(f"band period matrix for exponents ({e0}, {e1}) has no eigenvalue 1")
+    tail = _transfer(e0) if odd else ((_ONE, None), (None, _ONE))
+    return _matmul2(tail, period), tail, delta
+
+
+def _band_transfer(exponents: Sequence[int]) -> Matrix2:
+    """The product T_{e_{n-1}} ... T_{e_1} T_{e_0} over one band, in closed form.
+
+    The exponents must have period at most 2, else DiagramError.  With M, X
+    and delta from _period, the product is X M^m = s_m X M - delta s_{m-1} X,
+    where m counts the periods and s_m = 1 + delta + ... + delta^(m-1).
+    """
+    n = len(exponents)
+    if n == 0:
+        raise DiagramError("empty twist band")
+    e0, e1 = exponents[0], exponents[min(1, n - 1)]
+    if any(e != (e1 if j % 2 else e0) for j, e in enumerate(exponents)):
+        raise DiagramError(f"band exponents {list(exponents)} do not have period 2")
+    m, odd = (n, 0) if e0 == e1 else divmod(n, 2)
+    head, tail, delta = _period(e0, e1, bool(odd))
+    s = _geometric(delta, m)
+    shift = _sub(s, _ONE)  # delta s_{m-1}, as s_m = 1 + delta s_{m-1}
+    return tuple(
+        tuple(_mul(s, h) if x is None or shift is None else _sub_mul(_mul(s, h), shift, x)
+              for h, x in zip(hrow, xrow))
+        for hrow, xrow in zip(head, tail)
+    )
+
+
+def _relation(bottom: int, over: Dense, incoming: Dense, y1: int, y0: int) -> DenseRow:
+    """The row of bottom = over * y1 + incoming * y0, coinciding arcs summed."""
+    row: Dict[int, Dense] = {bottom: _MINUS_ONE}
+    for arc, coeff in ((y1, over), (y0, incoming)):
+        row[arc] = _add(row[arc], coeff) if arc in row else coeff
+    return {arc: v for arc, v in row.items() if v is not None}
+
+
 def fox_alexander(d: PretzelDiagram) -> LaurentPolynomial:
     """Normalized Alexander polynomial of the diagram via Fox calculus.
 
-    One column (the last generator) and one row (the last relation) of the
-    Alexander matrix are deleted before taking the determinant; the unit
+    The crossings are read in band order, |p|, |q| and |r| of them.  Each band
+    must chain (crossing j+1 passes under the arc crossing j emitted, and its
+    incoming arc is crossing j's over-arc) and gives the relations of its
+    bottom arcs through its transfer matrix; a DiagramError is raised
+    otherwise.  The last band's last relation and the column of the first
+    band's incoming top arc are deleted before taking the determinant; every
+    bottom arc keeps its unit entry for the unit-pivot phase.  The unit
     ambiguity is removed by normalize_alexander.
     """
-    rows = _fox_matrix(d)
-    drop_col = d.arc_count - 1
-    trimmed = [{c: v for c, v in row.items() if c != drop_col} for row in rows[:-1]]
-    # columns 0 .. drop_col - 1 remain
-    return normalize_alexander(_to_laurent(_determinant(trimmed, drop_col)))
+    if len(d.crossings) != sum(map(abs, d.twists)):
+        raise DiagramError(f"{len(d.crossings)} crossings for twists {d.twists}")
+    rows: List[DenseRow] = []
+    arcs = set()
+    start = 0
+    for twist in d.twists:
+        band = d.crossings[start : start + abs(twist)]
+        start += abs(twist)
+        for prev, cur in zip(band, band[1:]):
+            if cur.over != prev.outgoing or cur.incoming != prev.over:
+                raise DiagramError(f"the crossings of the {twist}-twist band do not chain")
+        (p00, p01), (p10, p11) = _band_transfer([c.exponent for c in band])
+        y1, y0 = band[0].over, band[0].incoming
+        if len(band) > 1:
+            rows.append(_relation(band[-1].over, p10, p11, y1, y0))
+        rows.append(_relation(band[-1].outgoing, p00, p01, y1, y0))
+        arcs.update((y0, y1, band[-1].over, band[-1].outgoing))
+    if len(arcs) != len(rows):
+        raise DiagramError("arc/relation count mismatch; diagram is not a knot diagram")
+    column = {arc: i for i, arc in enumerate(sorted(arcs - {d.crossings[0].incoming}))}
+    minor = [{column[arc]: v for arc, v in row.items() if arc in column} for row in rows[:-1]]
+    return normalize_alexander(_to_laurent(_determinant(minor, len(column))))
 
 
 def pretzel_determinant(p: int, q: int, r: int) -> int:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from .alexander import DiagramError, build_pretzel_diagram, fox_alexander, pretzel_determinant
-from .algebra import HalfInteger, euler_characteristic, normalize_alexander
+from .algebra import AlgebraError, HalfInteger, euler_characteristic, normalize_alexander
 from .curves import CurveError, TangleParams
 from .hfk import classify, compute_hfk, verify
 
@@ -192,11 +192,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_alex(args) -> int:
     try:
-        diagram = build_pretzel_diagram(args.p, args.q, args.r)
-    except DiagramError as exc:
+        poly = fox_alexander(build_pretzel_diagram(args.p, args.q, args.r))
+    except (DiagramError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    poly = fox_alexander(diagram)
     det = abs(poly.eval_at_unit(at_minus_one=True))
     print(repr(poly))
     print(f"determinant {det}")

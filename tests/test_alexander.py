@@ -1,15 +1,22 @@
 """Tests for the Fox-calculus Alexander polynomial oracle."""
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pretzelhfk import alexander
 from pretzelhfk.alexander import (
     DiagramError,
+    _band_transfer,
     _determinant,
     _divexact,
     _mul,
+    _period,
     _to_laurent,
+    _trim,
     build_pretzel_diagram,
     fox_alexander,
     pretzel_determinant,
@@ -223,3 +230,146 @@ def test_large_knots_match_the_euler_characteristic(a, b, c, sign):
     oracle = fox_alexander(build_pretzel_diagram(*triple))
     assert oracle == normalize_alexander(euler_characteristic(compute_hfk(params)))
     assert abs(oracle.eval_at_unit(at_minus_one=True)) == pretzel_determinant(*triple)
+
+
+# -- the band transfer -------------------------------------------------------
+
+
+def crossing_matrix(e):
+    """T_e = [[1 - t^e, t^e], [1, 0]] for one crossing, as Laurent polynomials."""
+    one, t_e = LaurentPolynomial.one(), LaurentPolynomial.monomial(e)
+    return [[one - t_e, t_e], [one, LaurentPolynomial.zero()]]
+
+
+def matmul(x, y):
+    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+
+PATTERNS = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
+
+
+@given(st.integers(1, 60), st.sampled_from(PATTERNS))
+@settings(max_examples=120, deadline=None)
+@example(1, (1, 1))
+@example(2, (1, -1))
+@example(3, (-1, 1))
+@example(60, (-1, -1))
+@example(59, (1, -1))
+def test_band_transfer_is_the_product_of_the_crossing_matrices(n, pattern):
+    exponents = [pattern[j % 2] for j in range(n)]
+    expect = [[LaurentPolynomial.one(), LaurentPolynomial.zero()],
+              [LaurentPolynomial.zero(), LaurentPolynomial.one()]]
+    for e in exponents:
+        expect = matmul(crossing_matrix(e), expect)
+    got = _band_transfer(exponents)
+    assert [[_to_laurent(x) for x in row] for row in got] == expect
+
+
+def with_crossing(diagram, index, **changes):
+    crossings = list(diagram.crossings)
+    crossings[index] = replace(crossings[index], **changes)
+    return replace(diagram, crossings=tuple(crossings))
+
+
+class TestBandPreconditions:
+    """A diagram that breaks a band's assumptions raises, never returns."""
+
+    diagram = build_pretzel_diagram(6, -3, 5)
+
+    @pytest.mark.parametrize("index", [1, 3, 5, 7])
+    def test_a_broken_chain_is_rejected(self, index):
+        c = self.diagram.crossings[index]
+        for changes in ({"over": c.incoming, "incoming": c.over}, {"incoming": c.outgoing}):
+            with pytest.raises(DiagramError, match="chain"):
+                fox_alexander(with_crossing(self.diagram, index, **changes))
+
+    @pytest.mark.parametrize("index", [2, 3, 5, 8, 10])
+    def test_an_off_period_exponent_is_rejected(self, index):
+        flipped = -self.diagram.crossings[index].exponent
+        with pytest.raises(DiagramError, match="period"):
+            fox_alexander(with_crossing(self.diagram, index, exponent=flipped))
+
+    def test_missing_crossings_are_rejected(self):
+        with pytest.raises(DiagramError):
+            fox_alexander(replace(self.diagram, crossings=self.diagram.crossings[:-1]))
+        with pytest.raises(DiagramError):
+            fox_alexander(replace(self.diagram, twists=(6, 0, 5), crossings=self.diagram.crossings[:-3]))
+
+    def test_a_period_matrix_without_eigenvalue_one_is_rejected(self, monkeypatch):
+        # [[t, 1], [1, 0]] has trace t but det -1, so trace != 1 + det
+        monkeypatch.setattr(alexander, "_transfer", lambda e: (((1, [1]), (0, [1])), ((0, [1]), None)))
+        _period.cache_clear()
+        try:
+            with pytest.raises(DiagramError, match="eigenvalue"):
+                fox_alexander(self.diagram)
+        finally:
+            _period.cache_clear()
+
+
+# -- reference: the determinant of the full Wirtinger minor -----------------
+
+
+def fox_matrix(d):
+    """Rows of Fox derivatives of the Wirtinger relators, abelianized at t.
+
+    Relator x_o^e x_i x_o^-e x_j^-1 has derivatives (1 - t^e) at o, t^e at i
+    and -1 at j (rows with e = -1 are scaled by the unit t, which is harmless).
+    """
+    rows = []
+    for c in d.crossings:
+        if c.exponent == 1:
+            terms = ((c.over, 1, -1), (c.incoming, 0, 1), (c.outgoing, -1, 0))
+        else:
+            terms = ((c.over, -1, 1), (c.incoming, 1, 0), (c.outgoing, 0, -1))
+        acc = {}
+        for col, c0, c1 in terms:
+            pair = acc.setdefault(col, [0, 0])
+            pair[0] += c0
+            pair[1] += c1
+        rows.append({col: p for col, pair in acc.items() if (p := _trim(0, pair))})
+    return rows
+
+
+def wirtinger_alexander(d):
+    """Normalized determinant of the Wirtinger matrix minus its last row and column."""
+    drop = d.arc_count - 1
+    minor = [{c: v for c, v in row.items() if c != drop} for row in fox_matrix(d)[:-1]]
+    return normalize_alexander(_to_laurent(_determinant(minor, drop)))
+
+
+def random_knots(seed, count, bound):
+    """Seeded P(p, q, r) with exactly one even band; every third has a band of 1 or 2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        twists = [rng.choice([-1, 1]) * rng.randint(1, bound) for _ in range(3)]
+        if len(out) % 3 == 0:
+            twists[rng.randrange(3)] = rng.choice([-2, -1, 1, 2])
+        if sum(t % 2 == 0 for t in twists) == 1:
+            out.append(tuple(twists))
+    return out
+
+
+class TestAgainstTheWirtingerMinor:
+    def test_grid(self):
+        for sign in ("+", "-"):
+            for a in range(1, 7):
+                for b in range(1, 7):
+                    for c in range(1, 7):
+                        d = build_pretzel_diagram(*TangleParams(a, b, c, sign).pretzel_triple())
+                        assert fox_alexander(d) == wirtinger_alexander(d), (a, b, c, sign)
+
+    def test_random_knots_with_short_bands(self):
+        knots = random_knots(seed=2024, count=120, bound=41)
+        magnitudes = {abs(t) for k in knots for t in k}
+        assert {1, 2} <= magnitudes and max(magnitudes) > 30
+        for k in knots:
+            d = build_pretzel_diagram(*k)
+            assert fox_alexander(d) == wirtinger_alexander(d), k
+
+    @pytest.mark.parametrize(
+        "a, b, c, sign", [(100, 20, 100, "+"), (100, 99, 100, "-"), (20, 100, 20, "+")]
+    )
+    def test_large_knots(self, a, b, c, sign):
+        d = build_pretzel_diagram(*TangleParams(a, b, c, sign).pretzel_triple())
+        assert fox_alexander(d) == wirtinger_alexander(d)

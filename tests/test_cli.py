@@ -1,17 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import pretzelhfk
 from pretzelhfk import cli
+from pretzelhfk.alexander import build_pretzel_diagram, pretzel_determinant
+from pretzelhfk.algebra import AlgebraError
 from pretzelhfk.cli import main
 
 
@@ -125,19 +129,60 @@ class TestAlex:
         assert code == 1
         assert "polynomial determinant 3 != |pq+qr+rp| = 4" in err
 
-    def test_output_is_unchanged_under_python_O(self):
+    def test_an_oracle_error_exits_2_with_a_message(self, capsys, monkeypatch):
+        def broken_chain(p, q, r):
+            d = build_pretzel_diagram(p, q, r)
+            c = d.crossings[1]
+            swapped = replace(c, over=c.incoming, incoming=c.over)
+            return replace(d, crossings=(d.crossings[0], swapped, *d.crossings[2:]))
+
+        monkeypatch.setattr(cli, "build_pretzel_diagram", broken_chain)
+        assert main(["alex", "--p", "6", "--q", "-3", "--r", "5"]) == 2
+        assert "do not chain" in capsys.readouterr().err
+
+        def inexact(diagram):
+            raise AlgebraError("inexact polynomial division")
+
+        monkeypatch.setattr(cli, "fox_alexander", inexact)
+        assert main(["alex", "--p", "6", "--q", "-3", "--r", "5"]) == 2
+        assert "error: inexact polynomial division" in capsys.readouterr().err
+
+    @staticmethod
+    def plain_and_optimized(p, q, r):
         src = str(Path(pretzelhfk.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        argv = ["-m", "pretzelhfk.cli", "alex", "--p", "6", "--q", "-3", "--r", "5"]
-        plain, optimized = (
+        argv = ["-m", "pretzelhfk.cli", "alex", "--p", str(p), "--q", str(q), "--r", str(r)]
+        return (
             subprocess.run([sys.executable, *flags, *argv], env=env,
                            capture_output=True, text=True, timeout=60)
             for flags in ([], ["-O"])
         )
+
+    def test_output_is_unchanged_under_python_O(self):
+        plain, optimized = self.plain_and_optimized(6, -3, 5)
         assert optimized.returncode == plain.returncode == 0
         assert optimized.stdout == plain.stdout == (
             "t^3 - 2*t^2 + 3 - 2*t^-2 + t^-3\ndeterminant 3\n"
         )
+
+    def test_a_large_knot_is_unchanged_under_python_O(self):
+        # P(200,-41,201) is (a,b,c) = (100,20,100,+): 442 crossings
+        plain, optimized = self.plain_and_optimized(200, -41, 201)
+        assert optimized.returncode == plain.returncode == 0
+        assert optimized.stdout == plain.stdout
+        assert plain.stdout.endswith(f"determinant {pretzel_determinant(200, -41, 201)}\n")
+
+
+def test_the_package_has_no_assert_statements():
+    # python -O strips asserts, so none may guard runtime behaviour
+    package = Path(pretzelhfk.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_ascii_plot_rejects_a_generator_off_the_mu_grid():

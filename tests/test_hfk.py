@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretzelhfk import hfk
-from pretzelhfk.algebra import HalfInteger, HfkTable
+from pretzelhfk.algebra import GeneratorMultiset, HalfInteger, HfkTable
 from pretzelhfk.curves import TangleParams, pretzel_tangle_curves
 from pretzelhfk.geometry import closure_curve
 from pretzelhfk.hfk import (
@@ -19,7 +19,7 @@ from pretzelhfk.hfk import (
     compute_hfk,
     verify,
 )
-from pretzelhfk.pairing import pair_curve
+from pretzelhfk.pairing import ReducedPairing, pair_curve
 
 D = HalfInteger.halves
 
@@ -133,6 +133,75 @@ class TestVerify:
         monkeypatch.setattr(hfk, "build_pretzel_diagram", lambda p, q, r: real(p, q, r + step))
         report = verify(TangleParams(a, b, c, sign))
         assert report.checks["euler_matches_alexander_oracle"] == "fail"
+
+
+class TestChecksRejectPerturbedTables:
+    """Each check must fail when the table carries the fault it is meant to catch."""
+
+    THIN = [(1, 1, 2, "+"), (2, 1, 3, "-"), (1, 2, 3, "+")]
+    DISJOINT = [(1, 1, 1, "-"), (3, 2, 4, "+"), (2, 3, 2, "-")]
+    OVERLAP = [(3, 1, 2, "+"), (4, 1, 3, "+"), (6, 2, 5, "+")]
+
+    @staticmethod
+    def patch_table(monkeypatch, perturb):
+        real = hfk.compute_hfk
+
+        def perturbed(params):
+            table = real(params)
+            entries = dict(table.entries)
+            perturb(entries)
+            return HfkTable(params=table.params, entries=entries)
+
+        monkeypatch.setattr(hfk, "compute_hfk", perturbed)
+
+    @pytest.mark.parametrize("a, b, c, sign", THIN + DISJOINT + OVERLAP)
+    def test_rank_symmetry_rejects_one_changed_rank(self, monkeypatch, a, b, c, sign):
+        def bump_top_cell(entries):
+            entries[max(entries, key=lambda cell: (cell[0], cell[1].twice))] += 1
+
+        self.patch_table(monkeypatch, bump_top_cell)
+        report = verify(TangleParams(a, b, c, sign))
+        assert report.checks["rank_symmetry"] == "fail"
+
+    @pytest.mark.parametrize("a, b, c, sign", DISJOINT + OVERLAP)
+    def test_classification_rejects_a_shifted_delta_line(self, monkeypatch, a, b, c, sign):
+        def shift_high_line_onto_low(entries):
+            low, high = sorted({d for _, d in entries}, key=lambda d: d.twice)
+            for s, d in [cell for cell in entries if cell[1] == high]:
+                rank = entries.pop((s, d))
+                entries[(s, low)] = entries.get((s, low), 0) + rank
+
+        self.patch_table(monkeypatch, shift_high_line_onto_low)
+        report = verify(TangleParams(a, b, c, sign))
+        assert report.checks["classification_consistent"] == "fail"
+
+    @pytest.mark.parametrize("a, b, c, sign", OVERLAP)
+    def test_overlap_ranks_reject_a_changed_overlap_rank(self, monkeypatch, a, b, c, sign):
+        def bump_high_overlap_pair(entries):
+            high = max((d for _, d in entries), key=lambda d: d.twice)
+            for s in (c - b, b - c):
+                entries[(s, high)] += 1
+
+        self.patch_table(monkeypatch, bump_high_overlap_pair)
+        report = verify(TangleParams(a, b, c, sign))
+        assert report.checks["rank_symmetry"] == "pass"
+        assert report.checks["overlap_ranks"] == "fail"
+
+    @pytest.mark.parametrize("a, b, c, sign", THIN + DISJOINT + OVERLAP)
+    def test_rank_counting_rejects_an_extra_generator(self, monkeypatch, a, b, c, sign):
+        real = hfk.pair_curve
+        first = pretzel_tangle_curves(a, b)[0]
+
+        def with_extra_generator(closure, c, curve):
+            pairing = real(closure, c, curve)
+            if curve != first:
+                return pairing
+            cell = next(iter(pairing.generators.entries))
+            return ReducedPairing(pairing.generators.add(GeneratorMultiset({cell: 1})))
+
+        monkeypatch.setattr(hfk, "pair_curve", with_extra_generator)
+        report = verify(TangleParams(a, b, c, sign))
+        assert report.checks["rank_counting"] == "fail"
 
 
 class TestAssemblySize:
