@@ -2,8 +2,8 @@
 
 The main entry point is compute_hfk, which assembles the bigraded rank table
 from closed-form immersed-curve pairings; verify cross-checks each table
-against a Fox-calculus Alexander-polynomial oracle, a geometric intersection
-oracle, and the symmetry laws.
+against a Fox-calculus Alexander-polynomial oracle, the slope determinant
+law and the symmetry laws.
 """
 
 from .algebra import (

@@ -25,8 +25,10 @@ The determinant runs on a private dense form: a polynomial is a pair
 (lowest exponent, list of int coefficients), trimmed so that both ends are
 nonzero, and None is zero.  Unit-pivot elimination updates a row entry
 a - f*b with one shifted slice update per coefficient of the shorter of
-f and b.  Products whose factors both have more than four terms, as in
-the residual Bareiss block of a large knot, use Kronecker substitution:
+f and b.  It leaves a residual block of at most 2x2 for a pretzel diagram
+(3x3 for the full Wirtinger minor), which is expanded by cofactors, so no
+step divides.  Products whose factors both have more than four terms, as in
+the residual block of a large knot, use Kronecker substitution:
 both factors are packed at t = 2^K into one integer each and multiplied once.
 K = bit_length(max|a| * sum|b|) + 2 bounds every product coefficient below
 2^(K-2), so the signed base-2^K digits of the product decode exactly.  The
@@ -289,34 +291,6 @@ def _mul(a: Dense, b: Dense) -> Dense:
     return (alo + blo, out)
 
 
-def _divexact(num: Dense, den: Poly) -> Dense:
-    """num / den in Z[t, 1/t] by schoolbook division from the top.
-
-    Raises AlgebraError unless den divides num exactly.
-    """
-    if num is None:
-        return None
-    (nlo, nc), (dlo, dc) = num, den
-    m = len(dc)
-    size = len(nc) - m + 1
-    if size < 1:
-        raise AlgebraError("inexact polynomial division")
-    rem = list(nc)
-    lead = dc[-1]
-    q = [0] * size
-    for i in range(size - 1, -1, -1):
-        c, r = divmod(rem[i + m - 1], lead)
-        if r:
-            raise AlgebraError("inexact polynomial division")
-        if c:
-            q[i] = c
-            rem[i : i + m] = map(sub, rem[i : i + m], map(c.__mul__, dc))
-    if any(rem[: m - 1]):
-        raise AlgebraError("inexact polynomial division")
-    # exact: the quotient's ends divide the nonzero ends of num, so q is trimmed
-    return (nlo - dlo, q)
-
-
 def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
     """Determinant over Z[t, 1/t] of a matrix with ncols columns, up to a unit
     +-t^k; None is zero, also for an all-zero row or column.
@@ -325,10 +299,9 @@ def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
     both ends nonzero.  Unit entries (every band relation has one) are used as
     pivots first, which keeps the elimination division-free: dividing by
     +-t^k only shifts and negates, and each row update a - f*b is one shifted
-    slice update per coefficient of the shorter factor.  Any residual block
-    falls back to fraction-free Bareiss (1968) elimination, whose long
-    products go through Kronecker substitution (`_mul`) and whose exact
-    divisions are schoolbook.
+    slice update per coefficient of the shorter factor.  The residual block
+    (at most 2x2 from fox_alexander) is expanded by cofactors (`_expand`),
+    whose long products go through Kronecker substitution (`_mul`).
     """
     rows = dict(enumerate(dict(r) for r in rows))
     if len(rows) != ncols:
@@ -364,29 +337,24 @@ def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
     if not rows:
         return _ONE
 
-    # phase 2: Bareiss on the residual dense block
+    # phase 2: cofactor expansion of the residual block
     cols = sorted(set().union(*rows.values()))
     if len(cols) != len(rows):
         return None
-    mat = [[row.get(c) for c in cols] for row in rows.values()]
-    n = len(mat)
-    prev = _ONE
-    for k in range(n - 1):
-        if mat[k][k] is None:
-            swap = next((i for i in range(k + 1, n) if mat[i][k] is not None), None)
-            if swap is None:
-                return None
-            mat[k], mat[swap] = mat[swap], mat[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _mul(mat[k][k], mat[i][j])
-                sub = _mul(mat[i][k], mat[k][j])
-                if sub is not None:
-                    num = _sub_mul(num, _ONE, sub)
-                mat[i][j] = _divexact(num, prev)
-            mat[i][k] = None
-        prev = mat[k][k]
-    return mat[n - 1][n - 1]
+    return _expand([[row.get(c) for c in cols] for row in rows.values()])
+
+
+def _expand(mat: List[List[Dense]]) -> Dense:
+    """Determinant of a square block by cofactor expansion along its first
+    row: division-free, with n! products for an n x n block."""
+    if len(mat) == 1:
+        return mat[0][0]
+    total = None
+    for j, entry in enumerate(mat[0]):
+        term = _mul(entry, _expand([row[:j] + row[j + 1 :] for row in mat[1:]]))
+        if term is not None:
+            total = _sub_mul(total, _ONE if j % 2 else _MINUS_ONE, term)
+    return total
 
 
 def _add(a: Dense, b: Dense) -> Dense:

@@ -22,42 +22,10 @@ class HalfInteger:
     """An exact half-integer, stored as twice its value.
 
     Used for the (relative) delta gradings, which take values such as
-    -1/2, 1/2, 3/2.  Arithmetic never rounds.
+    -1/2, 1/2, 3/2.  Ordered by value.
     """
 
     twice: int
-
-    @staticmethod
-    def of(n: int) -> "HalfInteger":
-        return HalfInteger(2 * n)
-
-    @staticmethod
-    def halves(n: int) -> "HalfInteger":
-        """The half-integer n/2."""
-        return HalfInteger(n)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __add__(self, other):
-        if isinstance(other, HalfInteger):
-            return HalfInteger(self.twice + other.twice)
-        if isinstance(other, int):
-            return HalfInteger(self.twice + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, HalfInteger):
-            return HalfInteger(self.twice - other.twice)
-        if isinstance(other, int):
-            return HalfInteger(self.twice - 2 * other)
-        return NotImplemented
-
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger(-self.twice)
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -86,14 +54,6 @@ class LaurentPolynomial:
     @staticmethod
     def zero() -> "LaurentPolynomial":
         return LaurentPolynomial()
-
-    @staticmethod
-    def one() -> "LaurentPolynomial":
-        return LaurentPolynomial({0: 1})
-
-    @staticmethod
-    def monomial(exp: int, coeff: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial({exp: coeff})
 
     # -- basic queries -------------------------------------------------
 
@@ -138,17 +98,6 @@ class LaurentPolynomial:
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
-        out: Dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
-    __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
@@ -267,15 +216,8 @@ class GeneratorMultiset:
     def deltas(self) -> set:
         return {d for (_, _, d, _) in self.runs}
 
-    def alexanders(self) -> set:
-        return {s for (s, _) in self.entries}
-
     def rank(self, s: int, delta: HalfInteger) -> int:
         return self.entries.get((s, delta), 0)
-
-    def negated(self) -> "GeneratorMultiset":
-        """The multiset with every Alexander grading negated, deltas fixed."""
-        return GeneratorMultiset.of_runs((-hi, -lo, d, rk) for lo, hi, d, rk in self.runs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneratorMultiset):

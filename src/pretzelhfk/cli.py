@@ -3,20 +3,22 @@
 Output formats: json (the full record), csv (s,delta_times_2,rank rows),
 latex (a tabular of the rank table), ascii (a dot plot in the (s, mu) plane).
 Delta gradings are serialized as delta_times_2 so every field is an integer.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when the
+reader closes stdout early (as `| head` does), without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional
 
 from . import __version__
 from .alexander import DiagramError, build_pretzel_diagram, fox_alexander, pretzel_determinant
-from .algebra import AlgebraError, HalfInteger, euler_characteristic, normalize_alexander
+from .algebra import AlgebraError, euler_characteristic, normalize_alexander
 from .curves import CurveError, TangleParams
 from .hfk import classify, compute_hfk, verify
 
@@ -77,12 +79,8 @@ def _format_latex(record: Dict) -> str:
         r"$s$ & $\delta$ & rank \\ \hline",
     ]
     for g in record["generators"]:
-        delta = HalfInteger(g["delta_times_2"])
-        frac = (
-            str(delta.twice // 2)
-            if delta.twice % 2 == 0
-            else rf"\frac{{{delta.twice}}}{{2}}"
-        )
+        twice = g["delta_times_2"]
+        frac = str(twice // 2) if twice % 2 == 0 else rf"\frac{{{twice}}}{{2}}"
         lines.append(rf"{g['s']} & ${frac}$ & {g['rank']} \\")
     lines.append(r"\end{tabular}")
     return "\n".join(lines)
@@ -249,7 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the unflushed rest to devnull, exit as SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 
@@ -37,11 +36,6 @@ class ReducedSlope:
     @property
     def is_infinite(self) -> bool:
         return self.denominator == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise CurveError("infinite slope has no fraction value")
-        return Fraction(self.numerator, self.denominator)
 
     def __str__(self) -> str:
         if self.is_infinite:

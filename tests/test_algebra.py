@@ -24,20 +24,12 @@ polys = st.dictionaries(
 
 class TestHalfInteger:
     def test_construction_and_display(self):
-        assert str(HalfInteger.of(3)) == "3"
-        assert str(HalfInteger.halves(1)) == "1/2"
-        assert str(HalfInteger.halves(-3)) == "-3/2"
-
-    def test_arithmetic(self):
-        d = HalfInteger.halves(1)
-        assert d + 1 == HalfInteger.halves(3)
-        assert d - HalfInteger.halves(2) == HalfInteger.halves(-1)
-        assert -d == HalfInteger.halves(-1)
-        assert not d.is_integer
-        assert HalfInteger.of(2).is_integer
+        assert str(HalfInteger(6)) == "3"
+        assert str(HalfInteger(1)) == "1/2"
+        assert str(HalfInteger(-3)) == "-3/2"
 
     def test_ordering(self):
-        assert HalfInteger.halves(-1) < HalfInteger.halves(1) < HalfInteger.halves(3)
+        assert HalfInteger(-1) < HalfInteger(1) < HalfInteger(3)
 
 
 class TestLaurentPolynomial:
@@ -47,7 +39,7 @@ class TestLaurentPolynomial:
         assert LaurentPolynomial({1: 0}).is_zero()
 
     def test_immutability(self):
-        p = LaurentPolynomial.one()
+        p = LaurentPolynomial({0: 1})
         with pytest.raises(AttributeError):
             p.coeffs = {}
 
@@ -55,17 +47,16 @@ class TestLaurentPolynomial:
     def test_addition_commutes(self, p, q):
         assert p + q == q + p
 
-    @given(polys, polys, polys)
-    def test_multiplication_distributes(self, p, q, r):
-        assert p * (q + r) == p * q + p * r
-
     @given(polys)
     def test_reciprocal_is_involutive(self, p):
         assert p.reciprocal().reciprocal() == p
 
     @given(polys, st.integers(min_value=-4, max_value=4))
     def test_shift_matches_monomial_multiplication(self, p, k):
-        assert p.shift(k) == p * LaurentPolynomial.monomial(k)
+        # t^k p has the coefficient p[e - k] at t^e
+        shifted = p.shift(k)
+        assert all(shifted[e] == p[e - k] for e in range(-10, 11))
+        assert len(shifted.coeffs) == len(p.coeffs)
 
     def test_eval_at_units(self):
         p = LaurentPolynomial({-1: 2, 0: -1, 2: 3})
@@ -82,7 +73,7 @@ class TestNormalizeAlexander:
         # t^2 - t + 1, shifted and negated arbitrarily
         raw = LaurentPolynomial({5: -1, 4: 1, 3: -1})
         q = normalize_alexander(raw)
-        assert q == LaurentPolynomial({1: -1, 0: 1, -1: -1}) * -1
+        assert q == -LaurentPolynomial({1: -1, 0: 1, -1: -1})
         assert q.eval_at_unit() == 1
         assert q == q.reciprocal()
 
@@ -99,18 +90,19 @@ class TestNormalizeAlexander:
 
 class TestGeneratorMultiset:
     def test_interval(self):
-        d = HalfInteger.halves(1)
+        d = HalfInteger(1)
         ms = GeneratorMultiset.interval(-1, 1, d)
         assert ms.total_rank == 3
         assert ms.rank(0, d) == 1
         assert GeneratorMultiset.interval(2, 1, d).total_rank == 0
 
     def test_add_and_negate(self):
-        d = HalfInteger.halves(1)
+        d = HalfInteger(1)
         ms = GeneratorMultiset({(1, d): 2})
         doubled = ms.add(ms)
         assert doubled.rank(1, d) == 4
-        assert doubled.negated().rank(-1, d) == 4
+        negated = GeneratorMultiset({(-s, e): rk for (s, e), rk in doubled.entries.items()})
+        assert negated.rank(-1, d) == 4
 
     def test_rejects_negative_ranks(self):
         with pytest.raises(AlgebraError):
@@ -150,7 +142,7 @@ class TestGeneratorMultisetRuns:
         assert total.entries == cells(first + second)
 
     def test_add_of_overlapping_runs(self):
-        d = HalfInteger.halves(1)
+        d = HalfInteger(1)
         ms = GeneratorMultiset.of_runs([(0, 3, d, 1)]).add(
             GeneratorMultiset.of_runs([(2, 5, d, 2)])
         )
@@ -162,7 +154,8 @@ class TestGeneratorMultisetRuns:
     def test_negated_and_total_rank_agree_with_entries(self, run_list):
         ms = GeneratorMultiset.of_runs(run_list)
         assert ms.total_rank == sum(ms.entries.values())
-        assert ms.negated().entries == {(-s, d): rk for (s, d), rk in ms.entries.items()}
+        negated = GeneratorMultiset.of_runs((-hi, -lo, d, rk) for lo, hi, d, rk in run_list)
+        assert negated.entries == {(-s, d): rk for (s, d), rk in ms.entries.items()}
         assert ms.deltas() == {d for (_, d) in ms.entries}
 
     def test_run_with_lo_above_hi_is_empty(self):
@@ -178,7 +171,7 @@ class TestGeneratorMultisetRuns:
             GeneratorMultiset.of_runs([(0, 2, HalfInteger(1), 2), (1, 1, HalfInteger(1), -1)])
 
     def test_reduced_pairing_still_wraps_a_dict_built_multiset(self):
-        d = HalfInteger.halves(1)
+        d = HalfInteger(1)
         wrapped = ReducedPairing(GeneratorMultiset({(0, d): 2, (1, d): 1}))
         assert wrapped.total_rank == 3
         assert wrapped == ReducedPairing(GeneratorMultiset.of_runs([(0, 1, d, 1), (0, 0, d, 1)]))
@@ -187,7 +180,7 @@ class TestGeneratorMultisetRuns:
 
 class TestEulerCharacteristic:
     def test_alternating_signs_within_a_delta_line(self):
-        d = HalfInteger.halves(1)
+        d = HalfInteger(1)
         table = HfkTable(params=None, entries={(0, d): 3, (1, d): 2, (-1, d): 2})
         chi = euler_characteristic(table)
         # consecutive Alexander gradings on one delta line alternate in sign
@@ -195,7 +188,7 @@ class TestEulerCharacteristic:
         assert chi[0] * chi[1] < 0
 
     def test_deltas_two_apart_contribute_with_the_same_sign(self):
-        lo, hi = HalfInteger.halves(-1), HalfInteger.halves(3)
+        lo, hi = HalfInteger(-1), HalfInteger(3)
         table = HfkTable(params=None, entries={(0, lo): 1, (0, hi): 1})
         chi = euler_characteristic(table)
         assert abs(chi[0]) == 2
@@ -203,7 +196,7 @@ class TestEulerCharacteristic:
     def test_mixed_parity_deltas_are_rejected(self):
         table = HfkTable(
             params=None,
-            entries={(0, HalfInteger.halves(1)): 1, (0, HalfInteger.of(1)): 1},
+            entries={(0, HalfInteger(1)): 1, (0, HalfInteger(2)): 1},
         )
         with pytest.raises(AlgebraError):
             euler_characteristic(table)

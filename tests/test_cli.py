@@ -173,16 +173,47 @@ class TestAlex:
         assert plain.stdout.endswith(f"determinant {pretzel_determinant(200, -41, 201)}\n")
 
 
-def test_the_package_has_no_assert_statements():
-    # python -O strips asserts, so none may guard runtime behaviour
+def nodes_in_the_package(forbidden):
+    """file:line of every AST node of the package for which forbidden(node) holds."""
     package = Path(pretzelhfk.__file__).resolve().parent
-    found = [
+    return [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if forbidden(node)
     ]
-    assert found == []
+
+
+def test_the_package_has_no_assert_statements():
+    # python -O strips asserts, so none may guard runtime behaviour
+    assert nodes_in_the_package(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def imports_fractions(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions"
+
+
+def test_the_package_never_imports_fractions():
+    # every number stays an exact Python int; no step may fall back to Fraction
+    assert nodes_in_the_package(imports_fractions) == []
+    assert imports_fractions(ast.parse("from fractions import Fraction").body[0])
+    assert imports_fractions(ast.parse("import fractions as f").body[0])
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # the ascii plot of this knot is about 490 kB in one print, more than a
+    # pipe holds, so the write is still pending when the reader goes away
+    src = str(Path(pretzelhfk.__file__).resolve().parent.parent)
+    argv = ["compute", "--a", "100", "--b", "99", "--c", "100", "--sign", "-", "--format", "ascii"]
+    proc = subprocess.Popen([sys.executable, "-m", "pretzelhfk.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"P(200,-199,-201)")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_ascii_plot_rejects_a_generator_off_the_mu_grid():

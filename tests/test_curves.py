@@ -31,8 +31,6 @@ class TestReducedSlope:
         assert inf.is_infinite
         with pytest.raises(CurveError):
             ReducedSlope(2, 0)
-        with pytest.raises(CurveError):
-            inf.as_fraction()
 
 
 class TestGradedCurve:

@@ -21,7 +21,7 @@ from pretzelhfk.hfk import (
 )
 from pretzelhfk.pairing import ReducedPairing, pair_curve
 
-D = HalfInteger.halves
+D = HalfInteger
 
 
 def table_of(a, b, c, sign):
