@@ -1,9 +1,8 @@
 """Independent Alexander-polynomial oracle via Wirtinger presentations and Fox calculus.
 
-The pretzel diagram is transcribed combinatorially (three vertical twist
-bands, closed cyclically at top and bottom), a Wirtinger presentation is read
-off crossing by crossing, and the Alexander polynomial is extracted as a
-minor of the Fox-derivative matrix over Z[t, 1/t].
+The pretzel diagram (three vertical twist bands, closed cyclically at top
+and bottom) is written band by band in closed form, each crossing once; the
+Alexander polynomial is a minor of its Fox-derivative matrix over Z[t, 1/t].
 
 That matrix is never built in full.  Inside a band the crossings chain:
 crossing j takes its over-arc y_{j+1} and its incoming arc y_j and emits
@@ -37,8 +36,10 @@ result becomes a LaurentPolynomial once, at the end.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import cycle
 from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,11 +121,29 @@ def _cross(u: Tuple[int, int], v: Tuple[int, int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
+def _diagonal(pos: str, going_down: bool) -> Tuple[int, int]:
+    """Direction of a strand inside a crossing, by its position above it."""
+    if pos == "L":  # occupies the upper-left -> lower-right diagonal
+        return (1, -1) if going_down else (-1, 1)
+    return (-1, -1) if going_down else (1, 1)
+
+
 def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     """Combinatorial pretzel diagram P(p, q, r); knot cases only.
 
     Exactly one of p, q, r must be even (else the diagram is a 2- or
     3-component link) and none may be zero.
+
+    Each band is written in closed form.  Its over-strand enters at the top
+    on side L for a positive twist, else R; its arcs are y_0 and y_1 (top,
+    under and over side), then y_2, ..., y_{n+1}, one per crossing, and
+    crossing j is Crossing(over=y_{j+1}, incoming=y_j, outgoing=y_{j+2},
+    exponent=e_{j mod 2}): the strands swap sides at each crossing, so the
+    two exponents are read once off the strand directions by the sign rule.
+    Raw labels count the bands in order (top L, top R, then one per
+    crossing).  The cyclic closure merges band-end arcs only, so union-find
+    runs on at most 12 labels; every arc is then relabelled by the rank of
+    its class representative.
     """
     twists = (p, q, r)
     if any(t == 0 for t in twists):
@@ -133,62 +152,43 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
         raise DiagramError(f"P{twists} is a link, not a knot")
     directions = _strand_directions(twists)
 
-    next_arc = 0
+    tops, bottoms, bands = [], [], []  # bands: (twist, start, raw y_0, raw y_1)
+    base = 0
+    for t in twists:
+        n = abs(t)
+        y0, y1 = (base + 1, base) if t > 0 else (base, base + 1)
+        yn = y1 if n == 1 else base + n  # after n crossings: y_n under, y_{n+1} over side
+        tops.append((base, base + 1))
+        bottoms.append((base + n + 1, yn) if t > 0 else (yn, base + n + 1))
+        bands.append((t, base, y0, y1))
+        base += n + 2
 
-    def fresh() -> int:
-        nonlocal next_arc
-        next_arc += 1
-        return next_arc - 1
-
-    # diagonal direction vectors within a crossing, by position above it
-    def diag(pos: str, going_down: bool) -> Tuple[int, int]:
-        if pos == "L":  # occupies the upper-left -> lower-right diagonal
-            return (1, -1) if going_down else (-1, 1)
-        return (-1, -1) if going_down else (1, 1)
-
-    crossings: List[Crossing] = []
-    tops: List[Tuple[int, int]] = []
-    bottoms: List[Tuple[int, int]] = []
-    for band, t in enumerate(twists):
-        arc = {"L": fresh(), "R": fresh()}
-        owner = {"L": "L", "R": "R"}  # which top side each position's strand entered at
-        tops.append((arc["L"], arc["R"]))
-        for _ in range(abs(t)):
-            over_pos = "L" if t > 0 else "R"
-            under_pos = "R" if t > 0 else "L"
-            over_down = directions[(band, owner[over_pos])] == "down"
-            under_down = directions[(band, owner[under_pos])] == "down"
-            sign = 1 if _cross(diag(over_pos, over_down), diag(under_pos, under_down)) > 0 else -1
-            exponent = sign if under_down else -sign
-            new = fresh()
-            crossings.append(
-                Crossing(over=arc[over_pos], incoming=arc[under_pos], outgoing=new, exponent=exponent)
-            )
-            arc = {"L": arc["R"], "R": arc["L"]}
-            owner = {"L": owner["R"], "R": owner["L"]}
-            # the under strand re-emerges on the other side with the new arc
-            arc[over_pos] = new  # under strand lands where the over strand left
-        bottoms.append((arc["L"], arc["R"]))
-
-    # cyclic closure: right side of band k meets left side of band k+1
-    parent = {i: i for i in range(next_arc)}
+    parent = {x: x for pair in tops + bottoms for x in pair}
     for k in range(3):
         _union(parent, tops[k][1], tops[(k + 1) % 3][0])
         _union(parent, bottoms[k][1], bottoms[(k + 1) % 3][0])
+    merged = sorted(x for x in parent if _find(parent, x) != x)
 
-    reps = sorted({_find(parent, i) for i in range(next_arc)})
-    index = {rep: i for i, rep in enumerate(reps)}
-    merged = tuple(
-        Crossing(
-            over=index[_find(parent, c.over)],
-            incoming=index[_find(parent, c.incoming)],
-            outgoing=index[_find(parent, c.outgoing)],
-            exponent=c.exponent,
-        )
-        for c in crossings
-    )
-    diagram = PretzelDiagram(twists=twists, crossings=merged, arc_count=len(reps))
-    if diagram.arc_count != len(merged):
+    crossings: List[Crossing] = []
+    for band, (t, start, y0, y1) in enumerate(bands):
+        n = abs(t)
+        over, under = ("L", "R") if t > 0 else ("R", "L")
+        exponents = []
+        for over_side, under_side in ((over, under), (under, over)):
+            over_down = directions[(band, over_side)] == "down"
+            under_down = directions[(band, under_side)] == "down"
+            sign = 1 if _cross(_diagonal(over, over_down), _diagonal(under, under_down)) > 0 else -1
+            exponents.append(sign if under_down else -sign)
+        # interior arcs are their own representatives, and no merged label lies among them
+        shift = bisect_left(merged, start + 2)
+        y = [y0, y1, *range(start + 2 - shift, start + n + 2 - shift)]
+        for j in {0, 1, n, n + 1}:
+            root = _find(parent, (y0, y1)[j] if j < 2 else start + j)
+            y[j] = root - bisect_left(merged, root)
+        crossings.extend(map(Crossing, y[1:], y, y[2:], cycle(exponents)))
+
+    diagram = PretzelDiagram(twists=twists, crossings=tuple(crossings), arc_count=base - len(merged))
+    if diagram.arc_count != len(crossings):
         raise DiagramError("arc/crossing count mismatch; diagram is not a knot diagram")
     return diagram
 

@@ -87,17 +87,8 @@ class LaurentPolynomial:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""

@@ -5,6 +5,11 @@ latex (a tabular of the rank table), ascii (a dot plot in the (s, mu) plane).
 Delta gradings are serialized as delta_times_2 so every field is an integer.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when the
 reader closes stdout early (as `| head` does), without a traceback.
+
+Input is capped: compute and verify exit 2 when a + b + c exceeds
+MAX_PARAMETER_SUM, sweep when max-a + max-b + max-c does, and alex when
+|p| + |q| + |r| exceeds MAX_TWIST_SUM, the largest sum of a knot that compute
+accepts.  The library functions take any size.
 """
 
 from __future__ import annotations
@@ -22,16 +27,28 @@ from .algebra import AlgebraError, euler_characteristic, normalize_alexander
 from .curves import CurveError, TangleParams
 from .hfk import classify, compute_hfk, verify
 
+# The ascii plot grows with the square of a + b + c, the other formats
+# linearly.  At the ceiling, on a shared 2-vCPU host with CPython 3.11, the
+# largest plot, (1,499,500,+), is 12 MB and takes 2.5 s at 47 MB peak RSS;
+# a json record takes 0.2 s at 17 MB.
+MAX_PARAMETER_SUM = 1000
+MAX_TWIST_SUM = 2 * MAX_PARAMETER_SUM + 2  # |2a| + |-2b-1| + |2c+1|
+
+
+def _over_ceiling(what: str, total: int, ceiling: int) -> bool:
+    if total <= ceiling:
+        return False
+    print(f"error: {what} = {total} exceeds the ceiling {ceiling}", file=sys.stderr)
+    return True
+
 
 def _record(params: TangleParams, with_checks: bool = True) -> Dict:
     start = time.perf_counter()
     if with_checks:
         report = verify(params)
-        table = report.table
-        checks = dict(report.checks)
+        table, checks, predicted = report.table, dict(report.checks), report.predicted
     else:
-        table = compute_hfk(params)
-        checks = {}
+        table, checks, predicted = compute_hfk(params), {}, classify(params)
     alex = normalize_alexander(euler_characteristic(table))
     p, q, r = params.pretzel_triple()
     generators = [
@@ -55,13 +72,47 @@ def _record(params: TangleParams, with_checks: bool = True) -> Dict:
             {"exp": e, "coeff": alex[e]}
             for e in sorted(alex.coeffs)
         ],
-        "classification": classify(params).shape.value,
+        "classification": predicted.shape.value,
         "checks": checks,
         "meta": {
             "version": __version__,
             "seconds": round(time.perf_counter() - start, 6),
         },
     }
+
+
+_GENERATOR_ROW = '{{\n      "s": {s},\n      "delta_times_2": {delta_times_2},\n      "rank": {rank}\n    }}'
+_ALEXANDER_ROW = '{{\n      "exp": {exp},\n      "coeff": {coeff}\n    }}'
+
+
+def _json_block(items: List[str], brackets: str) -> str:
+    """An array or object one level deep in json.dumps(..., indent=2)."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
+
+
+def _format_json(record: Dict) -> str:
+    """json.dumps(record, indent=2), byte for byte, from fixed row templates.
+
+    With indent, json.dumps runs CPython's pure-Python encoder, which is
+    several times slower on a large record.  Generator and Alexander rows hold
+    ints only; every other key and value goes through json.dumps, so strings
+    are escaped exactly as json escapes them.
+    """
+
+    def scalars(obj: Dict) -> str:
+        return _json_block([f"{json.dumps(k)}: {json.dumps(v)}" for k, v in obj.items()], "{}")
+
+    fields = [
+        ("knot", scalars(record["knot"])),
+        ("generators", _json_block([_GENERATOR_ROW.format_map(g) for g in record["generators"]], "[]")),
+        ("alexander", _json_block([_ALEXANDER_ROW.format_map(x) for x in record["alexander"]], "[]")),
+        ("classification", json.dumps(record["classification"])),
+        ("checks", scalars(record["checks"])),
+        ("meta", scalars(record["meta"])),
+    ]
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}"
 
 
 def _format_csv(record: Dict) -> str:
@@ -120,15 +171,23 @@ def _format_ascii(record: Dict) -> str:
     return "\n".join(out)
 
 
-def cmd_compute(args) -> int:
+def _knot(args) -> Optional[TangleParams]:
+    """The knot of a compute or verify call, or None after an error message."""
     try:
         params = TangleParams(args.a, args.b, args.c, args.sign)
     except CurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    return None if _over_ceiling("a + b + c", args.a + args.b + args.c, MAX_PARAMETER_SUM) else params
+
+
+def cmd_compute(args) -> int:
+    params = _knot(args)
+    if params is None:
         return 2
     record = _record(params)
     if args.format == "json":
-        print(json.dumps(record, indent=2))
+        print(_format_json(record))
     elif args.format == "csv":
         print(_format_csv(record))
     elif args.format == "latex":
@@ -139,10 +198,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        params = TangleParams(args.a, args.b, args.c, args.sign)
-    except CurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    params = _knot(args)
+    if params is None:
         return 2
     report = verify(params)
     p, q, r = params.pretzel_triple()
@@ -155,6 +212,8 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if min(args.max_a, args.max_b, args.max_c) < 1:
         print("error: sweep bounds must be at least 1", file=sys.stderr)
+        return 2
+    if _over_ceiling("max-a + max-b + max-c", args.max_a + args.max_b + args.max_c, MAX_PARAMETER_SUM):
         return 2
     if args.sign == "both":
         signs = ["+", "-"]
@@ -169,7 +228,7 @@ def cmd_sweep(args) -> int:
                 for c in range(1, args.max_c + 1):
                     params = TangleParams(a, b, c, sign)
                     report = verify(params)
-                    shape = classify(params).shape.value
+                    shape = report.predicted.shape.value
                     census[shape] = census.get(shape, 0) + 1
                     total += 1
                     status = "pass" if report.passed else "fail"
@@ -189,6 +248,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_alex(args) -> int:
+    if _over_ceiling("|p| + |q| + |r|", abs(args.p) + abs(args.q) + abs(args.r), MAX_TWIST_SUM):
+        return 2
     try:
         poly = fox_alexander(build_pretzel_diagram(args.p, args.q, args.r))
     except (DiagramError, AlgebraError) as exc:

@@ -104,10 +104,14 @@ def classification_from_table(table: HfkTable) -> Classification:
 
 @dataclass
 class VerificationReport:
-    """Outcome of the per-knot consistency checks; values pass/fail/skip."""
+    """Outcome of the per-knot consistency checks; values pass/fail/skip.
+
+    predicted is classify(params), which check (iii) compares with the table.
+    """
 
     params: TangleParams
     table: HfkTable
+    predicted: Classification
     checks: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -121,7 +125,8 @@ class VerificationReport:
 def verify(params: TangleParams) -> VerificationReport:
     """Run every consistency check for one knot; failures are report entries."""
     table = compute_hfk(params)
-    report = VerificationReport(params=params, table=table)
+    predicted = classify(params)
+    report = VerificationReport(params=params, table=table, predicted=predicted)
     checks = report.checks
 
     # (i) graded Euler characteristic against the Fox-calculus oracle
@@ -140,7 +145,6 @@ def verify(params: TangleParams) -> VerificationReport:
     checks["rank_symmetry"] = "pass" if symmetric else "fail"
 
     # (iii) predicted classification against the one re-derived from the table
-    predicted = classify(params)
     try:
         derived = classification_from_table(table)
         checks["classification_consistent"] = (

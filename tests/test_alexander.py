@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 
 from pretzelhfk import alexander
 from pretzelhfk.alexander import (
+    Crossing,
     DiagramError,
+    PretzelDiagram,
     _band_transfer,
+    _cross,
     _determinant,
+    _find,
     _mul,
     _period,
+    _strand_directions,
     _to_laurent,
     _trim,
+    _union,
     build_pretzel_diagram,
     fox_alexander,
     pretzel_determinant,
@@ -118,6 +124,11 @@ def schoolbook(a, b):
     return LaurentPolynomial(out)
 
 
+def plus(p, q):
+    """p + q for LaurentPolynomials, coefficientwise."""
+    return LaurentPolynomial({e: p[e] + q[e] for e in p.coeffs.keys() | q.coeffs.keys()})
+
+
 def product(p, q):
     """p*q for LaurentPolynomials, term by term."""
     out = {}
@@ -156,7 +167,7 @@ def laplace(mat):
         if not entry.is_zero():
             minor = laplace([row[:j] + row[j + 1 :] for row in mat[1:]])
             term = product(entry, minor)
-            total = total + (term if j % 2 == 0 else -term)
+            total = plus(total, term if j % 2 == 0 else -term)
     return total
 
 
@@ -234,11 +245,11 @@ def test_large_knots_match_the_euler_characteristic(a, b, c, sign):
 def crossing_matrix(e):
     """T_e = [[1 - t^e, t^e], [1, 0]] for one crossing, as Laurent polynomials."""
     t_e = LaurentPolynomial({e: 1})
-    return [[ONE - t_e, t_e], [ONE, LaurentPolynomial.zero()]]
+    return [[plus(ONE, -t_e), t_e], [ONE, LaurentPolynomial.zero()]]
 
 
 def matmul(x, y):
-    return [[product(x[i][0], y[0][j]) + product(x[i][1], y[1][j]) for j in range(2)] for i in range(2)]
+    return [[plus(product(x[i][0], y[0][j]), product(x[i][1], y[1][j])) for j in range(2)] for i in range(2)]
 
 
 PATTERNS = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
@@ -368,3 +379,120 @@ class TestAgainstTheWirtingerMinor:
     def test_large_knots(self, a, b, c, sign):
         d = build_pretzel_diagram(*TangleParams(a, b, c, sign).pretzel_triple())
         assert fox_alexander(d) == wirtinger_alexander(d)
+
+
+# -- reference: the diagram built crossing by crossing ----------------------
+
+
+def reference_diagram(p, q, r):
+    """P(p, q, r) built one crossing at a time, then merged by union-find.
+
+    Each band gets fresh top arcs L and R and one fresh arc per crossing; the
+    strands swap sides at each crossing, and each crossing's exponent is read
+    off the directions of the two strands there.  The cyclic closure merges
+    arcs by union-find over every arc, and arcs are numbered by the rank of
+    their class representative.
+    """
+    twists = (p, q, r)
+    if any(t == 0 for t in twists):
+        raise DiagramError("zero twist bands are not supported")
+    if sum(1 for t in twists if t % 2 == 0) != 1:
+        raise DiagramError(f"P{twists} is a link, not a knot")
+    directions = _strand_directions(twists)
+
+    next_arc = 0
+
+    def fresh():
+        nonlocal next_arc
+        next_arc += 1
+        return next_arc - 1
+
+    def diag(pos, going_down):
+        if pos == "L":
+            return (1, -1) if going_down else (-1, 1)
+        return (-1, -1) if going_down else (1, 1)
+
+    crossings, tops, bottoms = [], [], []
+    for band, t in enumerate(twists):
+        arc = {"L": fresh(), "R": fresh()}
+        owner = {"L": "L", "R": "R"}  # which top side each position's strand entered at
+        tops.append((arc["L"], arc["R"]))
+        for _ in range(abs(t)):
+            over_pos = "L" if t > 0 else "R"
+            under_pos = "R" if t > 0 else "L"
+            over_down = directions[(band, owner[over_pos])] == "down"
+            under_down = directions[(band, owner[under_pos])] == "down"
+            sign = 1 if _cross(diag(over_pos, over_down), diag(under_pos, under_down)) > 0 else -1
+            exponent = sign if under_down else -sign
+            new = fresh()
+            crossings.append(
+                Crossing(over=arc[over_pos], incoming=arc[under_pos], outgoing=new, exponent=exponent)
+            )
+            arc = {"L": arc["R"], "R": arc["L"]}
+            owner = {"L": owner["R"], "R": owner["L"]}
+            arc[over_pos] = new  # the under strand lands where the over strand left
+        bottoms.append((arc["L"], arc["R"]))
+
+    parent = {i: i for i in range(next_arc)}
+    for k in range(3):
+        _union(parent, tops[k][1], tops[(k + 1) % 3][0])
+        _union(parent, bottoms[k][1], bottoms[(k + 1) % 3][0])
+    reps = sorted({_find(parent, i) for i in range(next_arc)})
+    index = {rep: i for i, rep in enumerate(reps)}
+    merged = tuple(
+        Crossing(
+            over=index[_find(parent, c.over)],
+            incoming=index[_find(parent, c.incoming)],
+            outgoing=index[_find(parent, c.outgoing)],
+            exponent=c.exponent,
+        )
+        for c in crossings
+    )
+    diagram = PretzelDiagram(twists=twists, crossings=merged, arc_count=len(reps))
+    if diagram.arc_count != len(merged):
+        raise DiagramError("arc/crossing count mismatch; diagram is not a knot diagram")
+    return diagram
+
+
+def built(build, twists):
+    """The diagram, or the message of the DiagramError raised instead."""
+    try:
+        return build(*twists)
+    except DiagramError as exc:
+        return f"DiagramError: {exc}"
+
+
+class TestBuilderAgainstTheReference:
+    def test_grid(self):
+        for sign in ("+", "-"):
+            for a in range(1, 7):
+                for b in range(1, 7):
+                    for c in range(1, 7):
+                        twists = TangleParams(a, b, c, sign).pretzel_triple()
+                        assert build_pretzel_diagram(*twists) == reference_diagram(*twists), twists
+
+    def test_random_knots_with_short_bands(self):
+        knots = random_knots(seed=606, count=300, bound=45)
+        magnitudes = {abs(t) for k in knots for t in k}
+        assert {1, 2} <= magnitudes and max(magnitudes) > 40
+        for k in knots:
+            assert build_pretzel_diagram(*k) == reference_diagram(*k), k
+
+    @pytest.mark.parametrize(
+        "a, b, c, sign",
+        [(100, 20, 100, "+"), (100, 20, 100, "-"), (100, 99, 100, "-"), (20, 100, 20, "+")],
+    )
+    def test_large_knots(self, a, b, c, sign):
+        twists = TangleParams(a, b, c, sign).pretzel_triple()
+        assert build_pretzel_diagram(*twists) == reference_diagram(*twists)
+
+    def test_zero_bands_and_links_raise_the_same_error(self):
+        rng = random.Random(607)
+        inputs = [(0, 3, 5), (2, 0, 3), (0, 0, 0), (2, 4, 3), (2, -4, 6), (1, 1, 1), (-3, 5, 7)]
+        while len(inputs) < 200:
+            twists = tuple(rng.randint(-6, 6) for _ in range(3))
+            if 0 in twists or sum(t % 2 == 0 for t in twists) != 1:
+                inputs.append(twists)
+        for twists in inputs:
+            got = built(build_pretzel_diagram, twists)
+            assert isinstance(got, str) and got == built(reference_diagram, twists), twists

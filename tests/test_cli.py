@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import ast
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,7 +19,8 @@ import pretzelhfk
 from pretzelhfk import cli
 from pretzelhfk.alexander import build_pretzel_diagram, pretzel_determinant
 from pretzelhfk.algebra import AlgebraError
-from pretzelhfk.cli import main
+from pretzelhfk.cli import MAX_PARAMETER_SUM, MAX_TWIST_SUM, main
+from pretzelhfk.curves import TangleParams
 
 
 def run(capsys, *argv):
@@ -171,6 +175,101 @@ class TestAlex:
         assert optimized.returncode == plain.returncode == 0
         assert optimized.stdout == plain.stdout
         assert plain.stdout.endswith(f"determinant {pretzel_determinant(200, -41, 201)}\n")
+
+
+def grid_knots():
+    return [TangleParams(a, b, c, sign) for sign in "+-"
+            for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]
+
+
+def large_knots(seed):
+    """100 knots with a, c in [20, 100] and b in [1, 100], one in ten with
+    b = a - 1, both signs: one value from each of 100 equal slices of each
+    range, shuffled.  Seed 0 gives the first large knots the benchmark times.
+    """
+    rng = random.Random(seed)
+
+    def strata(lo, hi):
+        values = [lo + int((i + rng.random()) * (hi - lo + 1) / 100) for i in range(100)]
+        rng.shuffle(values)
+        return values
+
+    a, b, c = strata(20, 100), strata(1, 100), strata(20, 100)
+    for i in range(0, 100, 10):
+        b[i] = a[i] - 1
+    signs = ["+", "-"] * 50
+    rng.shuffle(signs)
+    return [TangleParams(*knot) for knot in zip(a, b, c, signs)]
+
+
+class TestJsonWriter:
+    def test_grid_records_are_json_dumps_byte_for_byte(self):
+        for params in grid_knots():
+            for with_checks in (True, False):  # without checks, "checks" is {}
+                record = cli._record(params, with_checks)
+                assert cli._format_json(record) == json.dumps(record, indent=2), params
+
+    def test_large_knot_records_are_json_dumps_byte_for_byte(self):
+        knots = large_knots(0)
+        assert max(k.a for k in knots) > 90 and any(k.b == k.a - 1 for k in knots)
+        for params in knots:
+            record = cli._record(params)
+            assert cli._format_json(record) == json.dumps(record, indent=2), params
+
+    def test_empty_rows_and_escaped_strings(self):
+        record = {"knot": {"sign": "\"+\u00e9"}, "generators": [], "alexander": [],
+                  "classification": "a\nb", "checks": {}, "meta": {"seconds": 1e-07}}
+        assert cli._format_json(record) == json.dumps(record, indent=2)
+
+
+def test_cli_output_bytes_are_pinned():
+    # compute in all four formats and a sweep, with the "seconds" line dropped;
+    # the digest was taken when json.dumps(record, indent=2) wrote the record
+    # and the diagram was built crossing by crossing
+    knots = [(3, 1, 2, "+"), (1, 2, 1, "-"), (1, 1, 1, "+"), (6, 6, 6, "+"), (2, 5, 3, "-"),
+             (20, 3, 20, "+"), (100, 20, 100, "+"), (100, 99, 100, "-")]
+    argvs = [["compute", "--a", str(a), "--b", str(b), "--c", str(c), "--sign", sign, "--format", fmt]
+             for a, b, c, sign in knots for fmt in ("json", "csv", "latex", "ascii")]
+    argvs.append(["sweep", "--max-a", "3", "--max-b", "3", "--max-c", "3"])
+    digest = hashlib.sha256()
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        kept = "".join(line for line in buf.getvalue().splitlines(True) if '"seconds"' not in line)
+        digest.update(f"{code}\n{kept}".encode())
+    assert digest.hexdigest() == "50a3cad36f8e8680de47c3ee432558011593fbfd95303150e1a1a59f8361fb22"
+
+
+class TestCeiling:
+    """Oversized input exits 2 before any computation starts."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_may_run(self, monkeypatch):
+        def refuse(*args):
+            pytest.fail("computation started above the ceiling")
+
+        for name in ("verify", "compute_hfk", "build_pretzel_diagram", "fox_alexander"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_one_knot(self, capsys, command):
+        b = MAX_PARAMETER_SUM - 1
+        assert main([command, "--a", "1", "--b", str(b), "--c", "1", "--sign", "+"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: a + b + c = {MAX_PARAMETER_SUM + 1} exceeds the ceiling {MAX_PARAMETER_SUM}\n"
+
+    def test_sweep(self, capsys):
+        assert main(["sweep", "--max-a", "1", "--max-b", "1", "--max-c", str(MAX_PARAMETER_SUM)]) == 2
+        assert "max-a + max-b + max-c" in capsys.readouterr().err
+
+    def test_alex(self, capsys):
+        # the largest twist sum of an accepted knot, then two more crossings
+        a, b, c = MAX_PARAMETER_SUM - 2, 1, 1
+        p, q, r = TangleParams(a, b, c, "+").pretzel_triple()
+        assert abs(p) + abs(q) + abs(r) == MAX_TWIST_SUM
+        assert main(["alex", "--p", str(p), "--q", str(q), "--r", str(r + 2)]) == 2
+        assert f"exceeds the ceiling {MAX_TWIST_SUM}" in capsys.readouterr().err
 
 
 def nodes_in_the_package(forbidden):
