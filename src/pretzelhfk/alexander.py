@@ -7,14 +7,10 @@ Alexander polynomial is a minor of its Fox-derivative matrix over Z[t, 1/t].
 That matrix is never built in full.  Inside a band the crossings chain:
 crossing j takes its over-arc y_{j+1} and its incoming arc y_j and emits
 y_{j+2} = (1 - t^e) y_{j+1} + t^e y_j, the abelianized Fox row of its
-relation (Fox, Free differential calculus I, 1953).  So (y_{j+2}, y_{j+1}) =
-T_e (y_{j+1}, y_j) with T_e = [[1 - t^e, t^e], [1, 0]], and a band of n
-crossings maps its top arcs to its bottom arcs by the product of n such
-matrices.  The exponents of a band have period at most 2, so that product is
-a power M^m of one period matrix (times one more T_e on the left for an odd
-antiparallel band).  M has eigenvalue 1: trace M = 1 + delta with
-delta = det M a unit monomial, and Cayley-Hamilton gives
-M^m = s_m M - delta s_{m-1} I with s_m = 1 + delta + ... + delta^(m-1).
+relation (Fox, Free differential calculus I, 1953).  In differences,
+y_{j+2} - y_{j+1} = -t^e (y_{j+1} - y_j), so every arc of a band is
+y_m = (1 - S_m) y_0 + S_m y_1, where S_m is a sum of m signed unit monomials
+whose exponents are prefix sums of the band's exponents, whatever they are.
 Each band thus contributes the relations of its two bottom arcs (one for a
 single crossing).  Eliminating the interior arcs this way is unimodular, so
 after one relation and one arc column are deleted the minor, at most 5x5, is
@@ -37,9 +33,9 @@ result becomes a LaurentPolynomial once, at the end.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import cycle
+from itertools import accumulate, cycle
 from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -224,8 +220,8 @@ def _sub_mul(a: Dense, f: Poly, b: Poly) -> Dense:
     """a - f*b, as one shifted slice update of the longer factor per
     coefficient of the shorter one.
 
-    Cheap when one factor is short: in the band transfer one factor is an
-    entry of a period matrix, at most three terms.
+    Cheap when one factor is short: a unit, or an entry of an antiparallel
+    band, whose S_m = i - j t^e has at most two terms.
     """
     if len(f[1]) > len(b[1]):
         f, b = b, f
@@ -257,8 +253,8 @@ def _mul(a: Dense, b: Dense) -> Dense:
     """a*b: by slice updates when a factor has at most _SHORT terms, else by
     Kronecker substitution (evaluate both at t = 2^K, multiply once).
 
-    Packing into bytes costs more than it saves for a short factor: an entry
-    of a band's period matrix, a unit, or a small knot's residual block.
+    Packing into bytes costs more than it saves for a short factor: a unit,
+    an antiparallel band's entry, or a small knot's residual block.
 
     Every product coefficient is a sum of a_i b_j over i + j = k, so its
     absolute value is at most max|a| * sum|b| < 2^(K-2) for
@@ -365,70 +361,29 @@ def _sub(a: Dense, b: Dense) -> Dense:
     return a if b is None else _sub_mul(a, _ONE, b)
 
 
-def _transfer(e: int) -> Matrix2:
-    """T_e, which maps (y_{j+1}, y_j) to (y_{j+2}, y_{j+1}) across a crossing
-    with exponent e: y_{j+2} = (1 - t^e) y_{j+1} + t^e y_j."""
-    return ((_add(_ONE, (e, [-1])), (e, [1])), (_ONE, None))
-
-
-def _matmul2(x: Matrix2, y: Matrix2) -> Matrix2:
-    (a, b), (c, d) = y
-    return tuple((_add(_mul(u, a), _mul(v, c)), _add(_mul(u, b), _mul(v, d))) for u, v in x)
-
-
-def _geometric(delta: Poly, m: int) -> Dense:
-    """s_m = 1 + delta + ... + delta^(m-1) for a unit monomial delta = +-t^k."""
-    k, (c,) = delta
-    if k == 0:
-        return _trim(0, [m if c == 1 else m % 2])
-    terms = [c**i for i in range(m)]
-    cs = [0] * (abs(k) * (m - 1) + 1)
-    cs[:: abs(k)] = terms if k > 0 else terms[::-1]
-    return (min(0, k * (m - 1)), cs)
-
-
-@lru_cache(maxsize=16)
-def _period(e0: int, e1: int, odd: bool) -> Tuple[Matrix2, Matrix2, Poly]:
-    """(X M, X, delta) for the period matrix M of a band with exponents
-    e0, e1, e0, ...: M is T_e0 (parallel strands) or T_e1 T_e0 (antiparallel
-    strands), delta = det M, and X is T_e0 for an odd antiparallel band, else I.
-
-    Cayley-Hamilton gives M^m = s_m M - delta s_{m-1} I only when M has
-    eigenvalue 1, that is trace M = 1 + delta; DiagramError is raised unless
-    that holds with delta a unit monomial.  The result is shared by every
-    caller, so its polynomials must not be mutated.
-    """
-    period = _transfer(e0) if e0 == e1 else _matmul2(_transfer(e1), _transfer(e0))
-    (a, b), (c, d) = period
-    delta = _sub(_mul(a, d), _mul(b, c))
-    if delta is None or not _is_unit(delta) or _add(a, d) != _add(_ONE, delta):
-        raise DiagramError(f"band period matrix for exponents ({e0}, {e1}) has no eigenvalue 1")
-    tail = _transfer(e0) if odd else ((_ONE, None), (None, _ONE))
-    return _matmul2(tail, period), tail, delta
-
-
 def _band_transfer(exponents: Sequence[int]) -> Matrix2:
     """The product T_{e_{n-1}} ... T_{e_1} T_{e_0} over one band, in closed form.
 
-    The exponents must have period at most 2, else DiagramError.  With M, X
-    and delta from _period, the product is X M^m = s_m X M - delta s_{m-1} X,
-    where m counts the periods and s_m = 1 + delta + ... + delta^(m-1).
+    Crossing j gives y_{j+2} - y_{j+1} = -t^(e_j) (y_{j+1} - y_j), so
+    y_{i+1} - y_i = u_i (y_1 - y_0) with u_i = (-1)^i t^(e_0 + ... + e_{i-1}),
+    and y_m = (1 - S_m) y_0 + S_m y_1 with S_m = u_0 + ... + u_{m-1}.  The
+    product maps (y_1, y_0) to (y_{n+1}, y_n), so its rows are
+    (S_{n+1}, 1 - S_{n+1}) and (S_n, 1 - S_n), for any exponent sequence.
     """
     n = len(exponents)
     if n == 0:
         raise DiagramError("empty twist band")
-    e0, e1 = exponents[0], exponents[min(1, n - 1)]
-    if any(e != (e1 if j % 2 else e0) for j, e in enumerate(exponents)):
-        raise DiagramError(f"band exponents {list(exponents)} do not have period 2")
-    m, odd = (n, 0) if e0 == e1 else divmod(n, 2)
-    head, tail, delta = _period(e0, e1, bool(odd))
-    s = _geometric(delta, m)
-    shift = _sub(s, _ONE)  # delta s_{m-1}, as s_m = 1 + delta s_{m-1}
-    return tuple(
-        tuple(_mul(s, h) if x is None or shift is None else _sub_mul(_mul(s, h), shift, x)
-              for h, x in zip(hrow, xrow))
-        for hrow, xrow in zip(head, tail)
-    )
+    sums = list(accumulate(exponents, initial=0))  # u_i = (-1)^i t^sums[i]
+    lo = min(sums)
+    cs = [0] * (max(sums) - lo + 1)
+    for k, c in Counter(sums[: n : 2]).items():
+        cs[k - lo] += c
+    for k, c in Counter(sums[1 : n : 2]).items():
+        cs[k - lo] -= c
+    s_n = _trim(lo, cs[:])
+    cs[sums[n] - lo] += -1 if n % 2 else 1
+    s_next = _trim(lo, cs)
+    return ((s_next, _sub(_ONE, s_next)), (s_n, _sub(_ONE, s_n)))
 
 
 def _relation(bottom: int, over: Dense, incoming: Dense, y1: int, y0: int) -> DenseRow:

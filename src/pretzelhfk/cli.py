@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when the
 reader closes stdout early (as `| head` does), without a traceback.
 
 Input is capped: compute and verify exit 2 when a + b + c exceeds
-MAX_PARAMETER_SUM, sweep when max-a + max-b + max-c does, and alex when
-|p| + |q| + |r| exceeds MAX_TWIST_SUM, the largest sum of a knot that compute
-accepts.  The library functions take any size.
+MAX_PARAMETER_SUM, sweep when max-a + max-b + max-c does or when it would
+visit more than MAX_SWEEP_KNOTS knots, and alex when |p| + |q| + |r| exceeds
+MAX_TWIST_SUM, the largest sum of a knot that compute accepts.  The library
+functions take any size.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from . import __version__
 from .alexander import DiagramError, build_pretzel_diagram, fox_alexander, pretzel_determinant
 from .algebra import AlgebraError, euler_characteristic, normalize_alexander
 from .curves import CurveError, TangleParams
-from .hfk import classify, compute_hfk, verify
+# unused here: benchmarks/tracing.py BINDINGS and benchmarks/tests bind cli.compute_hfk
+from .hfk import compute_hfk, verify  # noqa: F401
 
 # The ascii plot grows with the square of a + b + c, the other formats
 # linearly.  At the ceiling, on a shared 2-vCPU host with CPython 3.11, the
@@ -33,6 +35,10 @@ from .hfk import classify, compute_hfk, verify
 # a json record takes 0.2 s at 17 MB.
 MAX_PARAMETER_SUM = 1000
 MAX_TWIST_SUM = 2 * MAX_PARAMETER_SUM + 2  # |2a| + |-2b-1| + |2c+1|
+# A sweep visits signs * max-a * max-b * max-c knots.  On the same host the
+# slowest sweep measured under this cap, --max-a 1 --max-b 5 --max-c 994 with
+# both signs (9940 knots), takes 68 s; max-a = max-b = max-c = 17 (9826) 12 s.
+MAX_SWEEP_KNOTS = 10_000
 
 
 def _over_ceiling(what: str, total: int, ceiling: int) -> bool:
@@ -42,19 +48,15 @@ def _over_ceiling(what: str, total: int, ceiling: int) -> bool:
     return True
 
 
-def _record(params: TangleParams, with_checks: bool = True) -> Dict:
+def _record(params: TangleParams) -> Dict:
     start = time.perf_counter()
-    if with_checks:
-        report = verify(params)
-        table, checks, predicted = report.table, dict(report.checks), report.predicted
-    else:
-        table, checks, predicted = compute_hfk(params), {}, classify(params)
-    alex = normalize_alexander(euler_characteristic(table))
+    report = verify(params)
+    alex = normalize_alexander(euler_characteristic(report.table))
     p, q, r = params.pretzel_triple()
     generators = [
         {"s": s, "delta_times_2": d.twice, "rank": rk}
         for (s, d), rk in sorted(
-            table.entries.items(), key=lambda kv: (kv[0][0], kv[0][1].twice)
+            report.table.entries.items(), key=lambda kv: (kv[0][0], kv[0][1].twice)
         )
     ]
     return {
@@ -72,8 +74,8 @@ def _record(params: TangleParams, with_checks: bool = True) -> Dict:
             {"exp": e, "coeff": alex[e]}
             for e in sorted(alex.coeffs)
         ],
-        "classification": predicted.shape.value,
-        "checks": checks,
+        "classification": report.predicted.shape.value,
+        "checks": dict(report.checks),
         "meta": {
             "version": __version__,
             "seconds": round(time.perf_counter() - start, 6),
@@ -219,6 +221,9 @@ def cmd_sweep(args) -> int:
         signs = ["+", "-"]
     else:
         signs = [args.sign]
+    knots = len(signs) * args.max_a * args.max_b * args.max_c
+    if _over_ceiling("signs * max-a * max-b * max-c", knots, MAX_SWEEP_KNOTS):
+        return 2
     census: Dict[str, int] = {}
     failures = []
     total = 0

@@ -19,7 +19,7 @@ import pretzelhfk
 from pretzelhfk import cli
 from pretzelhfk.alexander import build_pretzel_diagram, pretzel_determinant
 from pretzelhfk.algebra import AlgebraError
-from pretzelhfk.cli import MAX_PARAMETER_SUM, MAX_TWIST_SUM, main
+from pretzelhfk.cli import MAX_PARAMETER_SUM, MAX_SWEEP_KNOTS, MAX_TWIST_SUM, main
 from pretzelhfk.curves import TangleParams
 
 
@@ -205,9 +205,9 @@ def large_knots(seed):
 class TestJsonWriter:
     def test_grid_records_are_json_dumps_byte_for_byte(self):
         for params in grid_knots():
-            for with_checks in (True, False):  # without checks, "checks" is {}
-                record = cli._record(params, with_checks)
-                assert cli._format_json(record) == json.dumps(record, indent=2), params
+            record = cli._record(params)
+            for rec in (record, dict(record, checks={})):
+                assert cli._format_json(rec) == json.dumps(rec, indent=2), params
 
     def test_large_knot_records_are_json_dumps_byte_for_byte(self):
         knots = large_knots(0)
@@ -262,6 +262,13 @@ class TestCeiling:
     def test_sweep(self, capsys):
         assert main(["sweep", "--max-a", "1", "--max-b", "1", "--max-c", str(MAX_PARAMETER_SUM)]) == 2
         assert "max-a + max-b + max-c" in capsys.readouterr().err
+
+    def test_sweep_knot_count(self, capsys):
+        # 10001 = 73 * 137 knots of one sign, well inside the parameter-sum ceiling
+        assert MAX_SWEEP_KNOTS + 1 == 73 * 137 and 1 + 73 + 137 <= MAX_PARAMETER_SUM
+        assert main(["sweep", "--max-a", "1", "--max-b", "73", "--max-c", "137", "--sign", "+"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: signs * max-a * max-b * max-c = 10001 exceeds the ceiling {MAX_SWEEP_KNOTS}\n"
 
     def test_alex(self, capsys):
         # the largest twist sum of an accepted knot, then two more crossings
