@@ -55,9 +55,7 @@ def _record(params: TangleParams) -> Dict:
     p, q, r = params.pretzel_triple()
     generators = [
         {"s": s, "delta_times_2": d.twice, "rank": rk}
-        for (s, d), rk in sorted(
-            report.table.entries.items(), key=lambda kv: (kv[0][0], kv[0][1].twice)
-        )
+        for (s, d), rk in sorted(report.table.entries.items())
     ]
     return {
         "knot": {
@@ -173,6 +171,9 @@ def _format_ascii(record: Dict) -> str:
     return "\n".join(out)
 
 
+FORMATS = {"json": _format_json, "csv": _format_csv, "latex": _format_latex, "ascii": _format_ascii}
+
+
 def _knot(args) -> Optional[TangleParams]:
     """The knot of a compute or verify call, or None after an error message."""
     try:
@@ -188,14 +189,7 @@ def cmd_compute(args) -> int:
     if params is None:
         return 2
     record = _record(params)
-    if args.format == "json":
-        print(_format_json(record))
-    elif args.format == "csv":
-        print(_format_csv(record))
-    elif args.format == "latex":
-        print(_format_latex(record))
-    else:
-        print(_format_ascii(record))
+    print(FORMATS[args.format](record))
     return 0 if all(v != "fail" for v in record["checks"].values()) else 1
 
 
@@ -269,6 +263,15 @@ def cmd_alex(args) -> int:
     return 0 if det == expected else 1
 
 
+def _knot_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """A subcommand taking one knot as --a, --b, --c and --sign."""
+    parser = sub.add_parser(name, help=summary)
+    for letter in "abc":
+        parser.add_argument(f"--{letter}", type=int, required=True)
+    parser.add_argument("--sign", choices=["+", "-"], required=True)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pretzelhfk",
@@ -280,19 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("compute", help="rank table of one knot")
-    pc.add_argument("--a", type=int, required=True)
-    pc.add_argument("--b", type=int, required=True)
-    pc.add_argument("--c", type=int, required=True)
-    pc.add_argument("--sign", choices=["+", "-"], required=True)
-    pc.add_argument("--format", choices=["json", "csv", "latex", "ascii"], default="json")
+    pc = _knot_parser(sub, "compute", "rank table of one knot")
+    pc.add_argument("--format", choices=FORMATS, default="json")
     pc.set_defaults(func=cmd_compute)
 
-    pv = sub.add_parser("verify", help="run all consistency checks for one knot")
-    pv.add_argument("--a", type=int, required=True)
-    pv.add_argument("--b", type=int, required=True)
-    pv.add_argument("--c", type=int, required=True)
-    pv.add_argument("--sign", choices=["+", "-"], required=True)
+    pv = _knot_parser(sub, "verify", "run all consistency checks for one knot")
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("sweep", help="verify a whole parameter grid")

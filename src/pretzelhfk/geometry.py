@@ -10,6 +10,8 @@ the local disk rule: a disk in the cell containing the point, bounded by the
 blue curve from y to the point, the red curve from the point to x, and an arc
 of the grid, traversed clockwise; the Alexander grading is the blue label at
 y minus the red label at x plus the signs of the punctures the disk covers.
+The cell's four boundary crossings, two per curve, are computed from its
+edges and labelled before the rule runs; only `CurveLabels` walks the grid.
 
 Alexander labels along a single line follow from the same disk rule applied
 within the curve: the step between consecutive grid crossings equals the sum
@@ -137,29 +139,25 @@ class CurveLabels:
         return 0 if kind == "V" else sgn
 
 
-def _boundary_param(pt: Tuple[int, int], x0: int, y0: int, n: int) -> int:
-    """Position in [0, 4n) of a cell-boundary point along the counterclockwise
-    walk starting at corner (x0, y0): bottom, right, top, left edges in order."""
-    x, y = pt
-    if y == y0:
-        return x - x0
-    if x == x0 + n:
-        return n + (y - y0)
-    if y == y0 + n:
-        return 2 * n + (x0 + n - x)
-    if x == x0:
-        return 3 * n + (y0 + n - y)
-    raise GeometryError("point not on cell boundary")
+def _cell_crossings(line: Line, x0: int, y0: int, n: int):
+    """Crossings of the line with the boundary of the cell with corner (x0, y0).
 
-
-def _cell_crossings(pts, x0: int, y0: int, n: int):
-    """Filter grid crossings lying on the boundary of the cell with corner (x0, y0)."""
+    Returns (t, point, kind) for each hit strictly inside an edge, where t in
+    [0, 4n) is the position on the counterclockwise walk from (x0, y0):
+    bottom, right, top, left edges in order.  kind is "V" on a vertical edge
+    and "H" on a horizontal one.  A line through the cell crosses its boundary
+    twice; a crossing at a corner lies inside no edge and is dropped.
+    """
+    p, q, c = line
     out = []
-    for x, y, kind in pts:
-        if kind == "V" and x in (x0, x0 + n) and y0 < y < y0 + n:
-            out.append(((x, y), kind))
-        elif kind == "H" and y in (y0, y0 + n) and x0 < x < x0 + n:
-            out.append(((x, y), kind))
+    for x, t0, sgn in ((x0 + n, n, 1), (x0, 4 * n, -1)):
+        y = _exact(p * x + c, q)
+        if y0 < y < y0 + n:
+            out.append((t0 + sgn * (y - y0), (x, y), "V"))
+    for y, t0, sgn in ((y0, 0, 1), (y0 + n, 3 * n, -1)):
+        x = _exact(q * y - c, p)
+        if x0 < x < x0 + n:
+            out.append((t0 + sgn * (x - x0), (x, y), "H"))
     return out
 
 
@@ -167,43 +165,39 @@ def _shoelace(poly: List[Tuple[int, int]]) -> int:
     return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
 
 
-def _grade_point(z, n, red_pts, blue_pts, red_alex, blue_alex, red_delta, blue_delta):
+def _grade_point(z, n, marked):
     """Alexander label and delta label (in halves) of one intersection point.
 
-    red_pts/blue_pts are the two cell-boundary crossings of each curve;
-    *_alex and *_delta map a crossing to its labels.  All clockwise disk
-    configurations are evaluated and must agree.
+    marked holds the two cell-boundary crossings of each curve, already
+    labelled: (t, point, alexander, delta_halves, color), with t as in
+    `_cell_crossings`.  All clockwise disk configurations are evaluated and
+    must agree.
     """
     x0, y0 = z[0] // n * n, z[1] // n * n
     cell = [(x0, y0), (x0 + n, y0), (x0 + n, y0 + n), (x0, y0 + n)]
-    marked = [(_boundary_param(p, x0, y0, n), p, k, c)
-              for pts, c in ((red_pts, "red"), (blue_pts, "blue")) for p, k in pts]
-    marked.sort(key=lambda e: e[0])
-    colors = [c for _, _, _, c in marked]
+    marked = sorted(marked)
+    colors = [e[4] for e in marked]
     if colors not in (["red", "blue", "red", "blue"], ["blue", "red", "blue", "red"]):
         raise GeometryError("cell boundary points do not alternate colors")
 
     results = []
-    for idx, (t1, p1, k1, c1) in enumerate(marked):
-        t2, p2, k2, _ = marked[(idx + 1) % len(marked)]
-        corner_ts = [t for t in range(0, 4 * n, n) if (t1 < t < t2) or (t2 < t1 and (t > t1 or t < t2))]
-        if t2 < t1:
-            corner_ts.sort(key=lambda t: (t <= t2, t))  # wrap order: after t1 first
-        corners = [cell[t // n] for t in corner_ts]
+    for idx, (t1, p1, a1, d1, c1) in enumerate(marked):
+        t2, p2, a2, d2, _ = marked[(idx + 1) % len(marked)]
+        # corners passed walking from t1 to t2 (never a full turn: each line meets two edges)
+        corners = [cell[(t1 // n + 1 + i) % 4] for i in range((t2 // n - t1 // n) % 4)]
         # the disk boundary: blue from y to z, red from z to x, grid from x
         # back to y through the sector's corners
         if c1 == "red":
-            x_pt, x_kind, y_pt, y_kind = p1, k1, p2, k2
+            x_pt, x_alex, x_delta, y_pt, y_alex, y_delta = p1, a1, d1, p2, a2, d2
             arc = corners  # walk forward from x at t1 to y at t2
         else:
-            x_pt, x_kind, y_pt, y_kind = p2, k2, p1, k1
+            x_pt, x_alex, x_delta, y_pt, y_alex, y_delta = p2, a2, d2, p1, a1, d1
             arc = corners[::-1]  # walk backward from x at t2 to y at t1
         area = _shoelace([y_pt, z, x_pt] + arc)
         if area == 0 or (1 if area > 0 else -1) != CW_SIGN:
             continue
-        alex = blue_alex(y_pt) - red_alex(x_pt) + sum(_eps(cy // n) for _, cy in corners)
-        delta = blue_delta(y_kind) - red_delta(x_kind) + len(corners)
-        results.append((alex, delta))
+        alex = y_alex - x_alex + sum(_eps(cy // n) for _, cy in corners)
+        results.append((alex, y_delta - x_delta + len(corners)))
     if not results:
         raise GeometryError("no clockwise disk configuration found")
     if any(r != results[0] for r in results):
@@ -263,30 +257,20 @@ def enumerate_geometric_pairing(
                 raise GeometryError("intersection point lies on the grid")
             blue_line = (pb, qb, _exact(n * (sigma + 8 * k), 4))
 
-            # transport a point of this translate back to the base blue lift:
-            # solve t*qb - s*pb = k for the translation (2s, 2t)
+            # transport to the base blue lift by the translation (2s, 2t) with
+            # t*qb - s*pb = k: x -> x - 2 s0 for sigma=+1, 2 s0 - x for -1
             s0 = (-k) * pb_inv % qb
-            # base point of (x, y): x - 2 s0 for sigma=+1, 2 s0 - x for -1
-
-            def blue_alex(pt, shift=2 * s0 * n, sigma=sigma) -> int:
-                return blue_labels.alexander(sigma * (pt[0] - shift))
-
+            shift = 2 * s0 * n
             x0, y0 = z[0] // n * n, z[1] // n * n
-            window = (x0 - n, x0 + 2 * n, n)
-            red_pts = _cell_crossings(_grid_crossings(red_line, *window), x0, y0, n)
-            blue_pts = _cell_crossings(_grid_crossings(blue_line, *window), x0, y0, n)
+            red_pts = _cell_crossings(red_line, x0, y0, n)
+            blue_pts = _cell_crossings(blue_line, x0, y0, n)
             if len(red_pts) != 2 or len(blue_pts) != 2:
                 raise GeometryError("expected exactly two boundary crossings per curve")
-            alex, delta_halves = _grade_point(
-                z,
-                n,
-                red_pts,
-                blue_pts,
-                lambda pt: red_labels.alexander(pt[0]),
-                blue_alex,
-                red_labels.delta_halves,
-                blue_labels.delta_halves,
-            )
+            marked = [(t, pt, red_labels.alexander(pt[0]), red_labels.delta_halves(kind), "red")
+                      for t, pt, kind in red_pts]
+            marked += [(t, pt, blue_labels.alexander(sigma * (pt[0] - shift)),
+                        blue_labels.delta_halves(kind), "blue") for t, pt, kind in blue_pts]
+            alex, delta_halves = _grade_point(z, n, marked)
             gens.append((alex, HalfInteger(delta_halves)))
 
     if len(gens) != expected:

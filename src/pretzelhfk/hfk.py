@@ -83,7 +83,7 @@ def classify(params: TangleParams) -> Classification:
 
 def classification_from_table(table: HfkTable) -> Classification:
     """Re-derive the shape from the computed ranks alone."""
-    deltas = sorted(table.deltas(), key=lambda d: d.twice)
+    deltas = sorted(table.deltas())
     if len(deltas) == 1:
         return Classification(Shape.THIN)
     if len(deltas) != 2:

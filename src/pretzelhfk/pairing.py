@@ -44,7 +44,7 @@ def reduce_generator_pairs(unreduced: GeneratorMultiset) -> ReducedPairing:
     one at alpha+2.  Raises PairingError if no perfect matching exists.
     """
     out: Dict[Tuple[int, HalfInteger], int] = {}
-    for delta in sorted(unreduced.deltas(), key=lambda d: d.twice):
+    for delta in sorted(unreduced.deltas()):
         counts = {
             s: rk for (s, d), rk in unreduced.entries.items() if d == delta
         }

@@ -126,6 +126,60 @@ def test_unreduced_pairings_of_criterion_6_are_pinned():
     assert unreduced_digest(rational_pairings(6)) == CRITERION_6_DIGEST
 
 
+# -- cell crossings: direct edges against the window walk ----------------------
+
+
+def boundary_param(pt, x0, y0, n):
+    """Position in [0, 4n) of a cell-boundary point along the counterclockwise
+    walk starting at corner (x0, y0): bottom, right, top, left edges in order."""
+    x, y = pt
+    if y == y0:
+        return x - x0
+    if x == x0 + n:
+        return n + (y - y0)
+    if y == y0 + n:
+        return 2 * n + (x0 + n - x)
+    if x == x0:
+        return 3 * n + (y0 + n - y)
+    raise GeometryError("point not on cell boundary")
+
+
+def window_cell_crossings(line, x0, y0, n):
+    """Reference: walk the grid crossings of a 3-cell window around the cell,
+    keep those strictly inside an edge of the cell and place them on the walk."""
+    out = []
+    for x, y, kind in geometry._grid_crossings(line, x0 - n, x0 + 2 * n, n):
+        on_v = kind == "V" and x in (x0, x0 + n) and y0 < y < y0 + n
+        on_h = kind == "H" and y in (y0, y0 + n) and x0 < x < x0 + n
+        if on_v or on_h:
+            out.append((boundary_param((x, y), x0, y0, n), (x, y), kind))
+    return out
+
+
+def test_cell_crossings_match_the_window_walk(monkeypatch):
+    calls = []
+    cell_crossings = geometry._cell_crossings
+
+    def recorded(line, x0, y0, n):
+        out = cell_crossings(line, x0, y0, n)
+        calls.append(((line, x0, y0, n), out))
+        return out
+
+    monkeypatch.setattr(geometry, "_cell_crossings", recorded)
+    points = 0
+    for sign, c, blue in rational_pairings(3):
+        points += enumerate_geometric_pairing(closure_curve(c, sign), blue).total_rank
+    assert len(calls) == 2 * points  # the red and the blue line at every point
+    for args, out in calls:
+        assert len(out) == 2
+        assert sorted(out) == sorted(window_cell_crossings(*args))
+
+
+def test_a_line_through_a_cell_corner_meets_fewer_than_two_edges():
+    args = ((1, 1, 0), 0, 0, 1)  # Y = X through the corners (0, 0) and (1, 1)
+    assert geometry._cell_crossings(*args) == window_cell_crossings(*args) == []
+
+
 # -- calibration: the conventions are pinned, not fitted ----------------------
 
 
