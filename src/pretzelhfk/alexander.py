@@ -16,41 +16,28 @@ single crossing).  Eliminating the interior arcs this way is unimodular, so
 after one relation and one arc column are deleted the minor, at most 5x5, is
 the Alexander polynomial up to a unit.
 
-The determinant runs on a private dense form: a polynomial is a pair
-(lowest exponent, list of int coefficients), trimmed so that both ends are
-nonzero, and None is zero.  Unit-pivot elimination updates a row entry
-a - f*b with one shifted slice update per coefficient of the shorter of
-f and b.  It leaves a residual block of at most 2x2 for a pretzel diagram
-(3x3 for the full Wirtinger minor), which is expanded by cofactors, so no
-step divides.  Products whose factors both have more than four terms, as in
-the residual block of a large knot, use Kronecker substitution:
-both factors are packed at t = 2^K into one integer each and multiplied once.
-K = bit_length(max|a| * sum|b|) + 2 bounds every product coefficient below
-2^(K-2), so the signed base-2^K digits of the product decode exactly.  The
-result becomes a LaurentPolynomial once, at the end.
+The determinant runs on Python integers.  Each column of the minor is
+multiplied by the least t^k, k >= 0, that leaves no negative exponent in it;
+t^k is a unit, so the determinant changes only by a unit, and the minor, now
+over Z[t], is evaluated once at t = X = 2^K.  Its determinant D sums signed
+products of one entry per column, so ||D||_1 (the sum of its coefficients'
+absolute values) is at most the product over the columns of their entries'
+summed L1 norms: the row bound applied to the transpose, and far smaller here,
+where a bottom arc's column holds only -1s.  K = bit_length(that bound) + 2,
+rounded up to whole bytes, puts each coefficient of D in (-X/2, X/2), so the
+balanced base-X digits of D(X) are the coefficients, decoded once at the end.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, cycle
-from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import prod
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import AlgebraError, LaurentPolynomial, normalize_alexander
-
-
-# A dense polynomial is (lowest exponent, coefficients) with both ends nonzero;
-# None is the zero polynomial.
-Poly = Tuple[int, List[int]]
-Dense = Optional[Poly]
-DenseRow = Dict[int, Poly]
-Matrix2 = Tuple[Tuple[Dense, Dense], Tuple[Dense, Dense]]
-_ONE = (0, [1])
-_MINUS_ONE = (0, [-1])
-_SHORT = 4  # longest factor _mul multiplies by slice updates
 
 
 class DiagramError(ValueError):
@@ -189,115 +176,45 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     return diagram
 
 
-def _trim(lo: int, cs: List[int]) -> Dense:
-    """The dense polynomial sum cs[i] t^(lo+i), with zero ends stripped."""
-    i, j = 0, len(cs)
-    while i < j and not cs[i]:
-        i += 1
-    if i == j:
-        return None
-    while not cs[j - 1]:
-        j -= 1
-    return (lo + i, cs[i:j] if i or j < len(cs) else cs)
+def _digit_bits(bound: int) -> int:
+    """K = bit_length(bound) + 2, rounded up to whole bytes, so that coefficients
+    at most `bound` in absolute value are base-2^K digits."""
+    return (bound.bit_length() + 2 + 7) // 8 * 8
 
 
-def _to_laurent(p: Dense) -> LaurentPolynomial:
-    if p is None:
-        return LaurentPolynomial.zero()
-    lo, cs = p
-    return LaurentPolynomial({lo + i: c for i, c in enumerate(cs)})
+def _evaluate(cs: Sequence[int], bits: int) -> int:
+    """sum cs[i] X^i at X = 2^bits, for |cs[i]| < X/2 and whole bytes of bits:
+    packed through bytes with X/2 added to every coefficient, then subtracted."""
+    half = 1 << (bits - 1)
+    offset = (bytes(bits // 8 - 1) + b"\x80") * len(cs)  # X/2 in every digit
+    raw = b"".join((c + half).to_bytes(bits // 8, "little") for c in cs)
+    return int.from_bytes(raw, "little") - int.from_bytes(offset, "little")
 
 
-def _is_unit(p: Poly) -> bool:
-    return len(p[1]) == 1 and abs(p[1][0]) == 1
+def _decode(value: int, bits: int) -> LaurentPolynomial:
+    """sum d_i t^i for the balanced digits d_i in (-X/2, X/2), X = 2^bits, of
+    `value`; a top digit d_h makes |value| > X^h / 2, which bounds h."""
+    width = bits // 8
+    low = ((value & -value).bit_length() - 1) // bits if value else 0  # zero digits below t^low
+    value >>= bits * low
+    n = abs(value).bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    offset = (bytes(width - 1) + b"\x80") * n
+    raw = (value + int.from_bytes(offset, "little")).to_bytes(n * width, "little")
+    return LaurentPolynomial(
+        {low + i: int.from_bytes(raw[i * width : (i + 1) * width], "little") - half for i in range(n)}
+    )
 
 
-def _neg(a: Dense) -> Dense:
-    return None if a is None else (a[0], [-x for x in a[1]])
+def _determinant(rows: List[Dict[int, int]], ncols: int) -> int:
+    """Determinant, up to sign, of a square integer matrix given as sparse rows
+    (column -> nonzero entry); 0 also for an all-zero row or column.
 
-
-def _sub_mul(a: Dense, f: Poly, b: Poly) -> Dense:
-    """a - f*b, as one shifted slice update of the longer factor per
-    coefficient of the shorter one.
-
-    Cheap when one factor is short: a unit, or an entry of an antiparallel
-    band, whose S_m = i - j t^e has at most two terms.
-    """
-    if len(f[1]) > len(b[1]):
-        f, b = b, f
-    flo, fc = f
-    blo, bc = b
-    lo, stop = flo + blo, flo + blo + len(fc) + len(bc) - 1
-    if a is not None:
-        alo, ac = a
-        lo, stop = min(lo, alo), max(stop, alo + len(ac))
-    out = [0] * (stop - lo)
-    if a is not None:
-        out[alo - lo : alo - lo + len(ac)] = ac
-    n = len(bc)
-    for i, c in enumerate(fc):
-        if not c:
-            continue
-        s = flo + i + blo - lo
-        seg = out[s : s + n]
-        if c == 1:
-            out[s : s + n] = map(sub, seg, bc)
-        elif c == -1:
-            out[s : s + n] = map(add, seg, bc)
-        else:
-            out[s : s + n] = map(sub, seg, map(c.__mul__, bc))
-    return _trim(lo, out)
-
-
-def _mul(a: Dense, b: Dense) -> Dense:
-    """a*b: by slice updates when a factor has at most _SHORT terms, else by
-    Kronecker substitution (evaluate both at t = 2^K, multiply once).
-
-    Packing into bytes costs more than it saves for a short factor: a unit,
-    an antiparallel band's entry, or a small knot's residual block.
-
-    Every product coefficient is a sum of a_i b_j over i + j = k, so its
-    absolute value is at most max|a| * sum|b| < 2^(K-2) for
-    K = bit_length(max|a| * sum|b|) + 2 (rounded up to whole bytes here).  The
-    coefficients of a and b obey the same bound.  Each digit therefore lies
-    in (-2^(K-1), 2^(K-1)), and adding 2^(K-1) to every digit makes the packed
-    integer an ordinary base-2^K numeral, so packing and unpacking through
-    bytes are exact.  The ends of a product of trimmed polynomials are
-    nonzero, so the result needs no trimming.
-    """
-    if a is None or b is None:
-        return None
-    if len(a[1]) > len(b[1]):
-        a, b = b, a
-    if len(a[1]) <= _SHORT:
-        return _sub_mul(None, _neg(a), b)
-    (alo, ac), (blo, bc) = a, b
-    width = ((max(map(abs, ac)) * sum(map(abs, bc))).bit_length() + 2 + 7) // 8  # K in bytes
-    half = 1 << (8 * width - 1)
-    digit = bytes(width - 1) + b"\x80"  # half, little-endian
-
-    def pack(cs: List[int]) -> int:
-        raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
-        return int.from_bytes(raw, "little") - int.from_bytes(digit * len(cs), "little")
-
-    n = len(ac) + len(bc) - 1
-    value = pack(ac) * pack(bc) + int.from_bytes(digit * n, "little")
-    raw = value.to_bytes(n * width, "little")
-    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)]
-    return (alo + blo, out)
-
-
-def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
-    """Determinant over Z[t, 1/t] of a matrix with ncols columns, up to a unit
-    +-t^k; None is zero, also for an all-zero row or column.
-
-    Entries are dense polynomials: (lowest exponent, list of coefficients),
-    both ends nonzero.  Unit entries (every band relation has one) are used as
-    pivots first, which keeps the elimination division-free: dividing by
-    +-t^k only shifts and negates, and each row update a - f*b is one shifted
-    slice update per coefficient of the shorter factor.  The residual block
-    (at most 2x2 from fox_alexander) is expanded by cofactors (`_expand`),
-    whose long products go through Kronecker substitution (`_mul`).
+    Entries +-1 are pivots first, so the elimination is exact and division-free;
+    fox_alexander's -1 at each bottom arc is one, as the unit shifts t^k leave a
+    column of -1s alone.  The residual block (at most 2x2 there) is expanded by
+    cofactors.  fox_alexander decodes the result D(X) exactly: ||D||_1 is at
+    most the product over the columns of their entries' summed L1 norms < 2^(K-2).
     """
     rows = dict(enumerate(dict(r) for r in rows))
     if len(rows) != ncols:
@@ -306,62 +223,43 @@ def _determinant(rows: List[DenseRow], ncols: int) -> Dense:
     if not used <= set(range(ncols)):
         raise AlgebraError(f"matrix entry outside columns 0..{ncols - 1}")
     if len(used) != ncols or not all(rows.values()):
-        return None
+        return 0
 
     # phase 1: unit pivots
-    while rows:
-        pick = next(
-            ((ri, col, val) for ri, row in rows.items() for col, val in row.items() if _is_unit(val)),
-            None,
-        )
+    while True:
+        pick = next(((ri, col, v) for ri, row in rows.items() for col, v in row.items() if v in (1, -1)), None)
         if pick is None:
             break
-        ri, col, (plo, pc) = pick
+        ri, col, unit = pick
         prow = rows.pop(ri)
         del prow[col]
         for row in rows.values():
-            val = row.pop(col, None)
-            if val is None:
-                continue
-            factor = (val[0] - plo, val[1] if pc[0] == 1 else [-x for x in val[1]])
-            for c2, v2 in prow.items():
-                v = _sub_mul(row.get(c2), factor, v2)
-                if v is None:
-                    del row[c2]
-                else:
-                    row[c2] = v
-    if not rows:
-        return _ONE
+            factor = row.pop(col, 0) * unit
+            if factor:
+                for c2, v2 in prow.items():
+                    row[c2] = row.get(c2, 0) - factor * v2  # a zero left here is harmless
 
     # phase 2: cofactor expansion of the residual block
     cols = sorted(set().union(*rows.values()))
     if len(cols) != len(rows):
-        return None
-    return _expand([[row.get(c) for c in cols] for row in rows.values()])
+        return 0
+    return _expand([[row.get(c, 0) for c in cols] for row in rows.values()])
 
 
-def _expand(mat: List[List[Dense]]) -> Dense:
+def _expand(mat: List[List[int]]) -> int:
     """Determinant of a square block by cofactor expansion along its first
-    row: division-free, with n! products for an n x n block."""
-    if len(mat) == 1:
-        return mat[0][0]
-    total = None
+    row: division-free, with n! products for an n x n block; 1 if empty."""
+    if not mat:
+        return 1
+    total = 0
     for j, entry in enumerate(mat[0]):
-        term = _mul(entry, _expand([row[:j] + row[j + 1 :] for row in mat[1:]]))
-        if term is not None:
-            total = _sub_mul(total, _ONE if j % 2 else _MINUS_ONE, term)
+        if entry:
+            term = entry * _expand([row[:j] + row[j + 1 :] for row in mat[1:]])
+            total += -term if j % 2 else term
     return total
 
 
-def _add(a: Dense, b: Dense) -> Dense:
-    return a if b is None else _sub_mul(a, _MINUS_ONE, b)
-
-
-def _sub(a: Dense, b: Dense) -> Dense:
-    return a if b is None else _sub_mul(a, _ONE, b)
-
-
-def _band_transfer(exponents: Sequence[int]) -> Matrix2:
+def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int], List[int]]:
     """The product T_{e_{n-1}} ... T_{e_1} T_{e_0} over one band, in closed form.
 
     Crossing j gives y_{j+2} - y_{j+1} = -t^(e_j) (y_{j+1} - y_j), so
@@ -369,6 +267,8 @@ def _band_transfer(exponents: Sequence[int]) -> Matrix2:
     and y_m = (1 - S_m) y_0 + S_m y_1 with S_m = u_0 + ... + u_{m-1}.  The
     product maps (y_1, y_0) to (y_{n+1}, y_n), so its rows are
     (S_{n+1}, 1 - S_{n+1}) and (S_n, 1 - S_n), for any exponent sequence.
+    Returns (lo, S_{n+1}, S_n): both as coefficient lists of t^lo, t^(lo+1),
+    ..., where lo <= 0 is the least prefix sum.
     """
     n = len(exponents)
     if n == 0:
@@ -380,18 +280,9 @@ def _band_transfer(exponents: Sequence[int]) -> Matrix2:
         cs[k - lo] += c
     for k, c in Counter(sums[1 : n : 2]).items():
         cs[k - lo] -= c
-    s_n = _trim(lo, cs[:])
+    s_n = cs[:]
     cs[sums[n] - lo] += -1 if n % 2 else 1
-    s_next = _trim(lo, cs)
-    return ((s_next, _sub(_ONE, s_next)), (s_n, _sub(_ONE, s_n)))
-
-
-def _relation(bottom: int, over: Dense, incoming: Dense, y1: int, y0: int) -> DenseRow:
-    """The row of bottom = over * y1 + incoming * y0, coinciding arcs summed."""
-    row: Dict[int, Dense] = {bottom: _MINUS_ONE}
-    for arc, coeff in ((y1, over), (y0, incoming)):
-        row[arc] = _add(row[arc], coeff) if arc in row else coeff
-    return {arc: v for arc, v in row.items() if v is not None}
+    return lo, cs, s_n
 
 
 def fox_alexander(d: PretzelDiagram) -> LaurentPolynomial:
@@ -399,17 +290,15 @@ def fox_alexander(d: PretzelDiagram) -> LaurentPolynomial:
 
     The crossings are read in band order, |p|, |q| and |r| of them.  Each band
     must chain (crossing j+1 passes under the arc crossing j emitted, and its
-    incoming arc is crossing j's over-arc) and gives the relations of its
-    bottom arcs through its transfer matrix; a DiagramError is raised
-    otherwise.  The last band's last relation and the column of the first
-    band's incoming top arc are deleted before taking the determinant; every
-    bottom arc keeps its unit entry for the unit-pivot phase.  The unit
+    incoming arc is crossing j's over-arc), else a DiagramError is raised, and
+    gives its bottom arcs' relations bottom = S y_1 + (1 - S) y_0.  The last
+    band's last relation and the first band's incoming top arc are deleted.
+    Each S is evaluated once, and 1 - S on integers as X^k - S; the unit
     ambiguity is removed by normalize_alexander.
     """
     if len(d.crossings) != sum(map(abs, d.twists)):
         raise DiagramError(f"{len(d.crossings)} crossings for twists {d.twists}")
-    rows: List[DenseRow] = []
-    arcs = set()
+    relations = []  # (bottom, y1, y0, lo, S as a coefficient list from t^lo)
     start = 0
     for twist in d.twists:
         band = d.crossings[start : start + abs(twist)]
@@ -417,17 +306,33 @@ def fox_alexander(d: PretzelDiagram) -> LaurentPolynomial:
         for prev, cur in zip(band, band[1:]):
             if cur.over != prev.outgoing or cur.incoming != prev.over:
                 raise DiagramError(f"the crossings of the {twist}-twist band do not chain")
-        (p00, p01), (p10, p11) = _band_transfer([c.exponent for c in band])
+        lo, s_next, s_n = _band_transfer([c.exponent for c in band])
         y1, y0 = band[0].over, band[0].incoming
         if len(band) > 1:
-            rows.append(_relation(band[-1].over, p10, p11, y1, y0))
-        rows.append(_relation(band[-1].outgoing, p00, p01, y1, y0))
-        arcs.update((y0, y1, band[-1].over, band[-1].outgoing))
-    if len(arcs) != len(rows):
+            relations.append((band[-1].over, y1, y0, lo, s_n))
+        relations.append((band[-1].outgoing, y1, y0, lo, s_next))
+    arcs = {arc for relation in relations for arc in relation[:3]}
+    if len(arcs) != len(relations):
         raise DiagramError("arc/relation count mismatch; diagram is not a knot diagram")
+    del relations[-1]
     column = {arc: i for i, arc in enumerate(sorted(arcs - {d.crossings[0].incoming}))}
-    minor = [{column[arc]: v for arc, v in row.items() if arc in column} for row in rows[:-1]]
-    return normalize_alexander(_to_laurent(_determinant(minor, len(column))))
+    shift, norms = Counter(), Counter()  # per arc: its column's power of t, its entries' L1 norms
+    for bottom, y1, y0, lo, s in relations:
+        size = sum(map(abs, s))
+        norms[bottom] += 1
+        for arc, norm in ((y1, size), (y0, size + 1)):  # ||1 - S||_1 <= ||S||_1 + 1
+            norms[arc] += norm
+            shift[arc] = max(shift[arc], -lo)
+    bits = _digit_bits(prod(norms[arc] for arc in column))
+    minor = []
+    for bottom, y1, y0, lo, s in relations:
+        value = _evaluate(s, bits)
+        row: Dict[int, int] = defaultdict(int)  # arcs may coincide
+        row[bottom] -= 1 << bits * shift[bottom]
+        row[y1] += value << bits * (lo + shift[y1])
+        row[y0] += (1 << bits * shift[y0]) - (value << bits * (lo + shift[y0]))
+        minor.append({column[arc]: v for arc, v in row.items() if v and arc in column})
+    return normalize_alexander(_decode(_determinant(minor, len(column)), bits))
 
 
 def pretzel_determinant(p: int, q: int, r: int) -> int:

@@ -78,8 +78,6 @@ class LaurentPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:

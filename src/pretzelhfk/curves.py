@@ -91,15 +91,6 @@ class GradedCurve:
     def special23(k: int, m: int, M: int) -> "GradedCurve":
         return GradedCurve(CurveKind.SPECIAL23, m, M, k=k)
 
-    def grading_reversed(self) -> "GradedCurve":
-        """The involution (kind, m, M) -> (swapped kind, -M, -m)."""
-        swapped = {
-            CurveKind.SPECIAL14: CurveKind.SPECIAL23,
-            CurveKind.SPECIAL23: CurveKind.SPECIAL14,
-            CurveKind.RATIONAL: CurveKind.RATIONAL,
-        }[self.kind]
-        return GradedCurve(swapped, -self.M, -self.m, slope=self.slope, k=self.k)
-
     def __str__(self) -> str:
         if self.kind is CurveKind.RATIONAL:
             head = f"r({self.slope})"

@@ -1,7 +1,9 @@
 """Tests for the Fox-calculus Alexander polynomial oracle."""
 
 import random
+from collections import Counter
 from dataclasses import replace
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,12 +15,12 @@ from pretzelhfk.alexander import (
     PretzelDiagram,
     _band_transfer,
     _cross,
+    _decode,
     _determinant,
+    _digit_bits,
+    _evaluate,
     _find,
-    _mul,
     _strand_directions,
-    _to_laurent,
-    _trim,
     _union,
     build_pretzel_diagram,
     fox_alexander,
@@ -97,11 +99,17 @@ def test_pretzel_determinant_formula():
     assert pretzel_determinant(6, -3, 5) == 3
 
 
-# -- the dense kernel: (lowest exponent, coefficients), both ends nonzero ----
+# -- the integer kernel: evaluation at t = 2^K and balanced digits -----------
 
 
-def dense(coeff, max_size, min_size=1):
-    """Trimmed dense polynomials: zero ends are replaced by 1."""
+def laurent(entry):
+    """The LaurentPolynomial of a (lowest exponent, coefficient list) pair."""
+    lo, cs = entry
+    return LaurentPolynomial({lo + i: c for i, c in enumerate(cs)})
+
+
+def coefficient_lists(coeff, max_size, min_size=1):
+    """(lowest exponent, coefficients) pairs with both ends nonzero."""
 
     def build(lo, cs):
         cs[0], cs[-1] = cs[0] or 1, cs[-1] or 1
@@ -110,21 +118,12 @@ def dense(coeff, max_size, min_size=1):
     return st.builds(build, st.integers(-5, 5), st.lists(coeff, min_size=min_size, max_size=max_size))
 
 
-big = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
-long_dense = dense(big, 60)
-
-
-def schoolbook(a, b):
-    out = {}
-    for i, x in enumerate(a[1]):
-        for j, y in enumerate(b[1]):
-            out[a[0] + b[0] + i + j] = out.get(a[0] + b[0] + i + j, 0) + x * y
-    return LaurentPolynomial(out)
-
-
 def plus(p, q):
     """p + q for LaurentPolynomials, coefficientwise."""
-    return LaurentPolynomial({e: p[e] + q[e] for e in p.coeffs.keys() | q.coeffs.keys()})
+    out = dict(p.coeffs)
+    for e, c in q.coeffs.items():
+        out[e] = out.get(e, 0) + c
+    return LaurentPolynomial(out)
 
 
 def product(p, q):
@@ -137,21 +136,59 @@ def product(p, q):
 
 
 ONE = LaurentPolynomial({0: 1})
+ZERO = LaurentPolynomial.zero()
 
 
-class TestDenseKernel:
-    @given(long_dense, long_dense)
-    @settings(max_examples=150, deadline=None)
-    @example((0, [2**70 - 1] * 60), (0, [-(2**70) + 1] * 60))
-    @example((-3, [-1, 0, 0, 5]), (2, [3]))
-    def test_kronecker_product_is_the_schoolbook_product(self, a, b):
-        prod = _mul(a, b)
-        assert _to_laurent(prod) == schoolbook(a, b)
-        assert prod[1][0] and prod[1][-1]
+def laurent_determinant(rows, ncols):
+    """Determinant over Z[t, 1/t], up to a unit, of sparse rows of nonzero
+    LaurentPolynomials, through the oracle's integer kernel.
 
-    def test_zero_is_none(self):
-        assert _mul(None, (0, [1])) is None
-        assert _to_laurent(None).is_zero()
+    Each column is multiplied by the power of t that makes its lowest exponent
+    0, the matrix is evaluated at t = 2^K with K from the product over the
+    columns of their summed L1 norms, and the integer determinant is decoded
+    from its balanced base-2^K digits.
+    """
+    norm, low = Counter(), {}
+    for row in rows:
+        for col, e in row.items():
+            norm[col] += sum(map(abs, e.coeffs.values()))
+            low[col] = min(low.get(col, e.min_exp), e.min_exp)
+    bits = _digit_bits(prod(norm.values()))
+    ints = []
+    for row in rows:
+        ints.append({})
+        for col, e in row.items():
+            cs = [e[k] for k in range(e.min_exp, e.max_exp + 1)]
+            ints[-1][col] = _evaluate(cs, bits) << bits * (e.min_exp - low[col])
+    return _decode(_determinant(ints, ncols), bits)
+
+
+@st.composite
+def digits_and_bits(draw):
+    """Coefficients up to +-(2^(K-1) - 1) and zero, with K a whole number of bytes."""
+    bits = 8 * draw(st.integers(1, 9))
+    top = 2 ** (bits - 1) - 1
+    digit = st.one_of(st.integers(-top, top), st.sampled_from([-top, 0, top]))
+    return draw(st.lists(digit, max_size=40)), bits
+
+
+class TestEvaluation:
+    @given(digits_and_bits())
+    @settings(max_examples=100, deadline=None)
+    @example(([], 8))
+    @example(([0, 0, 0], 16))
+    @example(([127, -127] * 5, 8))
+    @example(([-(2**71 - 1)] * 30 + [2**71 - 1], 72))
+    def test_decode_inverts_evaluate_up_to_half_a_digit(self, case):
+        cs, bits = case
+        assert _decode(_evaluate(cs, bits), bits) == LaurentPolynomial(dict(enumerate(cs)))
+
+    def test_a_coefficient_equal_to_the_bound_decodes(self):
+        # diag(200t, 300): the column bound 200 * 300 is the determinant's coefficient
+        t200, c300 = LaurentPolynomial({1: 200}), LaurentPolynomial({0: 300})
+        assert _digit_bits(60000) == 24
+        assert equal_up_to_unit(laurent_determinant([{0: t200}, {1: c300}], 2), LaurentPolynomial({1: 60000}))
+        assert _decode(60000, 16) != LaurentPolynomial({0: 60000})  # one byte short
 
 
 # -- the determinant against a Laplace expansion ----------------------------
@@ -177,7 +214,7 @@ def equal_up_to_unit(p, q):
     return shifted == q or -shifted == q
 
 
-small_entry = st.one_of(st.none(), st.none(), dense(st.integers(-3, 3), 3))
+small_entry = st.one_of(st.none(), st.none(), coefficient_lists(st.integers(-3, 3), 3))
 
 
 @st.composite
@@ -186,7 +223,7 @@ def sparse_matrices(draw):
     mat = [[draw(small_entry) for _ in range(n)] for _ in range(n)]
     if not draw(st.booleans()):
         # few units: scale each unit entry by (1 + t) so a block is left to expand
-        mat = [[_mul(e, (0, [1, 1])) if e and len(e[1]) == 1 and abs(e[1][0]) == 1 else e
+        mat = [[(e[0], e[1] * 2) if e and len(e[1]) == 1 and abs(e[1][0]) == 1 else e
                 for e in row] for row in mat]
     return mat
 
@@ -198,28 +235,32 @@ class TestDeterminant:
     @example([[(0, [1, 1]), (0, [2])], [(0, [2]), (0, [1, -1])]])
     @example([[(0, [1]), None], [(0, [2]), None]])  # a zero column
     def test_equals_laplace_expansion_up_to_a_unit(self, mat):
-        rows = [{j: e for j, e in enumerate(row) if e is not None} for row in mat]
-        expect = laplace([[_to_laurent(e) for e in row] for row in mat])
-        assert equal_up_to_unit(_to_laurent(_determinant(rows, len(mat))), expect)
+        rows = [{j: laurent(e) for j, e in enumerate(row) if e is not None} for row in mat]
+        expect = laplace([[laurent(e) if e else ZERO for e in row] for row in mat])
+        assert equal_up_to_unit(laurent_determinant(rows, len(mat)), expect)
 
     def test_a_3x3_residual_block_is_expanded_by_cofactors(self):
         # no entry is a unit, so no pivot runs and the whole matrix is expanded
         mat = [[(0, [1, 1]), (0, [2]), (0, [1, -1])],
                [(0, [2]), (-1, [1, 1]), (0, [3])],
                [(0, [2, 1]), (1, [2]), (0, [1, 0, 1])]]
-        got = _to_laurent(_determinant([dict(enumerate(row)) for row in mat], 3))
+        got = laurent_determinant([{j: laurent(e) for j, e in enumerate(row)} for row in mat], 3)
         assert equal_up_to_unit(got, LaurentPolynomial({3: 1, 2: -11, 1: 8, 0: 9, -1: -1}))
+        # the same block over the integers, at t = 1, where the determinant is 1 - 11 + 8 + 9 - 1
+        at_one = [{j: sum(e[1]) for j, e in enumerate(row) if sum(e[1])} for row in mat]
+        assert abs(_determinant(at_one, 3)) == 6
 
     def test_non_square_is_rejected(self):
         with pytest.raises(AlgebraError):
-            _determinant([{0: (0, [1])}, {0: (0, [2])}], 1)
+            _determinant([{0: 1}, {0: 2}], 1)
         with pytest.raises(AlgebraError):
-            _determinant([{0: (0, [1]), 2: (0, [1])}, {1: (0, [2])}], 2)
+            _determinant([{0: 1, 2: 1}, {1: 2}], 2)
 
     def test_zero_row_or_column_gives_zero(self):
-        assert _determinant([{0: (0, [1])}, {0: (0, [2])}], 2) is None
-        assert _determinant([{0: (0, [1]), 1: (0, [3])}, {}], 2) is None
-        assert _determinant([], 0) == (0, [1])
+        assert _determinant([{0: 1}, {0: 2}], 2) == 0
+        assert _determinant([{0: 1, 1: 3}, {}], 2) == 0
+        assert _determinant([], 0) == 1
+        assert laurent_determinant([{0: ONE}, {0: LaurentPolynomial({0: 2})}], 2).is_zero()
 
 
 # -- past the 6x6x6 grid: outputs only, never times -------------------------
@@ -227,7 +268,14 @@ class TestDeterminant:
 
 @pytest.mark.parametrize(
     "a, b, c, sign",
-    [(100, 20, 100, "+"), (100, 20, 100, "-"), (100, 99, 100, "-"), (20, 100, 20, "+")],
+    [
+        (100, 20, 100, "+"),
+        (100, 20, 100, "-"),
+        (100, 99, 100, "-"),
+        (20, 100, 20, "+"),
+        (1, 499, 500, "+"),  # a + b + c at the CLI ceiling
+        (333, 333, 334, "-"),
+    ],
 )
 def test_large_knots_match_the_euler_characteristic(a, b, c, sign):
     params = TangleParams(a, b, c, sign)
@@ -261,8 +309,9 @@ def test_band_transfer_is_the_product_of_the_crossing_matrices(exponents):
     expect = [[ONE, LaurentPolynomial.zero()], [LaurentPolynomial.zero(), ONE]]
     for e in exponents:
         expect = matmul(crossing_matrix(e), expect)
-    got = _band_transfer(exponents)
-    assert [[_to_laurent(x) for x in row] for row in got] == expect
+    lo, s_next, s_n = _band_transfer(exponents)
+    got = [[laurent((lo, s)), plus(ONE, -laurent((lo, s)))] for s in (s_next, s_n)]
+    assert got == expect
 
 
 def with_crossing(diagram, index, **changes):
@@ -322,18 +371,43 @@ def fox_matrix(d):
             terms = ((c.over, -1, 1), (c.incoming, 1, 0), (c.outgoing, 0, -1))
         acc = {}
         for col, c0, c1 in terms:
-            pair = acc.setdefault(col, [0, 0])
-            pair[0] += c0
-            pair[1] += c1
-        rows.append({col: p for col, pair in acc.items() if (p := _trim(0, pair))})
+            acc[col] = plus(acc.get(col, ZERO), LaurentPolynomial({0: c0, 1: c1}))
+        rows.append({col: p for col, p in acc.items() if not p.is_zero()})
     return rows
+
+
+def is_unit(p):
+    return len(p.coeffs) == 1 and abs(p[p.min_exp]) == 1
+
+
+def unit_pivot_determinant(rows):
+    """Determinant over Z[t, 1/t], up to a unit, of square sparse rows of
+    nonzero LaurentPolynomials: each unit entry +-t^k in turn clears its
+    column from the other rows, and `laplace` expands what is left."""
+    rows = [dict(row) for row in rows]
+    while pick := next(((r, col) for r, row in enumerate(rows) for col, e in row.items() if is_unit(e)), None):
+        r, col = pick
+        pivot_row = rows.pop(r)
+        pivot = pivot_row.pop(col)
+        minus_inverse = LaurentPolynomial({-pivot.min_exp: -pivot[pivot.min_exp]})
+        for row in rows:
+            if col in row:
+                factor = product(row.pop(col), minus_inverse)
+                for c2, e2 in pivot_row.items():
+                    row[c2] = plus(row.get(c2, ZERO), product(factor, e2))
+                    if row[c2].is_zero():
+                        del row[c2]
+    cols = sorted(set().union(*rows))
+    if len(cols) != len(rows):
+        return ZERO
+    return laplace([[row.get(c, ZERO) for c in cols] for row in rows])
 
 
 def wirtinger_alexander(d):
     """Normalized determinant of the Wirtinger matrix minus its last row and column."""
     drop = d.arc_count - 1
     minor = [{c: v for c, v in row.items() if c != drop} for row in fox_matrix(d)[:-1]]
-    return normalize_alexander(_to_laurent(_determinant(minor, drop)))
+    return normalize_alexander(unit_pivot_determinant(minor))
 
 
 def random_knots(seed, count, bound):

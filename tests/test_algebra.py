@@ -43,6 +43,13 @@ class TestLaurentPolynomial:
         with pytest.raises(AttributeError):
             p.coeffs = {}
 
+    def test_a_constant_is_not_an_int_and_equal_polynomials_hash_equal(self):
+        assert LaurentPolynomial({0: 1}) != 1
+        assert LaurentPolynomial.zero() != 0
+        p, q = LaurentPolynomial({2: 3, -1: -1}), LaurentPolynomial({-1: -1, 2: 3, 5: 0})
+        assert p == q and hash(p) == hash(q)
+        assert q in {p} and LaurentPolynomial({0: 1}) in {LaurentPolynomial({0: 1})}
+
     @given(polys, polys)
     def test_addition_commutes(self, p, q):
         # the package never adds polynomials, so the sum is built here; the

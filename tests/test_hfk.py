@@ -187,6 +187,21 @@ class TestChecksRejectPerturbedTables:
         assert report.checks["rank_symmetry"] == "pass"
         assert report.checks["overlap_ranks"] == "fail"
 
+    @pytest.mark.parametrize("a, b, c, sign", THIN)
+    def test_thin_ranks_reject_a_pair_that_cancels_in_chi(self, monkeypatch, a, b, c, sign):
+        # one generator at (+-s, d) and one at (+-s, d+1), for the top cell
+        # (s, d), cancel in the Euler characteristic and keep the symmetry
+        def add_cancelling_pairs(entries):
+            s, d = max(entries, key=lambda cell: (cell[0], cell[1].twice))
+            for cell in [(s, d), (s, D(d.twice + 2)), (-s, d), (-s, D(d.twice + 2))]:
+                entries[cell] = entries.get(cell, 0) + 1
+
+        self.patch_table(monkeypatch, add_cancelling_pairs)
+        report = verify(TangleParams(a, b, c, sign))
+        assert report.checks["euler_matches_alexander_oracle"] == "pass"
+        assert report.checks["rank_symmetry"] == "pass"
+        assert report.checks["thin_ranks_match_alexander"] == "fail"
+
     @pytest.mark.parametrize("a, b, c, sign", THIN + DISJOINT + OVERLAP)
     def test_rank_counting_rejects_an_extra_generator(self, monkeypatch, a, b, c, sign):
         real = hfk.pair_curve
