@@ -1,5 +1,8 @@
 """Tests for the Fox-calculus Alexander polynomial oracle."""
 
+import contextlib
+import hashlib
+import io
 import random
 from collections import Counter
 from dataclasses import replace
@@ -32,6 +35,7 @@ from pretzelhfk.algebra import (
     euler_characteristic,
     normalize_alexander,
 )
+from pretzelhfk.cli import main
 from pretzelhfk.curves import TangleParams
 from pretzelhfk.hfk import compute_hfk
 
@@ -446,6 +450,26 @@ class TestAgainstTheWirtingerMinor:
     def test_large_knots(self, a, b, c, sign):
         d = build_pretzel_diagram(*TangleParams(a, b, c, sign).pretzel_triple())
         assert fox_alexander(d) == wirtinger_alexander(d)
+
+
+def test_alex_output_bytes_are_pinned():
+    # `alex` on the grid, the seeded short-band knots and six large knots;
+    # the digest was taken when the oracle returned a Laurent polynomial
+    # object and `alex` printed its repr
+    grid = [TangleParams(a, b, c, sign).pretzel_triple()
+            for sign in "+-" for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]
+    large = [TangleParams(*k).pretzel_triple() for k in [
+        (100, 20, 100, "+"), (100, 20, 100, "-"), (100, 99, 100, "-"),
+        (20, 100, 20, "+"), (1, 499, 500, "+"), (333, 333, 334, "-")]]
+    knots = grid + random_knots(seed=606, count=300, bound=45) + large
+    assert len(knots) == 738
+    digest = hashlib.sha256()
+    for p, q, r in knots:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["alex", "--p", str(p), "--q", str(q), "--r", str(r)])
+        digest.update(f"{code}\n{buf.getvalue()}".encode())
+    assert digest.hexdigest() == "b1a6c33ac6c236fb618eb8c42ead4b7c522b1340fb460c85b86ad76e14765c7f"
 
 
 # -- reference: the diagram built crossing by crossing ----------------------
