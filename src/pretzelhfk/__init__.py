@@ -11,7 +11,6 @@ from .algebra import (
     GeneratorMultiset,
     HalfInteger,
     HfkTable,
-    LaurentPolynomial,
     euler_characteristic,
     normalize_alexander,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "GradedCurve",
     "HalfInteger",
     "HfkTable",
-    "LaurentPolynomial",
     "PairingError",
     "PretzelDiagram",
     "ReducedPairing",

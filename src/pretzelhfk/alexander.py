@@ -26,6 +26,7 @@ summed L1 norms: the row bound applied to the transpose, and far smaller here,
 where a bottom arc's column holds only -1s.  K = bit_length(that bound) + 2,
 rounded up to whole bytes, puts each coefficient of D in (-X/2, X/2), so the
 balanced base-X digits of D(X) are the coefficients, decoded once at the end.
+normalize_alexander turns that digit list into the tuple (a_0, a_1, ..., a_g).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import accumulate, cycle
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import AlgebraError, LaurentPolynomial, normalize_alexander
+from .algebra import AlgebraError, normalize_alexander
 
 
 class DiagramError(ValueError):
@@ -191,19 +192,18 @@ def _evaluate(cs: Sequence[int], bits: int) -> int:
     return int.from_bytes(raw, "little") - int.from_bytes(offset, "little")
 
 
-def _decode(value: int, bits: int) -> LaurentPolynomial:
-    """sum d_i t^i for the balanced digits d_i in (-X/2, X/2), X = 2^bits, of
-    `value`; a top digit d_h makes |value| > X^h / 2, which bounds h."""
+def _decode(value: int, bits: int) -> List[int]:
+    """The balanced digits d_0, d_1, ..., in (-X/2, X/2), X = 2^bits, of
+    value / X^low, where X^low is the largest power of X dividing `value`
+    ([0] for 0); a top digit d_h makes |value| > X^h / 2, which bounds h."""
     width = bits // 8
-    low = ((value & -value).bit_length() - 1) // bits if value else 0  # zero digits below t^low
+    low = ((value & -value).bit_length() - 1) // bits if value else 0  # zero digits below X^low
     value >>= bits * low
     n = abs(value).bit_length() // bits + 1
     half = 1 << (bits - 1)
     offset = (bytes(width - 1) + b"\x80") * n
     raw = (value + int.from_bytes(offset, "little")).to_bytes(n * width, "little")
-    return LaurentPolynomial(
-        {low + i: int.from_bytes(raw[i * width : (i + 1) * width], "little") - half for i in range(n)}
-    )
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") - half for i in range(n)]
 
 
 def _determinant(rows: List[Dict[int, int]], ncols: int) -> int:
@@ -285,8 +285,8 @@ def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int], List[int]]
     return lo, cs, s_n
 
 
-def fox_alexander(d: PretzelDiagram) -> LaurentPolynomial:
-    """Normalized Alexander polynomial of the diagram via Fox calculus.
+def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
+    """Normalized Alexander polynomial (a_0, ..., a_g) of the diagram via Fox calculus.
 
     The crossings are read in band order, |p|, |q| and |r| of them.  Each band
     must chain (crossing j+1 passes under the arc crossing j emitted, and its

@@ -1,8 +1,11 @@
-"""Exact integer Laurent polynomials, half-integer gradings, and bigraded rank tables.
+"""Half-integer gradings, bigraded rank tables and Alexander polynomials.
 
 Everything downstream (pairing formulas, the Fox-calculus oracle, the
 verification predicates) is built on the types in this module.  All values are
 immutable after construction and all operations are pure.
+
+An Alexander polynomial is kept Conway-normalized, hence symmetric, as one
+tuple (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i).
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
 class AlgebraError(ValueError):
@@ -33,113 +36,26 @@ class HalfInteger:
         return f"{self.twice}/2"
 
 
-class LaurentPolynomial:
-    """Integer-coefficient polynomial in t and 1/t.
-
-    Stored as a map exponent -> coefficient with zero coefficients pruned.
-    Instances are treated as immutable; all operators return new objects.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        pruned = {e: c for e, c in (coeffs or {}).items() if c != 0}
-        object.__setattr__(self, "coeffs", pruned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPolynomial is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LaurentPolynomial":
-        return LaurentPolynomial()
-
-    # -- basic queries -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def min_exp(self) -> int:
-        if self.is_zero():
-            raise AlgebraError("zero polynomial has no exponent range")
-        return min(self.coeffs)
-
-    @property
-    def max_exp(self) -> int:
-        if self.is_zero():
-            raise AlgebraError("zero polynomial has no exponent range")
-        return max(self.coeffs)
-
-    def __getitem__(self, exp: int) -> int:
-        return self.coeffs.get(exp, 0)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def shift(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t^k."""
-        return LaurentPolynomial({e + k: c for e, c in self.coeffs.items()})
-
-    def reciprocal(self) -> "LaurentPolynomial":
-        """Substitute t -> 1/t."""
-        return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
-
-    def eval_at_unit(self, at_minus_one: bool = False) -> int:
-        """Exact evaluation at t = 1 or t = -1."""
-        if not at_minus_one:
-            return sum(self.coeffs.values())
-        return sum(c if e % 2 == 0 else -c for e, c in self.coeffs.items())
-
-    # -- display --------------------------------------------------------
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                t = "t" if e == 1 else f"t^{e}"
-                body = t if mag == 1 else f"{mag}*{t}"
-            parts.append(f"{sign}{body}" if not parts else f" {sign} {body}")
-        return "".join(parts)
-
-
-def normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
+def normalize_alexander(cs: Sequence[int]) -> Tuple[int, ...]:
     """Conway-normalize an Alexander polynomial known only up to +-t^k.
 
-    Returns q = +-t^k p with q(t) = q(1/t) and q(1) = 1.  Raises
-    AlgebraError if p is zero, p(1) != +-1, or no symmetrizing unit exists.
+    cs holds the coefficients of p at consecutive powers of t, from any power.
+    Returns (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i) =
+    +-t^k p and Delta(1) = 1.  Raises AlgebraError if p is zero, p(1) != +-1,
+    or no symmetrizing unit exists.
     """
-    if p.is_zero():
+    support = [i for i, c in enumerate(cs) if c]
+    if not support:
         raise AlgebraError("cannot normalize the zero polynomial")
-    if abs(p.eval_at_unit()) != 1:
-        raise AlgebraError(f"p(1) = {p.eval_at_unit()} is not a unit; not a knot polynomial")
-    span = p.min_exp + p.max_exp
-    if span % 2 != 0:
+    cs = list(cs[support[0] : support[-1] + 1])
+    value = sum(cs)
+    if abs(value) != 1:
+        raise AlgebraError(f"p(1) = {value} is not a unit; not a knot polynomial")
+    if len(cs) % 2 == 0:
         raise AlgebraError("no symmetrizing unit exists (odd exponent span)")
-    q = p.shift(-span // 2)
-    if q != q.reciprocal():
+    if cs != cs[::-1]:
         raise AlgebraError("polynomial is not symmetrizable")
-    if q.eval_at_unit() == -1:
-        q = -q
-    return q
+    return tuple(value * c for c in cs[len(cs) // 2 :])
 
 
 # -- bigraded generator bookkeeping --------------------------------------
@@ -246,9 +162,11 @@ class HfkTable:
         return out
 
 
-def euler_characteristic(h: HfkTable | GeneratorMultiset) -> LaurentPolynomial:
+def euler_characteristic(h: HfkTable | GeneratorMultiset) -> List[int]:
     """Graded Euler characteristic sum_{s,delta} (-1)^(s-delta) rk t^s.
 
+    Returns its coefficients at t^low, t^(low+1), ..., t^high for the lowest
+    and highest Alexander gradings of the table ([] for an empty table).
     Delta gradings are relative, so the overall sign is free; we fix the sign
     convention by one arbitrary global delta offset and leave the final
     normalization to normalize_alexander.  Raises AlgebraError if the deltas
@@ -256,14 +174,15 @@ def euler_characteristic(h: HfkTable | GeneratorMultiset) -> LaurentPolynomial:
     """
     entries = h.entries
     if not entries:
-        return LaurentPolynomial.zero()
+        return []
     parities = {d.twice % 2 for (_, d) in entries}
     if len(parities) > 1:
         raise AlgebraError("delta gradings are not mutually integer-spaced")
     # offset chosen so that s - delta + offset is an integer
     offset = next(iter(entries))[1]
-    out: Dict[int, int] = {}
+    low = min(s for s, _ in entries)
+    out = [0] * (max(s for s, _ in entries) - low + 1)
     for (s, d), rk in entries.items():
         exp_sign = s - (d.twice - offset.twice) // 2
-        out[s] = out.get(s, 0) + (rk if exp_sign % 2 == 0 else -rk)
-    return LaurentPolynomial(out)
+        out[s - low] += rk if exp_sign % 2 == 0 else -rk
+    return out

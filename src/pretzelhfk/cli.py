@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .alexander import DiagramError, build_pretzel_diagram, fox_alexander, pretzel_determinant
@@ -69,8 +69,8 @@ def _record(params: TangleParams) -> Dict:
         },
         "generators": generators,
         "alexander": [
-            {"exp": e, "coeff": alex[e]}
-            for e in sorted(alex.coeffs)
+            {"exp": e, "coeff": alex[abs(e)]}
+            for e in range(1 - len(alex), len(alex)) if alex[abs(e)]
         ],
         "classification": report.predicted.shape.value,
         "checks": dict(report.checks),
@@ -246,6 +246,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _poly_str(alex: Sequence[int]) -> str:
+    """a_0 + sum a_i (t^i + t^-i) for alex = (a_0, ..., a_g), highest power of t first."""
+    parts = []
+    for e in range(len(alex) - 1, -len(alex), -1):
+        c = alex[abs(e)]
+        if not c:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            t = "t" if e == 1 else f"t^{e}"
+            body = t if mag == 1 else f"{mag}*{t}"
+        parts.append(f"{sign}{body}" if not parts else f" {sign} {body}")
+    return "".join(parts)
+
+
 def cmd_alex(args) -> int:
     if _over_ceiling("|p| + |q| + |r|", abs(args.p) + abs(args.q) + abs(args.r), MAX_TWIST_SUM):
         return 2
@@ -254,8 +272,8 @@ def cmd_alex(args) -> int:
     except (DiagramError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    det = abs(poly.eval_at_unit(at_minus_one=True))
-    print(repr(poly))
+    det = abs(poly[0] + 2 * sum((-1) ** i * a for i, a in enumerate(poly) if i))  # |Delta(-1)|
+    print(_poly_str(poly))
     print(f"determinant {det}")
     expected = pretzel_determinant(args.p, args.q, args.r)
     if det != expected:

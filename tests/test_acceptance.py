@@ -47,6 +47,38 @@ GRID = [
     for b in range(1, 7)
     for c in range(1, 7)
 ]
+WIDE_GRID = [
+    TangleParams(a, b, c, sign)
+    for sign in ("+", "-")
+    for a in range(1, 11)
+    for b in range(1, 11)
+    for c in range(1, 11)
+]
+
+
+def is_overlap(params):
+    """The paper's overlap regime: closure + and b < min(a - 1, c)."""
+    return params.sign == "+" and params.b < min(params.a - 1, params.c)
+
+
+def eftekhary_sized(entries):
+    """The table with min(b, a-b-1) cancelling pairs removed at s = +-(c-b).
+
+    Those are the cells where both delta lines have support, and the smaller
+    of their two ranks is min(b, a-b-1); what is left there is |Delta_s|, the
+    size Eftekhary's computation gives.  Symmetry, chi and the parity of the
+    total rank are unchanged.
+    """
+    out = dict(entries)
+    lines = {}
+    for s, d in entries:
+        lines.setdefault(s, []).append(d)
+    for s, ds in lines.items():
+        if len(ds) == 2:
+            pairs = min(entries[(s, d)] for d in ds)
+            for d in ds:
+                out[(s, d)] -= pairs
+    return {cell: rk for cell, rk in out.items() if rk}
 
 
 def grading_reversed(curve):
@@ -58,6 +90,11 @@ def grading_reversed(curve):
 @pytest.fixture(scope="module")
 def tables():
     return {p: compute_hfk(p) for p in GRID}
+
+
+@pytest.fixture(scope="module")
+def wide_tables():
+    return {p: compute_hfk(p) for p in WIDE_GRID}
 
 
 def report(num, name, ok):
@@ -79,9 +116,9 @@ def test_criterion_2_overlap_rank_table(tables):
     checked = 0
     bad = []
     for params, table in tables.items():
-        a, b, c = params.a, params.b, params.c
-        if not (params.sign == "+" and b < min(a - 1, c)):
+        if not is_overlap(params):
             continue
+        a, b, c = params.a, params.b, params.c
         checked += 1
         deltas = sorted(table.deltas(), key=lambda d: d.twice)
         low, high = deltas[0], deltas[-1]
@@ -215,3 +252,45 @@ def test_criterion_8_torus_knot_degenerations():
         if neg.generators != want or pos.generators != want:
             bad.append((n, c))
     assert report(8, "torus-knot degenerations, 20 random (n, c) pairs", not bad), bad
+
+
+def headline_mismatches(totals):
+    """Knots where rank HFK > ||Delta||_1 = |a_0| + 2 sum |a_i| fails to hold
+    exactly in the overlap regime; totals maps params to the total rank."""
+    bad = []
+    for params, total in totals.items():
+        alex = fox_alexander(build_pretzel_diagram(*params.pretzel_triple()))
+        if (total > abs(alex[0]) + 2 * sum(map(abs, alex[1:]))) != is_overlap(params):
+            bad.append(params)
+    return bad
+
+
+def test_criterion_9_rank_exceeds_the_alexander_norm_exactly_in_the_overlap(wide_tables):
+    bad = headline_mismatches({p: t.total_rank for p, t in wide_tables.items()})
+    overlap = [p for p in wide_tables if is_overlap(p)]
+    # the fault: Eftekhary-sized tables, whose ranks sum to ||Delta||_1
+    smaller = {p: sum(eftekhary_sized(wide_tables[p].entries).values()) for p in overlap}
+    ok = not bad and len(overlap) == 240 and headline_mismatches(smaller) == overlap
+    assert report(9, "rank HFK > ||Delta||_1 iff + closure and b < min(a-1, c), 2000 knots", ok), bad
+
+
+def delta_normalized(entries):
+    """The cells with 2*delta shifted so that its minimum is 0."""
+    low = min(d.twice for _, d in entries)
+    return {(s, d.twice - low): rk for (s, d), rk in entries.items()}
+
+
+def test_criterion_10_swapping_the_odd_bands_of_a_negative_closure(wide_tables):
+    bad = []
+    for params, table in wide_tables.items():
+        if params.sign == "-" and params.b < params.c:
+            swapped = wide_tables[replace(params, b=params.c, c=params.b)]
+            if delta_normalized(table.entries) != delta_normalized(swapped.entries):
+                bad.append(params)
+    # the fault: the top cell of P(6,-3,-5) moved up one delta line
+    entries = dict(wide_tables[TangleParams(3, 1, 2, "-")].entries)
+    s, d = max(entries, key=lambda cell: (cell[0], cell[1].twice))
+    entries[(s, HalfInteger(d.twice + 2))] = entries.pop((s, d))
+    caught = delta_normalized(entries) != delta_normalized(wide_tables[TangleParams(3, 2, 1, "-")].entries)
+    ok = not bad and caught
+    assert report(10, "(a,b,c,-) and (a,c,b,-) tables agree up to a delta shift, 1000 knots", ok), bad

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -116,6 +117,12 @@ class TestAlex:
         code, out = run(capsys, "alex", "--p", "2", "--q", "-3", "--r", "5")
         assert code == 0
         assert "determinant 11" in out
+
+    def test_repr_is_readable(self):
+        # (a_0, a_1, a_2) = (-3, 0, 1) is t^2 - 3 + t^-2
+        assert cli._poly_str((-3, 0, 1)) == "t^2 - 3 + t^-2"
+        assert cli._poly_str((1, -2, 3)) == "3*t^2 - 2*t + 1 - 2*t^-1 + 3*t^-2"
+        assert cli._poly_str((1,)) == "1"
 
     def test_link_input_exits_2(self, capsys):
         code = main(["alex", "--p", "2", "--q", "-4", "--r", "5"])
@@ -306,6 +313,19 @@ def test_the_package_never_imports_fractions():
     assert nodes_in_the_package(imports_fractions) == []
     assert imports_fractions(ast.parse("from fractions import Fraction").body[0])
     assert imports_fractions(ast.parse("import fractions as f").body[0])
+
+
+def test_every_benchmark_tracer_binding_resolves():
+    # benchmarks/tracing.py replaces these attributes by name, so a dropped
+    # import (such as cli's unused compute_hfk) would break only the benchmark;
+    # the file is executed from its text, so nothing is written beside it
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+    namespace = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    bindings = [(module, attr) for module, attr, _, _ in namespace["BINDINGS"]]
+    assert ("cli", "compute_hfk") in bindings and ("cli", "normalize_alexander") in bindings
+    for module, attr in bindings:
+        assert callable(getattr(importlib.import_module(f"pretzelhfk.{module}"), attr, None)), (module, attr)
 
 
 def test_a_closed_pipe_exits_141_without_a_traceback():

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import eftekhary_sized, is_overlap
+
 from pretzelhfk import hfk
+from pretzelhfk.alexander import DiagramError
 from pretzelhfk.algebra import GeneratorMultiset, HalfInteger, HfkTable
 from pretzelhfk.curves import TangleParams, pretzel_tangle_curves
 from pretzelhfk.geometry import closure_curve
@@ -121,6 +124,16 @@ class TestVerify:
         assert report.checks["thin_ranks_match_alexander"] == "pass"
         assert report.checks["overlap_ranks"] == "skip"
 
+    def test_thin_check_runs_when_the_oracle_raises(self, monkeypatch):
+        # chi is computed from the table alone, so check (iv) still reads it
+        def broken(diagram):
+            raise DiagramError("the crossings do not chain")
+
+        monkeypatch.setattr(hfk, "fox_alexander", broken)
+        report = verify(TangleParams(1, 1, 1, "+"))
+        assert report.checks["euler_matches_alexander_oracle"] == "fail"
+        assert report.checks["thin_ranks_match_alexander"] == "pass"
+
     @pytest.mark.parametrize(
         "a, b, c, sign",
         [(1, 1, 1, "+"), (1, 1, 2, "+"), (3, 1, 2, "+"), (2, 3, 1, "-"), (6, 6, 6, "-")],
@@ -186,6 +199,22 @@ class TestChecksRejectPerturbedTables:
         report = verify(TangleParams(a, b, c, sign))
         assert report.checks["rank_symmetry"] == "pass"
         assert report.checks["overlap_ranks"] == "fail"
+
+    def test_an_eftekhary_sized_overlap_fails_only_the_checks_that_restate_the_paper(self, monkeypatch):
+        # the negative control for the paper's correction: with min(b, a-b-1)
+        # cancelling pairs removed at s = +-(c-b), chi, symmetry and rank
+        # counting still pass; only the two checks that compare with classify fail
+        def remove_overlap_pairs(entries):
+            smaller = eftekhary_sized(entries)
+            entries.clear()
+            entries.update(smaller)
+
+        self.patch_table(monkeypatch, remove_overlap_pairs)
+        knots = [TangleParams(a, b, c, "+") for a in range(1, 9) for b in range(1, 8) for c in range(1, 9)]
+        knots = [params for params in knots if is_overlap(params)]
+        assert len(knots) == 112
+        for params in knots:
+            assert verify(params).failures() == ["classification_consistent", "overlap_ranks"], params
 
     @pytest.mark.parametrize("a, b, c, sign", THIN)
     def test_thin_ranks_reject_a_pair_that_cancels_in_chi(self, monkeypatch, a, b, c, sign):
