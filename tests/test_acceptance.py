@@ -8,6 +8,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pretzelhfk.algebra import (
     GeneratorMultiset,
@@ -54,6 +56,8 @@ WIDE_GRID = [
     for b in range(1, 11)
     for c in range(1, 11)
 ]
+# criteria 9 and 10 past the wide grid: a, b, c up to 40, drawn by hypothesis
+BAND = st.integers(1, 40)
 
 
 def is_overlap(params):
@@ -274,6 +278,13 @@ def test_criterion_9_rank_exceeds_the_alexander_norm_exactly_in_the_overlap(wide
     assert report(9, "rank HFK > ||Delta||_1 iff + closure and b < min(a-1, c), 2000 knots", ok), bad
 
 
+@given(BAND, BAND, BAND, st.sampled_from(["+", "-"]))
+@settings(max_examples=100, deadline=None)
+def test_criterion_9_up_to_40(a, b, c, sign):
+    params = TangleParams(a, b, c, sign)
+    assert headline_mismatches({params: compute_hfk(params).total_rank}) == []
+
+
 def delta_normalized(entries):
     """The cells with 2*delta shifted so that its minimum is 0."""
     low = min(d.twice for _, d in entries)
@@ -294,3 +305,11 @@ def test_criterion_10_swapping_the_odd_bands_of_a_negative_closure(wide_tables):
     caught = delta_normalized(entries) != delta_normalized(wide_tables[TangleParams(3, 2, 1, "-")].entries)
     ok = not bad and caught
     assert report(10, "(a,b,c,-) and (a,c,b,-) tables agree up to a delta shift, 1000 knots", ok), bad
+
+
+@given(BAND, BAND, BAND)
+@settings(max_examples=100, deadline=None)
+def test_criterion_10_up_to_40(a, b, c):
+    table = compute_hfk(TangleParams(a, b, c, "-"))
+    swapped = compute_hfk(TangleParams(a, c, b, "-"))
+    assert delta_normalized(table.entries) == delta_normalized(swapped.entries)

@@ -180,6 +180,55 @@ def test_a_line_through_a_cell_corner_meets_fewer_than_two_edges():
     assert geometry._cell_crossings(*args) == window_cell_crossings(*args) == []
 
 
+# -- the kernel's error paths ---------------------------------------------------
+
+
+def graded_calls(monkeypatch, red, blue):
+    """The (z, n, marked) arguments and results of every `_grade_point` call."""
+    calls = []
+    grade_point = geometry._grade_point
+
+    def recorded(z, n, marked):
+        out = grade_point(z, n, marked)
+        calls.append(((z, n, list(marked)), out))
+        return out
+
+    monkeypatch.setattr(geometry, "_grade_point", recorded)
+    enumerate_geometric_pairing(red, blue)
+    monkeypatch.setattr(geometry, "_grade_point", grade_point)
+    return calls
+
+
+def test_boundary_colors_that_do_not_alternate_are_rejected(monkeypatch):
+    (z, n, marked), _ = graded_calls(monkeypatch, closure_curve(1, "-"), GradedCurve.rational(-1, 2, -2, 2))[0]
+    by_t = sorted(marked)
+    # keep the walk order, give the first two crossings one color and the last two the other
+    recolored = [entry[:4] + (color,) for entry, color in zip(by_t, ["red", "red", "blue", "blue"])]
+    with pytest.raises(GeometryError, match="do not alternate colors"):
+        geometry._grade_point(z, n, recolored)
+
+
+def test_one_perturbed_label_makes_the_disk_configurations_disagree(monkeypatch):
+    # the two clockwise sectors are opposite, so each boundary crossing lies
+    # on exactly one of them and one changed label splits their gradings
+    calls = graded_calls(monkeypatch, closure_curve(2, "+"), GradedCurve.rational(-1, 4, -4, 4))
+    for (z, n, marked), out in calls[:5]:
+        assert geometry._grade_point(z, n, marked) == out
+        for i in range(4):
+            perturbed = list(marked)
+            t, pt, alex, delta, color = perturbed[i]
+            perturbed[i] = (t, pt, alex + 1, delta, color)
+            with pytest.raises(GeometryError, match="disk configurations disagree"):
+                geometry._grade_point(z, n, perturbed)
+
+
+def test_a_dropped_boundary_crossing_is_rejected(monkeypatch):
+    cell_crossings = geometry._cell_crossings
+    monkeypatch.setattr(geometry, "_cell_crossings", lambda *args: cell_crossings(*args)[1:])
+    with pytest.raises(GeometryError, match="expected exactly two boundary crossings per curve"):
+        enumerate_geometric_pairing(closure_curve(1, "-"), GradedCurve.rational(-1, 2, -2, 2))
+
+
 # -- calibration: the conventions are pinned, not fitted ----------------------
 
 
@@ -214,6 +263,12 @@ class TestCalibration:
         eps = geometry._eps
         monkeypatch.setattr(geometry, "_eps", lambda row: -eps(row))
         assert unreduced_digest(rational_pairings(6)) == CRITERION_6_DIGEST
+
+    def test_a_constant_row_sign_disagrees_everywhere(self, monkeypatch):
+        # the gauge test above would also pass if nothing read `_eps`; a
+        # constant row sign must break the labels or the disk rule
+        monkeypatch.setattr(geometry, "_eps", lambda row: 1)
+        assert disagreements(rational_pairings(3)) == 102
 
 
 # -- past the 6x6x6 grid: large Case III curves ---------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_acceptance import eftekhary_sized, is_overlap
+from test_acceptance import GRID, eftekhary_sized, is_overlap
 
 from pretzelhfk import hfk
 from pretzelhfk.alexander import DiagramError
@@ -110,6 +110,17 @@ class TestVerify:
     )
     @settings(max_examples=40, deadline=None)
     def test_all_checks_pass_on_the_family(self, a, b, c, sign):
+        report = verify(TangleParams(a, b, c, sign))
+        assert report.passed, report.failures()
+
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from(["+", "-"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_all_checks_pass_up_to_40(self, a, b, c, sign):
         report = verify(TangleParams(a, b, c, sign))
         assert report.passed, report.failures()
 
@@ -246,6 +257,17 @@ class TestChecksRejectPerturbedTables:
         monkeypatch.setattr(hfk, "pair_curve", with_extra_generator)
         report = verify(TangleParams(a, b, c, sign))
         assert report.checks["rank_counting"] == "fail"
+
+
+    def test_pairing_with_the_opposite_closure_sign_fails_on_the_whole_grid(self, monkeypatch):
+        real = hfk.pair_curve
+        opposite = {"+": "-", "-": "+"}
+        monkeypatch.setattr(hfk, "pair_curve", lambda closure, c, curve: real(opposite[closure], c, curve))
+        assert len(GRID) == 432
+        for params in GRID:
+            failures = verify(params).failures()
+            assert "euler_matches_alexander_oracle" in failures, params
+            assert "rank_counting" in failures, params
 
 
 class TestAssemblySize:
