@@ -12,6 +12,8 @@ of the grid, traversed clockwise; the Alexander grading is the blue label at
 y minus the red label at x plus the signs of the punctures the disk covers.
 The cell's four boundary crossings, two per curve, are computed from its
 edges and labelled before the rule runs; only `CurveLabels` walks the grid.
+Points are counted per (Alexander, delta) label pair, and the multiset is
+built once from those counts.
 
 Alexander labels along a single line follow from the same disk rule applied
 within the curve: the step between consecutive grid crossings equals the sum
@@ -45,7 +47,8 @@ raises otherwise); only cell indices and the window of translates are floors.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from collections import Counter
+from typing import Dict, Tuple
 
 from .algebra import GeneratorMultiset, HalfInteger
 from .curves import CurveKind, GradedCurve, ReducedSlope
@@ -146,23 +149,27 @@ def _cell_crossings(line: Line, x0: int, y0: int, n: int):
     [0, 4n) is the position on the counterclockwise walk from (x0, y0):
     bottom, right, top, left edges in order.  kind is "V" on a vertical edge
     and "H" on a horizontal one.  A line through the cell crosses its boundary
-    twice; a crossing at a corner lies inside no edge and is dropped.
+    twice; a crossing at a corner lies inside no edge and is dropped.  The
+    divisions are `_exact`'s, inlined: this runs twice per point.
     """
     p, q, c = line
+    x1, y1 = x0 + n, y0 + n
     out = []
-    for x, t0, sgn in ((x0 + n, n, 1), (x0, 4 * n, -1)):
-        y = _exact(p * x + c, q)
-        if y0 < y < y0 + n:
+    for x, t0, sgn in ((x1, n, 1), (x0, 4 * n, -1)):
+        num = p * x + c
+        y, rem = divmod(num, q)
+        if rem:
+            raise GeometryError(f"{num}/{q} is not on the lattice")
+        if y0 < y < y1:
             out.append((t0 + sgn * (y - y0), (x, y), "V"))
-    for y, t0, sgn in ((y0, 0, 1), (y0 + n, 3 * n, -1)):
-        x = _exact(q * y - c, p)
-        if x0 < x < x0 + n:
+    for y, t0, sgn in ((y0, 0, 1), (y1, 3 * n, -1)):
+        num = q * y - c
+        x, rem = divmod(num, p)
+        if rem:
+            raise GeometryError(f"{num}/{p} is not on the lattice")
+        if x0 < x < x1:
             out.append((t0 + sgn * (x - x0), (x, y), "H"))
     return out
-
-
-def _shoelace(poly: List[Tuple[int, int]]) -> int:
-    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
 
 
 def _grade_point(z, n, marked):
@@ -172,35 +179,52 @@ def _grade_point(z, n, marked):
     labelled: (t, point, alexander, delta_halves, color), with t as in
     `_cell_crossings`.  All clockwise disk configurations are evaluated and
     must agree.
+
+    Sector i runs from crossing i to crossing i + 1 along the boundary walk.
+    Its disk is bounded by blue from y to z, red from z to x and the grid
+    from x back to y; read from the crossing at t1, that is the polygon
+    t1 -> corners -> t2 -> z, traversed forwards when the crossing at t1 is
+    red (it is x) and backwards when it is blue (it is y).
     """
-    x0, y0 = z[0] // n * n, z[1] // n * n
-    cell = [(x0, y0), (x0 + n, y0), (x0 + n, y0 + n), (x0, y0 + n)]
+    if len(marked) != 4:
+        raise GeometryError("cell boundary points do not alternate colors")
     marked = sorted(marked)
-    colors = [e[4] for e in marked]
-    if colors not in (["red", "blue", "red", "blue"], ["blue", "red", "blue", "red"]):
+    c0, c1 = marked[0][4], marked[1][4]
+    if not (c0 == "red" and c1 == "blue" or c0 == "blue" and c1 == "red") \
+            or marked[2][4] != c0 or marked[3][4] != c1:
         raise GeometryError("cell boundary points do not alternate colors")
 
+    zx, zy = z
+    x0, y0 = zx // n * n, zy // n * n
+    lo, hi = _eps(y0 // n), _eps(y0 // n + 1)
+    # corners in walk order from (x0, y0), each with its row's puncture sign
+    corners = ((x0, y0, lo), (x0 + n, y0, lo), (x0 + n, y0 + n, hi), (x0, y0 + n, hi))
     results = []
-    for idx, (t1, p1, a1, d1, c1) in enumerate(marked):
-        t2, p2, a2, d2, _ = marked[(idx + 1) % len(marked)]
+    for i in range(4):
+        t1, (x1, y1), a1, d1, color = marked[i]
+        t2, (x2, y2), a2, d2, _ = marked[(i + 1) % 4]
         # corners passed walking from t1 to t2 (never a full turn: each line meets two edges)
-        corners = [cell[(t1 // n + 1 + i) % 4] for i in range((t2 // n - t1 // n) % 4)]
-        # the disk boundary: blue from y to z, red from z to x, grid from x
-        # back to y through the sector's corners
-        if c1 == "red":
-            x_pt, x_alex, x_delta, y_pt, y_alex, y_delta = p1, a1, d1, p2, a2, d2
-            arc = corners  # walk forward from x at t1 to y at t2
-        else:
-            x_pt, x_alex, x_delta, y_pt, y_alex, y_delta = p2, a2, d2, p1, a1, d1
-            arc = corners[::-1]  # walk backward from x at t2 to y at t1
-        area = _shoelace([y_pt, z, x_pt] + arc)
+        first = t1 // n + 1
+        passed = (t2 // n - first + 1) % 4
+        area = punctures = 0
+        px, py = x1, y1
+        for j in range(first, first + passed):
+            cx, cy, eps = corners[j % 4]
+            area += px * cy - cx * py
+            punctures += eps
+            px, py = cx, cy
+        area += px * y2 - x2 * py + x2 * zy - zx * y2 + zx * y1 - x1 * zy
+        if color != "red":
+            area = -area
         if area == 0 or (1 if area > 0 else -1) != CW_SIGN:
             continue
-        alex = y_alex - x_alex + sum(_eps(cy // n) for _, cy in corners)
-        results.append((alex, y_delta - x_delta + len(corners)))
+        if color == "red":  # x at t1, y at t2
+            results.append((a2 - a1 + punctures, d2 - d1 + passed))
+        else:  # y at t1, x at t2
+            results.append((a1 - a2 + punctures, d1 - d2 + passed))
     if not results:
         raise GeometryError("no clockwise disk configuration found")
-    if any(r != results[0] for r in results):
+    if results.count(results[0]) != len(results):
         raise GeometryError(f"disk configurations disagree: {results}")
     return results[0]
 
@@ -241,8 +265,12 @@ def enumerate_geometric_pairing(
     blue_labels = CurveLabels((pb, qb, _exact(n, 4)), blue.m, blue.M, n)
     pb_inv = pow(pb % qb, -1, qb)
 
-    period = red_labels.period
-    gens: List[Tuple[int, HalfInteger]] = []
+    red_table, red_period = red_labels.table, red_labels.period
+    blue_table, blue_period = blue_labels.table, blue_labels.period
+    red_v, red_h = red_labels.delta_halves("V"), red_labels.delta_halves("H")
+    blue_v, blue_h = blue_labels.delta_halves("V"), blue_labels.delta_halves("H")
+    cell_crossings = _cell_crossings  # read once per call: a patched attribute still counts
+    counts: Counter = Counter()  # (alexander, delta_halves) -> points
     for sigma in (1, -1):
         # k window: the unscaled x* = (sigma qr + 8k qr - 2qb) / (4 det) lies
         # in [0, 2qr) only for 8k qr between 2qb - sigma qr and that plus 8 det qr
@@ -250,7 +278,7 @@ def enumerate_geometric_pairing(
         k_lo, k_hi = (-(-e // (8 * qr)) for e in ends)
         for k in range(k_lo, k_hi):
             x_star = _exact(n * (sigma * qr + 8 * k * qr - 2 * qb), 4 * det)
-            if not (0 <= x_star < period):
+            if not (0 <= x_star < red_period):
                 continue
             z = (x_star, _exact(n * (sigma * pr + 8 * k * pr - 2 * pb), 4 * det))
             if z[0] % n == 0 or z[1] % n == 0:
@@ -262,17 +290,25 @@ def enumerate_geometric_pairing(
             s0 = (-k) * pb_inv % qb
             shift = 2 * s0 * n
             x0, y0 = z[0] // n * n, z[1] // n * n
-            red_pts = _cell_crossings(red_line, x0, y0, n)
-            blue_pts = _cell_crossings(blue_line, x0, y0, n)
+            red_pts = cell_crossings(red_line, x0, y0, n)
+            blue_pts = cell_crossings(blue_line, x0, y0, n)
             if len(red_pts) != 2 or len(blue_pts) != 2:
                 raise GeometryError("expected exactly two boundary crossings per curve")
-            marked = [(t, pt, red_labels.alexander(pt[0]), red_labels.delta_halves(kind), "red")
-                      for t, pt, kind in red_pts]
-            marked += [(t, pt, blue_labels.alexander(sigma * (pt[0] - shift)),
-                        blue_labels.delta_halves(kind), "blue") for t, pt, kind in blue_pts]
-            alex, delta_halves = _grade_point(z, n, marked)
-            gens.append((alex, HalfInteger(delta_halves)))
+            (t1, pt1, kind1), (t2, pt2, kind2) = red_pts
+            (t3, pt3, kind3), (t4, pt4, kind4) = blue_pts
+            marked = [
+                (t1, pt1, red_table[pt1[0] % red_period], red_v if kind1 == "V" else red_h, "red"),
+                (t2, pt2, red_table[pt2[0] % red_period], red_v if kind2 == "V" else red_h, "red"),
+                (t3, pt3, blue_table[sigma * (pt3[0] - shift) % blue_period],
+                 blue_v if kind3 == "V" else blue_h, "blue"),
+                (t4, pt4, blue_table[sigma * (pt4[0] - shift) % blue_period],
+                 blue_v if kind4 == "V" else blue_h, "blue"),
+            ]
+            counts[_grade_point(z, n, marked)] += 1
 
-    if len(gens) != expected:
-        raise GeometryError(f"enumerated {len(gens)} points, expected {expected}")
-    return GeneratorMultiset.from_generators(gens)
+    points = sum(counts.values())
+    if points != expected:
+        raise GeometryError(f"enumerated {points} points, expected {expected}")
+    return GeneratorMultiset(
+        {(alex, HalfInteger(halves)): rank for (alex, halves), rank in counts.items()}
+    )
