@@ -258,7 +258,6 @@ class TestChecksRejectPerturbedTables:
         report = verify(TangleParams(a, b, c, sign))
         assert report.checks["rank_counting"] == "fail"
 
-
     def test_pairing_with_the_opposite_closure_sign_fails_on_the_whole_grid(self, monkeypatch):
         real = hfk.pair_curve
         opposite = {"+": "-", "-": "+"}
