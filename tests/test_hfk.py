@@ -4,6 +4,9 @@ Reference tables below were cross-checked against the Fox-calculus
 Alexander oracle and the geometric intersection oracle before freezing.
 """
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,7 @@ from test_acceptance import GRID, eftekhary_sized, is_overlap
 
 from pretzelhfk import hfk
 from pretzelhfk.alexander import DiagramError
-from pretzelhfk.algebra import GeneratorMultiset, HalfInteger, HfkTable
+from pretzelhfk.algebra import GeneratorMultiset, HalfInteger, HfkTable, euler_characteristic
 from pretzelhfk.curves import TangleParams, pretzel_tangle_curves
 from pretzelhfk.geometry import closure_curve
 from pretzelhfk.hfk import (
@@ -282,3 +285,19 @@ class TestAssemblySize:
         table = table_of(100, 20, 100, "+")
         assert table.total_rank == 27119
         assert len(table.entries) == 243
+
+
+def test_entry_order_and_raw_euler_lists_are_pinned():
+    # each table's cells in iteration order as (s, 2*delta, rank), then the
+    # unnormalized Euler list, whose sign comes from the first cell's delta;
+    # the grid and a seeded sample with a, c up to 100; the digest was taken
+    # when the runs were summed through a Counter per delta
+    rng = random.Random(1313)
+    sample = [TangleParams(rng.randint(1, 100), rng.randint(1, 100), rng.randint(1, 100),
+                           rng.choice("+-")) for _ in range(150)]
+    digest = hashlib.sha256()
+    for params in GRID + sample:
+        table = compute_hfk(params)
+        cells = [(s, d.twice, rk) for (s, d), rk in table.entries.items()]
+        digest.update(f"{cells}\n{euler_characteristic(table)}\n".encode())
+    assert digest.hexdigest() == "7db0199cfe623e6f9688992a85a0dfa03599a2efd242d1e4cacb45c95020f7f7"
