@@ -10,9 +10,8 @@ tuple (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
@@ -65,9 +64,10 @@ class GeneratorMultiset:
     """Multiset of bigraded generators (alexander, delta) with multiplicities.
 
     Stored as constant-rank runs (lo, hi, delta, rank), which may overlap; the
-    per-cell `entries` are summed once, on first access.  Alexander gradings
-    are plain integers: unhalved labels before the pair reduction, final
-    gradings after it.  Ranks are never negative.
+    per-cell `entries` are summed once, on first access, in time and memory
+    that grow with the number of runs and cells, never with the span of the
+    gradings.  Alexander gradings are plain integers: unhalved labels before
+    the pair reduction, final gradings after it.  Ranks are never negative.
     """
 
     __slots__ = ("runs", "_entries")
@@ -94,21 +94,42 @@ class GeneratorMultiset:
     @staticmethod
     def interval(lo: int, hi: int, delta: HalfInteger) -> "GeneratorMultiset":
         """One generator at each Alexander grading lo..hi (empty if lo > hi)."""
-        return GeneratorMultiset.of_runs([(lo, hi, delta, 1)])
+        out = GeneratorMultiset.__new__(GeneratorMultiset)
+        out.runs = ((lo, hi, delta, 1),) if lo <= hi else ()
+        out._entries = None
+        return out
 
     @property
     def entries(self) -> Dict[Tuple[int, HalfInteger], int]:
-        """Rank per (alexander, delta) cell, summed by a difference array per delta."""
+        """Rank per (alexander, delta) cell, summed in one sorted walk per delta.
+
+        Each delta gets a sparse difference map {edge: rank change}, keyed by
+        the int 2*delta; the walk writes the cells between consecutive edges
+        straight out, so time and memory go with the runs, not with the span.
+        Cells come in first-seen delta order, then ascending s, and keep the
+        first-seen HalfInteger object; zero-rank cells are left out.
+        """
         if self._entries is None:
-            diffs: Dict[HalfInteger, Counter] = defaultdict(Counter)
+            diffs: Dict[int, Dict[int, int]] = {}
+            first: Dict[int, HalfInteger] = {}
             for lo, hi, d, rk in self.runs:
-                diffs[d][lo] += rk
-                diffs[d][hi + 1] -= rk
-            self._entries = {}
-            for d, diff in diffs.items():
-                edges = sorted(diff)
-                for lo, stop, rk in zip(edges, edges[1:], accumulate(diff[s] for s in edges)):
-                    self._entries.update(((s, d), rk) for s in range(lo, stop) if rk)
+                diff = diffs.get(d.twice)
+                if diff is None:
+                    diff = diffs[d.twice] = {}
+                    first[d.twice] = d
+                diff[lo] = diff.get(lo, 0) + rk
+                diff[hi + 1] = diff.get(hi + 1, 0) - rk
+            out: Dict[Tuple[int, HalfInteger], int] = {}
+            for twice, diff in diffs.items():
+                d = first[twice]
+                rk = start = 0
+                for edge in sorted(diff):
+                    if rk:
+                        for s in range(start, edge):
+                            out[s, d] = rk
+                    rk += diff[edge]
+                    start = edge
+            self._entries = out
         return self._entries
 
     def add(self, other: "GeneratorMultiset") -> "GeneratorMultiset":

@@ -43,11 +43,12 @@ def reduce_generator_pairs(unreduced: GeneratorMultiset) -> ReducedPairing:
     increasing order, every leftover generator at alpha must pair upward with
     one at alpha+2.  Raises PairingError if no perfect matching exists.
     """
+    by_delta: Dict[HalfInteger, Dict[int, int]] = {}
+    for (s, d), rk in unreduced.entries.items():
+        by_delta.setdefault(d, {})[s] = rk
     out: Dict[Tuple[int, HalfInteger], int] = {}
-    for delta in sorted(unreduced.deltas()):
-        counts = {
-            s: rk for (s, d), rk in unreduced.entries.items() if d == delta
-        }
+    for delta in sorted(by_delta):
+        counts = by_delta[delta]
         pending: Dict[int, int] = {}
         for alpha in sorted(counts):
             matched = pending.pop(alpha, 0)  # pairs {alpha-2, alpha}, forced

@@ -84,14 +84,14 @@ class TestGeneratorMultiset:
             GeneratorMultiset({(0, HalfInteger(0)): -1})
 
 
+# shared delta objects mixed with fresh ones of equal value
+deltas = st.one_of(
+    st.sampled_from([HalfInteger(-1), HalfInteger(1), HalfInteger(3)]),
+    st.builds(HalfInteger, st.sampled_from([-1, 1, 3])),
+)
 runs = st.lists(
-    st.tuples(
-        st.integers(-6, 6),
-        st.integers(-6, 6),
-        st.sampled_from([HalfInteger(-1), HalfInteger(1), HalfInteger(3)]),
-        st.integers(0, 4),
-    ),
-    max_size=6,
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40), deltas, st.integers(0, 4)),
+    max_size=20,
 )
 
 
@@ -104,12 +104,43 @@ def cells(run_list):
     return {key: rk for key, rk in out.items() if rk}
 
 
+def first_seen_deltas(run_list):
+    """The first delta object of each value, in the order the kept runs show them."""
+    out = {}
+    for lo, hi, d, rk in run_list:
+        if rk and lo <= hi:
+            out.setdefault(d.twice, d)
+    return out
+
+
 class TestGeneratorMultisetRuns:
     @given(runs)
     def test_runs_and_dict_build_the_same_multiset(self, run_list):
         from_runs = GeneratorMultiset.of_runs(run_list)
         assert from_runs == GeneratorMultiset(cells(run_list))
         assert from_runs.entries == cells(run_list)
+
+    @given(runs)
+    def test_cells_come_in_first_seen_delta_then_ascending_s_order(self, run_list):
+        first = first_seen_deltas(run_list)
+        expected = [(s, first[twice]) for twice in first
+                    for s, d in sorted(key for key in cells(run_list) if key[1].twice == twice)]
+        found = list(GeneratorMultiset.of_runs(run_list).entries)
+        assert found == expected
+        assert all(d is first[d.twice] for _, d in found)
+
+    def test_summing_is_sparse_in_the_span(self):
+        d = HalfInteger(1)
+        ms = GeneratorMultiset.of_runs([(0, 0, d, 1), (10**12, 10**12, d, 2)])
+        assert ms.entries == {(0, d): 1, (10**12, d): 2}
+
+    @given(st.integers(-40, 40), st.integers(-40, 40), deltas)
+    def test_interval_is_the_one_run_multiset(self, lo, hi, d):
+        ms = GeneratorMultiset.interval(lo, hi, d)
+        ref = GeneratorMultiset.of_runs([(lo, hi, d, 1)])
+        assert ms.runs == ref.runs
+        assert ms.entries == ref.entries
+        assert ms.total_rank == ref.total_rank
 
     @given(runs, runs)
     def test_add_sums_overlapping_runs_per_cell(self, first, second):

@@ -79,6 +79,14 @@ class TestReduction:
         with pytest.raises(PairingError):
             reduce_generator_pairs(GeneratorMultiset({(0, D(1)): 1, (2, D(1)): 1}))
 
+    def test_deltas_reduce_in_ascending_order(self):
+        # delta 3/2 comes first in the cells, but -1/2 is reduced, and fails, first
+        ms = GeneratorMultiset({(0, D(3)): 1, (2, D(3)): 1, (1, D(-1)): 1})
+        with pytest.raises(PairingError, match=r"leftovers at \[3\]"):
+            reduce_generator_pairs(ms)
+        ms = GeneratorMultiset({(-1, D(3)): 1, (1, D(3)): 1, (1, D(-1)): 1, (3, D(-1)): 1})
+        assert list(reduce_generator_pairs(ms).generators.entries) == [(1, D(-1)), (0, D(3))]
+
 
 class TestSpecialPairings:
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(-3, 3))
