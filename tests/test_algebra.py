@@ -124,7 +124,7 @@ class TestGeneratorMultisetRuns:
     def test_cells_come_in_first_seen_delta_then_ascending_s_order(self, run_list):
         first = first_seen_deltas(run_list)
         expected = [(s, first[twice]) for twice in first
-                    for s, d in sorted(key for key in cells(run_list) if key[1].twice == twice)]
+                    for s in sorted(s for s, d in cells(run_list) if d.twice == twice)]
         found = list(GeneratorMultiset.of_runs(run_list).entries)
         assert found == expected
         assert all(d is first[d.twice] for _, d in found)
