@@ -16,14 +16,15 @@ single crossing).  Eliminating the interior arcs this way is unimodular, so
 after one relation and one arc column are deleted the minor, at most 5x5, is
 the Alexander polynomial up to a unit.
 
-The determinant runs on Python integers.  Each column of the minor is
-multiplied by the least t^k, k >= 0, that leaves no negative exponent in it;
-t^k is a unit, so the determinant changes only by a unit, and the minor, now
-over Z[t], is evaluated once at t = X = 2^K.  Its determinant D sums signed
-products of one entry per column, so ||D||_1 (the sum of its coefficients'
-absolute values) is at most the product over the columns of their entries'
-summed L1 norms: the row bound applied to the transpose, and far smaller here,
-where a bottom arc's column holds only -1s.  K = bit_length(that bound) + 2,
+The determinant runs on Python integers.  Each relation row of the minor is
+multiplied by the unit t^-lo of its own band, lo <= 0 the least exponent in
+the row, so the determinant changes only by a unit and the minor, now over
+Z[t], is evaluated once at t = X = 2^K and expanded by cofactors, division-free.
+Its determinant D sums signed products of one entry per column, so ||D||_1
+(the sum of its coefficients' absolute values) is at most the product over
+the columns of their entries' summed L1 norms, which a unit shift leaves as
+they are: the row bound applied to the transpose, and far smaller here, where
+a bottom arc's column holds only units.  K = bit_length(that bound) + 2,
 rounded up to whole bytes, puts each coefficient of D in (-X/2, X/2), so the
 balanced base-X digits of D(X) are the coefficients, decoded once at the end.
 normalize_alexander turns that digit list into the tuple (a_0, a_1, ..., a_g).
@@ -38,7 +39,7 @@ from itertools import accumulate, cycle
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import AlgebraError, normalize_alexander
+from .algebra import normalize_alexander
 
 
 class DiagramError(ValueError):
@@ -206,46 +207,6 @@ def _decode(value: int, bits: int) -> List[int]:
     return [int.from_bytes(raw[i * width : (i + 1) * width], "little") - half for i in range(n)]
 
 
-def _determinant(rows: List[Dict[int, int]], ncols: int) -> int:
-    """Determinant, up to sign, of a square integer matrix given as sparse rows
-    (column -> nonzero entry); 0 also for an all-zero row or column.
-
-    Entries +-1 are pivots first, so the elimination is exact and division-free;
-    fox_alexander's -1 at each bottom arc is one, as the unit shifts t^k leave a
-    column of -1s alone.  The residual block (at most 2x2 there) is expanded by
-    cofactors.  fox_alexander decodes the result D(X) exactly: ||D||_1 is at
-    most the product over the columns of their entries' summed L1 norms < 2^(K-2).
-    """
-    rows = dict(enumerate(dict(r) for r in rows))
-    if len(rows) != ncols:
-        raise AlgebraError(f"determinant of a non-square matrix ({len(rows)}x{ncols})")
-    used = set().union(*rows.values())
-    if not used <= set(range(ncols)):
-        raise AlgebraError(f"matrix entry outside columns 0..{ncols - 1}")
-    if len(used) != ncols or not all(rows.values()):
-        return 0
-
-    # phase 1: unit pivots
-    while True:
-        pick = next(((ri, col, v) for ri, row in rows.items() for col, v in row.items() if v in (1, -1)), None)
-        if pick is None:
-            break
-        ri, col, unit = pick
-        prow = rows.pop(ri)
-        del prow[col]
-        for row in rows.values():
-            factor = row.pop(col, 0) * unit
-            if factor:
-                for c2, v2 in prow.items():
-                    row[c2] = row.get(c2, 0) - factor * v2  # a zero left here is harmless
-
-    # phase 2: cofactor expansion of the residual block
-    cols = sorted(set().union(*rows.values()))
-    if len(cols) != len(rows):
-        return 0
-    return _expand([[row.get(c, 0) for c in cols] for row in rows.values()])
-
-
 def _expand(mat: List[List[int]]) -> int:
     """Determinant of a square block by cofactor expansion along its first
     row: division-free, with n! products for an n x n block; 1 if empty."""
@@ -293,8 +254,9 @@ def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
     incoming arc is crossing j's over-arc), else a DiagramError is raised, and
     gives its bottom arcs' relations bottom = S y_1 + (1 - S) y_0.  The last
     band's last relation and the first band's incoming top arc are deleted.
-    Each S is evaluated once, and 1 - S on integers as X^k - S; the unit
-    ambiguity is removed by normalize_alexander.
+    Each row is multiplied by t^-lo, so it reads -X^-lo at the bottom arc,
+    S(X) at y_1 and X^-lo - S(X) at y_0, with S evaluated once from t^lo; the
+    unit ambiguity is removed by normalize_alexander.
     """
     if len(d.crossings) != sum(map(abs, d.twists)):
         raise DiagramError(f"{len(d.crossings)} crossings for twists {d.twists}")
@@ -315,24 +277,23 @@ def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
     if len(arcs) != len(relations):
         raise DiagramError("arc/relation count mismatch; diagram is not a knot diagram")
     del relations[-1]
-    column = {arc: i for i, arc in enumerate(sorted(arcs - {d.crossings[0].incoming}))}
-    shift, norms = Counter(), Counter()  # per arc: its column's power of t, its entries' L1 norms
+    columns = sorted(arcs - {d.crossings[0].incoming})
+    norms = Counter()  # per arc: its column's entries' L1 norms
     for bottom, y1, y0, lo, s in relations:
         size = sum(map(abs, s))
         norms[bottom] += 1
-        for arc, norm in ((y1, size), (y0, size + 1)):  # ||1 - S||_1 <= ||S||_1 + 1
-            norms[arc] += norm
-            shift[arc] = max(shift[arc], -lo)
-    bits = _digit_bits(prod(norms[arc] for arc in column))
+        norms[y1] += size
+        norms[y0] += size + 1  # ||1 - S||_1 <= ||S||_1 + 1
+    bits = _digit_bits(prod(norms[arc] for arc in columns))
     minor = []
     for bottom, y1, y0, lo, s in relations:
-        value = _evaluate(s, bits)
+        value, unit = _evaluate(s, bits), 1 << bits * -lo  # the row times t^-lo
         row: Dict[int, int] = defaultdict(int)  # arcs may coincide
-        row[bottom] -= 1 << bits * shift[bottom]
-        row[y1] += value << bits * (lo + shift[y1])
-        row[y0] += (1 << bits * shift[y0]) - (value << bits * (lo + shift[y0]))
-        minor.append({column[arc]: v for arc, v in row.items() if v and arc in column})
-    return normalize_alexander(_decode(_determinant(minor, len(column)), bits))
+        row[bottom] -= unit
+        row[y1] += value
+        row[y0] += unit - value
+        minor.append([row[arc] for arc in columns])
+    return normalize_alexander(_decode(_expand(minor), bits))
 
 
 def pretzel_determinant(p: int, q: int, r: int) -> int:

@@ -10,7 +10,6 @@ tuple (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -86,10 +85,6 @@ class GeneratorMultiset:
         out = GeneratorMultiset.__new__(GeneratorMultiset)
         out._set_runs(runs)
         return out
-
-    @staticmethod
-    def from_generators(gens: Iterable[Tuple[int, HalfInteger]]) -> "GeneratorMultiset":
-        return GeneratorMultiset(Counter(gens))
 
     @staticmethod
     def interval(lo: int, hi: int, delta: HalfInteger) -> "GeneratorMultiset":

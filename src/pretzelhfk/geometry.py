@@ -132,9 +132,6 @@ class CurveLabels:
         shift = m - min(values)
         self.table: Dict[int, int] = {x: lab + shift for x, lab in base}
 
-    def alexander(self, x: int) -> int:
-        return self.table[x % self.period]
-
     def delta_halves(self, kind: str) -> int:
         sgn = 1 if self.p > 0 else -1
         if self.q % 2:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pretzelhfk import alexander
 from pretzelhfk.alexander import (
     Crossing,
     DiagramError,
@@ -19,9 +20,9 @@ from pretzelhfk.alexander import (
     _band_transfer,
     _cross,
     _decode,
-    _determinant,
     _digit_bits,
     _evaluate,
+    _expand,
     _find,
     _strand_directions,
     _union,
@@ -155,27 +156,25 @@ ONE = {0: 1}
 ZERO = {}
 
 
-def laurent_determinant(rows, ncols):
-    """Determinant over Z[t, 1/t], up to a unit, of sparse rows of nonzero
-    Laurent polynomials, through the oracle's integer kernel.
+def laurent_determinant(rows):
+    """Determinant over Z[t, 1/t], up to a unit, of square dense rows of
+    Laurent polynomials (ZERO where empty), through the oracle's integer kernel.
 
-    Each column is multiplied by the power of t that makes its lowest exponent
+    Each row is multiplied by the power of t that makes its lowest exponent
     0, the matrix is evaluated at t = 2^K with K from the product over the
-    columns of their summed L1 norms, and the integer determinant is decoded
-    from its balanced base-2^K digits.
+    columns of their summed L1 norms, and the integer determinant, expanded
+    by cofactors, is decoded from its balanced base-2^K digits.
     """
-    norm, low = Counter(), {}
+    norm = Counter()
     for row in rows:
-        for col, e in row.items():
+        for col, e in enumerate(row):
             norm[col] += sum(map(abs, e.values()))
-            low[col] = min(low.get(col, min(e)), min(e))
     bits = _digit_bits(prod(norm.values()))
     ints = []
     for row in rows:
-        ints.append({})
-        for col, e in row.items():
-            ints[-1][col] = _evaluate(coefficients(e), bits) << bits * (min(e) - low[col])
-    return laurent((0, _decode(_determinant(ints, ncols), bits)))
+        low = min((min(e) for e in row if e), default=0)
+        ints.append([_evaluate(coefficients(e), bits) << bits * (min(e) - low) if e else 0 for e in row])
+    return laurent((0, _decode(_expand(ints), bits)))
 
 
 def trimmed(cs):
@@ -207,7 +206,7 @@ class TestEvaluation:
     def test_a_coefficient_equal_to_the_bound_decodes(self):
         # diag(200t, 300): the column bound 200 * 300 is the determinant's coefficient
         assert _digit_bits(60000) == 24
-        assert equal_up_to_unit(laurent_determinant([{0: {1: 200}}, {1: {0: 300}}], 2), {1: 60000})
+        assert equal_up_to_unit(laurent_determinant([[{1: 200}, ZERO], [ZERO, {0: 300}]]), {1: 60000})
         assert _decode(60000, 16) != [60000]  # one byte short
 
 
@@ -242,7 +241,7 @@ def sparse_matrices(draw):
     n = draw(st.integers(1, 5))
     mat = [[draw(small_entry) for _ in range(n)] for _ in range(n)]
     if not draw(st.booleans()):
-        # few units: scale each unit entry by (1 + t) so a block is left to expand
+        # few units: each unit entry times (1 + t), so more products have several terms
         mat = [[(e[0], e[1] * 2) if e and len(e[1]) == 1 and abs(e[1][0]) == 1 else e
                 for e in row] for row in mat]
     return mat
@@ -255,32 +254,25 @@ class TestDeterminant:
     @example([[(0, [1, 1]), (0, [2])], [(0, [2]), (0, [1, -1])]])
     @example([[(0, [1]), None], [(0, [2]), None]])  # a zero column
     def test_equals_laplace_expansion_up_to_a_unit(self, mat):
-        rows = [{j: laurent(e) for j, e in enumerate(row) if e is not None} for row in mat]
-        expect = laplace([[laurent(e) if e else ZERO for e in row] for row in mat])
-        assert equal_up_to_unit(laurent_determinant(rows, len(mat)), expect)
+        rows = [[laurent(e) if e else ZERO for e in row] for row in mat]
+        assert equal_up_to_unit(laurent_determinant(rows), laplace(rows))
 
     def test_a_3x3_residual_block_is_expanded_by_cofactors(self):
-        # no entry is a unit, so no pivot runs and the whole matrix is expanded
+        # a 3x3 block without a unit entry, expanded by cofactors
         mat = [[(0, [1, 1]), (0, [2]), (0, [1, -1])],
                [(0, [2]), (-1, [1, 1]), (0, [3])],
                [(0, [2, 1]), (1, [2]), (0, [1, 0, 1])]]
-        got = laurent_determinant([{j: laurent(e) for j, e in enumerate(row)} for row in mat], 3)
+        got = laurent_determinant([[laurent(e) for e in row] for row in mat])
         assert equal_up_to_unit(got, {3: 1, 2: -11, 1: 8, 0: 9, -1: -1})
         # the same block over the integers, at t = 1, where the determinant is 1 - 11 + 8 + 9 - 1
-        at_one = [{j: sum(e[1]) for j, e in enumerate(row) if sum(e[1])} for row in mat]
-        assert abs(_determinant(at_one, 3)) == 6
-
-    def test_non_square_is_rejected(self):
-        with pytest.raises(AlgebraError):
-            _determinant([{0: 1}, {0: 2}], 1)
-        with pytest.raises(AlgebraError):
-            _determinant([{0: 1, 2: 1}, {1: 2}], 2)
+        at_one = [[sum(e[1]) for e in row] for row in mat]
+        assert abs(_expand(at_one)) == 6
 
     def test_zero_row_or_column_gives_zero(self):
-        assert _determinant([{0: 1}, {0: 2}], 2) == 0
-        assert _determinant([{0: 1, 1: 3}, {}], 2) == 0
-        assert _determinant([], 0) == 1
-        assert laurent_determinant([{0: ONE}, {0: {0: 2}}], 2) == ZERO
+        assert _expand([[1, 0], [2, 0]]) == 0
+        assert _expand([[1, 3], [0, 0]]) == 0
+        assert _expand([]) == 1
+        assert laurent_determinant([[ONE, ZERO], [{0: 2}, ZERO]]) == ZERO
 
 
 # -- past the 6x6x6 grid: outputs only, never times -------------------------
@@ -469,16 +461,35 @@ class TestAgainstTheWirtingerMinor:
         assert fox_alexander(d) == wirtinger_alexander(d)
 
 
-def test_alex_output_bytes_are_pinned():
-    # `alex` on the grid, the seeded short-band knots and six large knots;
-    # the digest was taken when the oracle returned a Laurent polynomial
-    # object and `alex` printed its repr
+def pinned_knots():
+    """The grid, the seeded short-band knots and six large knots up to the CLI ceiling."""
     grid = [TangleParams(a, b, c, sign).pretzel_triple()
             for sign in "+-" for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]
     large = [TangleParams(*k).pretzel_triple() for k in [
         (100, 20, 100, "+"), (100, 20, 100, "-"), (100, 99, 100, "-"),
         (20, 100, 20, "+"), (1, 499, 500, "+"), (333, 333, 334, "-")]]
-    knots = grid + random_knots(seed=606, count=300, bound=45) + large
+    return grid + random_knots(seed=606, count=300, bound=45) + large
+
+
+def test_every_expanded_minor_is_square_and_at_most_5x5(monkeypatch):
+    # fox_alexander expands its minor by cofactors, with n! products for an
+    # n x n block, which is affordable only because the minor stays this small
+    expand, calls = alexander._expand, []
+    monkeypatch.setattr(alexander, "_expand", lambda mat: calls.append(mat) or expand(mat))
+    sizes = Counter()
+    for twists in pinned_knots():
+        calls.clear()
+        fox_alexander(build_pretzel_diagram(*twists))
+        outermost = calls[0]
+        assert all(len(row) == len(outermost) for row in outermost), twists
+        sizes[len(outermost)] += 1
+    assert max(sizes) == 5 and sum(sizes.values()) == 738
+
+
+def test_alex_output_bytes_are_pinned():
+    # `alex` on the pinned knots; the digest was taken when the oracle
+    # returned a Laurent polynomial object and `alex` printed its repr
+    knots = pinned_knots()
     assert len(knots) == 738
     digest = hashlib.sha256()
     for p, q, r in knots:

@@ -19,9 +19,12 @@ import pytest
 import pretzelhfk
 from pretzelhfk import cli
 from pretzelhfk.alexander import build_pretzel_diagram, pretzel_determinant
-from pretzelhfk.algebra import AlgebraError
+from pretzelhfk.algebra import AlgebraError, GeneratorMultiset, HalfInteger, HfkTable
 from pretzelhfk.cli import MAX_PARAMETER_SUM, MAX_SWEEP_KNOTS, MAX_TWIST_SUM, main
-from pretzelhfk.curves import TangleParams
+from pretzelhfk.curves import GradedCurve, TangleParams
+from pretzelhfk.geometry import closure_curve, enumerate_geometric_pairing
+from pretzelhfk.hfk import compute_hfk
+from pretzelhfk.pairing import ReducedPairing
 
 
 def run(capsys, *argv):
@@ -326,6 +329,23 @@ def test_every_benchmark_tracer_binding_resolves():
     assert ("cli", "compute_hfk") in bindings and ("cli", "normalize_alexander") in bindings
     for module, attr in bindings:
         assert callable(getattr(importlib.import_module(f"pretzelhfk.{module}"), attr, None)), (module, attr)
+
+
+def test_the_benchmarks_other_reach_ins_resolve():
+    # beyond the tracer names, benchmarks/ counts a diagram's crossings, digests
+    # tables by the twice-delta of their keys, and rebuilds tables and pairings
+    # from their parts in its fault-injection tests
+    params = TangleParams(3, 1, 2, "+")
+    assert len(build_pretzel_diagram(*params.pretzel_triple()).crossings) == 14
+    table = compute_hfk(params)
+    unreduced = enumerate_geometric_pairing(closure_curve(2, "-"), GradedCurve.rational(-1, 4, -4, 4))
+    for entries in (table.entries, unreduced.entries):
+        assert entries and all(isinstance(d.twice, int) for _, d in entries)
+    rebuilt = HfkTable(params=params, entries=dict(table.entries))
+    assert (rebuilt.params, rebuilt.total_rank) == (params, table.total_rank)
+    cell = (0, HalfInteger(2))
+    gens = GeneratorMultiset({cell: 1}).add(GeneratorMultiset({cell: 2}))
+    assert ReducedPairing(gens).generators.entries == {cell: 3}
 
 
 def test_a_closed_pipe_exits_141_without_a_traceback():

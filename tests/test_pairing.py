@@ -1,6 +1,7 @@
 """Tests for the closed-form curve pairings and the pair reduction."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given
@@ -33,7 +34,7 @@ def reference_blocks(base0, step, block, total, delta):
                 break
             gens.append(base if pos % 2 == 0 else base + step)
         i += 1
-    return GeneratorMultiset.from_generators((s, delta) for s in gens)
+    return GeneratorMultiset(Counter((s, delta) for s in gens))
 
 
 def reference_general(closure, c, A, B, M):
