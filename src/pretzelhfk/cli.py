@@ -16,6 +16,7 @@ functions take any size.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -324,8 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; returns the exit code.
+
+    Every call parses with one parser, built on the first call and shared for
+    the life of the process.  Each subcommand's cmd_* function is bound into
+    it then, so a test that patches one must call _parser.cache_clear()
+    before and after.
+    """
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

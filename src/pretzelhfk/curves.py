@@ -8,6 +8,7 @@ b (three cases).  Each curve carries the minimal and maximal Alexander grading
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -161,8 +162,16 @@ def slope_AB(a: int, b: int) -> Tuple[int, int, int]:
     return A, B, M
 
 
-def pretzel_tangle_curves(a: int, b: int) -> List[GradedCurve]:
-    """The full graded curve list for the (2a,-2b-1)-pretzel tangle."""
+@functools.lru_cache(maxsize=1, typed=True)
+def pretzel_tangle_curves(a: int, b: int) -> Tuple[GradedCurve, ...]:
+    """The full graded curve list for the (2a,-2b-1)-pretzel tangle, as a tuple.
+
+    The list depends on (a, b) alone; c enters only when each curve is paired
+    with the closure curve.  verify and a sweep over c ask for the same (a, b)
+    again, so the last result is kept.  It is a tuple of frozen curves, so a
+    caller cannot change what the next one gets.  typed=True keeps (3.0, 1)
+    raising TypeError after (3, 1) was cached.
+    """
     case = case_of(a, b)
     out: List[GradedCurve] = []
     if case is CaseLabel.CASE_I:
@@ -195,4 +204,4 @@ def pretzel_tangle_curves(a: int, b: int) -> List[GradedCurve]:
         for j in range(b - 1, 0, -1):
             out.append(GradedCurve.special23(j, 2 * b - 4 * j, 2 * b))
             out.append(GradedCurve.special23(j, 2 * b - 4 * j + 2, 2 * b + 2))
-    return out
+    return tuple(out)

@@ -251,6 +251,47 @@ def test_cli_output_bytes_are_pinned():
     assert digest.hexdigest() == "50a3cad36f8e8680de47c3ee432558011593fbfd95303150e1a1a59f8361fb22"
 
 
+class TestParserReuse:
+    """main builds its parser once per process and parses every call with it."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_five_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        knot = ["--a", "3", "--b", "1", "--c", "2", "--sign", "+"]
+        for argv in (["compute", *knot], ["compute", *knot, "--format", "csv"], ["verify", *knot],
+                     ["alex", "--p", "6", "--q", "-3", "--r", "5"],
+                     ["sweep", "--max-a", "1", "--max-b", "1", "--max-c", "2"]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert built == [1]
+
+    def test_a_usage_error_leaves_the_parser_unchanged(self, capsys):
+        argv = ["compute", "--a", "3", "--b", "1", "--c", "2", "--sign", "+"]
+
+        def printed():
+            code, out = run(capsys, *argv)
+            return code, [line for line in out.splitlines() if '"seconds"' not in line]
+
+        first = printed()
+        for bad in (["compute", "--a", "3", "--b", "1", "--c", "2", "--sign", "x"],
+                    ["compute", "--a", "4", "--format", "yaml"], ["cube"]):
+            with pytest.raises(SystemExit) as err:
+                main(bad)
+            assert err.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+            assert printed() == first
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestCeiling:
     """Oversized input exits 2 before any computation starts."""
 

@@ -1,5 +1,6 @@
 """Tests for the graded tangle curve lists and their invariants."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from pretzelhfk.curves import (
     pretzel_tangle_curves,
     slope_AB,
 )
+from pretzelhfk.hfk import verify
 
 small = st.integers(min_value=1, max_value=8)
 
@@ -126,6 +128,48 @@ class TestTangleCurveLists:
         ]
         assert (rc.slope.numerator, rc.slope.denominator) == (-3, 10)
         assert (rc.m, rc.M) == (-4, 4)
+
+
+def memo_sample():
+    """The 6x6 grid plus 60 seeded (a, b) with a, b <= 100, 20 from each case."""
+    rng = random.Random(1515)
+    pairs = [(a, b) for a in range(1, 7) for b in range(1, 7)]
+    for case in CaseLabel:
+        drawn = 0
+        while drawn < 20:
+            a = rng.randint(2, 100)
+            b = a - 1 if case is CaseLabel.CASE_II else rng.randint(1, 100)
+            if case_of(a, b) is case:
+                pairs.append((a, b))
+                drawn += 1
+    return pairs
+
+
+class TestTangleCurveMemo:
+    def test_every_result_is_the_unmemoized_tuple(self):
+        pairs = memo_sample()
+        assert {case_of(a, b) for a, b in pairs} == set(CaseLabel)
+        for a, b in pairs:
+            fresh = pretzel_tangle_curves.__wrapped__(a, b)
+            for _ in range(2):  # the built result, then the kept one
+                curves = pretzel_tangle_curves(a, b)
+                assert type(curves) is tuple and curves == fresh, (a, b)
+
+    def test_verify_builds_the_list_once(self):
+        pretzel_tangle_curves.cache_clear()
+        verify(TangleParams(5, 2, 3, "+"))
+        info = pretzel_tangle_curves.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+
+    def test_invalid_parameters_still_raise(self):
+        for a, b in ((0, 1), (1, 0), (-2, 3)):
+            with pytest.raises(CurveError):
+                pretzel_tangle_curves(a, b)
+
+    def test_a_float_is_not_served_the_cached_int_result(self):
+        pretzel_tangle_curves(3, 1)
+        with pytest.raises(TypeError):
+            pretzel_tangle_curves(3.0, 1)
 
 
 class TestTangleParams:
