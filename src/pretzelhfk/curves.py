@@ -3,7 +3,8 @@
 The tangle invariant consists of "special" curves i_k(1,4) / i_k(2,3) and one
 family of rational curves, with the exact list depending on how a compares to
 b (three cases).  Each curve carries the minimal and maximal Alexander grading
-(m, M) of its intersections with the parametrizing square.
+(m, M) of its intersections with the parametrizing square, and is checked once,
+by `GradedCurve.__init__`, however it is made (`dataclasses.replace` included).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class ReducedSlope:
     def __post_init__(self):
         if self.denominator < 0:
             raise CurveError("denominator must be non-negative")
-        if self.denominator == 0 and abs(self.numerator) != 1:
+        if self.denominator == 0 and self.numerator != 1:
             raise CurveError("infinite slope must be 1/0")
         if self.denominator > 0 and math.gcd(abs(self.numerator), self.denominator) != 1:
             raise CurveError("slope must be in lowest terms")
@@ -50,12 +51,13 @@ class CurveKind(Enum):
     SPECIAL23 = "special23"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedCurve:
     """One component of the tangle invariant with its Alexander decoration.
 
     m and M are the minimal/maximal Alexander labels (always even here).
-    Special curves of index k span M - m = 4k.
+    Special curves of index k span M - m = 4k.  __init__ is the only check
+    (no __post_init__) and stores the five fields in one step.
     """
 
     kind: CurveKind
@@ -64,33 +66,35 @@ class GradedCurve:
     slope: Optional[ReducedSlope] = None
     k: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind is CurveKind.RATIONAL:
+    def __init__(self, kind: CurveKind, m: int, M: int,
+                 slope: Optional[ReducedSlope] = None, k: Optional[int] = None):
+        if kind is CurveKind.RATIONAL:
             # closure curves of odd slope carry odd gradings, so only the
             # parity agreement of m and M is required here
-            if (self.M - self.m) % 2:
+            if (M - m) % 2:
                 raise CurveError("curve grading span must be even")
-            if self.slope is None or self.k is not None:
+            if slope is None or k is not None:
                 raise CurveError("rational curve needs a slope and no index")
         else:
-            if self.m % 2 or self.M % 2:
+            if m % 2 or M % 2:
                 raise CurveError("special curve gradings must be even")
-            if self.k is None or self.k < 1 or self.slope is not None:
+            if k is None or k < 1 or slope is not None:
                 raise CurveError("special curve needs a positive index and no slope")
-            if self.M - self.m != 4 * self.k:
-                raise CurveError(f"special curve span must be 4k, got {self.M - self.m}")
+            if M - m != 4 * k:
+                raise CurveError(f"special curve span must be 4k, got {M - m}")
+        object.__setattr__(self, "__dict__", {"kind": kind, "m": m, "M": M, "slope": slope, "k": k})
 
     @staticmethod
     def rational(num: int, den: int, m: int, M: int) -> "GradedCurve":
-        return GradedCurve(CurveKind.RATIONAL, m, M, slope=ReducedSlope(num, den))
+        return GradedCurve(CurveKind.RATIONAL, m, M, ReducedSlope(num, den))
 
     @staticmethod
     def special14(k: int, m: int, M: int) -> "GradedCurve":
-        return GradedCurve(CurveKind.SPECIAL14, m, M, k=k)
+        return GradedCurve(CurveKind.SPECIAL14, m, M, None, k)
 
     @staticmethod
     def special23(k: int, m: int, M: int) -> "GradedCurve":
-        return GradedCurve(CurveKind.SPECIAL23, m, M, k=k)
+        return GradedCurve(CurveKind.SPECIAL23, m, M, None, k)
 
     def __str__(self) -> str:
         if self.kind is CurveKind.RATIONAL:
@@ -170,38 +174,41 @@ def pretzel_tangle_curves(a: int, b: int) -> Tuple[GradedCurve, ...]:
     with the closure curve.  verify and a sweep over c ask for the same (a, b)
     again, so the last result is kept.  It is a tuple of frozen curves, so a
     caller cannot change what the next one gets.  typed=True keeps (3.0, 1)
-    raising TypeError after (3, 1) was cached.
+    raising TypeError after (3, 1) was cached.  The rational curves of a
+    Case I list share one frozen ReducedSlope(1, 2a).
     """
     case = case_of(a, b)
+    S14, S23 = CurveKind.SPECIAL14, CurveKind.SPECIAL23
     out: List[GradedCurve] = []
     if case is CaseLabel.CASE_I:
         for j in range(1, a):
-            out.append(GradedCurve.special14(j, -2 * b - 2, 4 * j - 2 * b - 2))
-            out.append(GradedCurve.special14(j, -2 * b, 4 * j - 2 * b))
-        out.append(GradedCurve.special14(a, -2 * b - 2, 4 * a - 2 * b - 2))
+            out.append(GradedCurve(S14, -2 * b - 2, 4 * j - 2 * b - 2, None, j))
+            out.append(GradedCurve(S14, -2 * b, 4 * j - 2 * b, None, j))
+        out.append(GradedCurve(S14, -2 * b - 2, 4 * a - 2 * b - 2, None, a))
+        slope = ReducedSlope(1, 2 * a)
         for m in range(-2 * b, 2 * b - 4 * a + 1, 2):
-            out.append(GradedCurve.rational(1, 2 * a, m, m + 4 * a))
-        out.append(GradedCurve.special23(a, 2 * b - 4 * a + 2, 2 * b + 2))
+            out.append(GradedCurve(CurveKind.RATIONAL, m, m + 4 * a, slope))
+        out.append(GradedCurve(S23, 2 * b - 4 * a + 2, 2 * b + 2, None, a))
         for j in range(a - 1, 0, -1):
-            out.append(GradedCurve.special23(j, 2 * b - 4 * j, 2 * b))
-            out.append(GradedCurve.special23(j, 2 * b - 4 * j + 2, 2 * b + 2))
+            out.append(GradedCurve(S23, 2 * b - 4 * j, 2 * b, None, j))
+            out.append(GradedCurve(S23, 2 * b - 4 * j + 2, 2 * b + 2, None, j))
     elif case is CaseLabel.CASE_II:
         for j in range(1, a):
-            out.append(GradedCurve.special14(j, -2 * a, 4 * j - 2 * a))
-            out.append(GradedCurve.special14(j, -2 * a + 2, 4 * j - 2 * a + 2))
+            out.append(GradedCurve(S14, -2 * a, 4 * j - 2 * a, None, j))
+            out.append(GradedCurve(S14, -2 * a + 2, 4 * j - 2 * a + 2, None, j))
         out.append(GradedCurve.rational(-1, 2 * a, -2 * a, 2 * a))
         for j in range(a - 1, 0, -1):
-            out.append(GradedCurve.special23(j, 2 * a - 4 * j - 2, 2 * a - 2))
-            out.append(GradedCurve.special23(j, 2 * a - 4 * j, 2 * a))
+            out.append(GradedCurve(S23, 2 * a - 4 * j - 2, 2 * a - 2, None, j))
+            out.append(GradedCurve(S23, 2 * a - 4 * j, 2 * a, None, j))
     else:
         A, B, M = slope_AB(a, b)
         for j in range(1, b + 1):
-            out.append(GradedCurve.special14(j, -2 * b - 2, 4 * j - 2 * b - 2))
-            out.append(GradedCurve.special14(j, -2 * b, 4 * j - 2 * b))
+            out.append(GradedCurve(S14, -2 * b - 2, 4 * j - 2 * b - 2, None, j))
+            out.append(GradedCurve(S14, -2 * b, 4 * j - 2 * b, None, j))
         out.append(GradedCurve.rational(-A, B, -M, M))
-        out.append(GradedCurve.special23(b, -2 * b, 2 * b))
-        out.append(GradedCurve.special23(b, -2 * b + 2, 2 * b + 2))
+        out.append(GradedCurve(S23, -2 * b, 2 * b, None, b))
+        out.append(GradedCurve(S23, -2 * b + 2, 2 * b + 2, None, b))
         for j in range(b - 1, 0, -1):
-            out.append(GradedCurve.special23(j, 2 * b - 4 * j, 2 * b))
-            out.append(GradedCurve.special23(j, 2 * b - 4 * j + 2, 2 * b + 2))
+            out.append(GradedCurve(S23, 2 * b - 4 * j, 2 * b, None, j))
+            out.append(GradedCurve(S23, 2 * b - 4 * j + 2, 2 * b + 2, None, j))
     return tuple(out)

@@ -1,7 +1,8 @@
 """Tests for the graded tangle curve lists and their invariants."""
 
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given
@@ -41,6 +42,8 @@ class TestReducedSlope:
         assert inf.is_infinite
         with pytest.raises(CurveError):
             ReducedSlope(2, 0)
+        with pytest.raises(CurveError, match="infinite slope must be 1/0"):
+            ReducedSlope(-1, 0)
 
 
 class TestGradedCurve:
@@ -58,6 +61,47 @@ class TestGradedCurve:
         GradedCurve.rational(1, 3, -3, 3)
         with pytest.raises(CurveError):
             GradedCurve.rational(1, 2, -1, 2)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((CurveKind.RATIONAL, -2, 2), "rational curve needs a slope and no index"),
+            ((CurveKind.RATIONAL, -2, 2, ReducedSlope(1, 2), 1), "rational curve needs a slope and no index"),
+            ((CurveKind.SPECIAL14, 0, 0, None, 0), "special curve needs a positive index and no slope"),
+            ((CurveKind.SPECIAL23, 0, 4), "special curve needs a positive index and no slope"),
+            ((CurveKind.SPECIAL14, 0, 4, ReducedSlope(1, 2), 1), "special curve needs a positive index and no slope"),
+        ],
+    )
+    def test_malformed_curves_are_rejected(self, args, message):
+        with pytest.raises(CurveError, match=message):
+            GradedCurve(*args)
+
+    @pytest.mark.parametrize(
+        "curve, changes, message",
+        [
+            (GradedCurve.rational(1, 2, -2, 2), {"slope": None}, "rational curve needs a slope and no index"),
+            (GradedCurve.rational(1, 2, -2, 2), {"k": 1}, "rational curve needs a slope and no index"),
+            (GradedCurve.special14(1, 0, 4), {"k": 0, "M": 0}, "special curve needs a positive index and no slope"),
+            (GradedCurve.special23(1, 0, 4), {"k": None}, "special curve needs a positive index and no slope"),
+            (
+                GradedCurve.special23(1, 0, 4),
+                {"slope": ReducedSlope(1, 2)},
+                "special curve needs a positive index and no slope",
+            ),
+            (GradedCurve.special14(1, 0, 4), {"M": 8}, "special curve span must be 4k, got 8"),
+        ],
+    )
+    def test_replace_revalidates(self, curve, changes, message):
+        with pytest.raises(CurveError, match=message):
+            replace(curve, **changes)
+
+    def test_fields_cannot_be_assigned(self):
+        curve = GradedCurve.special14(1, 0, 4)
+        with pytest.raises(FrozenInstanceError):
+            curve.m = 2
+        with pytest.raises(FrozenInstanceError):
+            curve.slope = ReducedSlope(1, 2)
+        assert curve == GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1)
 
     def test_grading_reversal_swaps_special_types(self):
         c = GradedCurve.special14(2, -2, 6)
@@ -110,6 +154,23 @@ class TestTangleCurveLists:
         else:
             assert len(rationals) == 1
             assert len(specials) == 4 * b
+
+    def test_every_curve_survives_revalidation(self):
+        """replace() reruns __init__ and pickle bypasses it; both give the same curve."""
+        assert {case_of(a, b) for a in range(1, 13) for b in range(1, 13)} == set(CaseLabel)
+        for a in range(1, 13):
+            for b in range(1, 13):
+                for curve in pretzel_tangle_curves(a, b):
+                    for copy in (replace(curve), pickle.loads(pickle.dumps(curve))):
+                        assert copy == curve and hash(copy) == hash(curve), (a, b, curve)
+                        assert str(copy) == str(curve)
+
+    def test_case_one_rationals_share_one_slope(self):
+        for a in range(1, 13):
+            for b in range(a, 13):
+                slopes = [c.slope for c in pretzel_tangle_curves(a, b) if c.kind is CurveKind.RATIONAL]
+                assert slopes[0] == ReducedSlope(1, 2 * a)
+                assert all(s is slopes[0] for s in slopes), (a, b)
 
     def test_case_two_single_rational_is_symmetric(self):
         (rc,) = [
