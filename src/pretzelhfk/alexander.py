@@ -1,8 +1,9 @@
 """Independent Alexander-polynomial oracle via Wirtinger presentations and Fox calculus.
 
 The pretzel diagram (three vertical twist bands, closed cyclically at top
-and bottom) is written band by band in closed form, each crossing once; the
-Alexander polynomial is a minor of its Fox-derivative matrix over Z[t, 1/t].
+and bottom) is written band by band in closed form, each crossing once as a
+`Crossing` NamedTuple made in C (`_replace` changes a field: it is not a
+dataclass); the Alexander polynomial is a minor of its Fox matrix over Z[t, 1/t].
 
 That matrix is never built in full.  Inside a band the crossings chain:
 crossing j takes its over-arc y_{j+1} and its incoming arc y_j and emits
@@ -12,32 +13,29 @@ y_{j+2} - y_{j+1} = -t^e (y_{j+1} - y_j), so every arc of a band is
 y_m = (1 - S_m) y_0 + S_m y_1, where S_m is a sum of m signed unit monomials
 whose exponents are prefix sums of the band's exponents, whatever they are.
 Each band thus contributes the relations of its two bottom arcs (one for a
-single crossing).  Eliminating the interior arcs this way is unimodular, so
-after one relation and one arc column are deleted the minor, at most 5x5, is
-the Alexander polynomial up to a unit.
+single crossing).  Eliminating the interior arcs is unimodular, so after one
+relation and one arc column are deleted the minor, at most 5x5, is the
+Alexander polynomial up to a unit.
 
-The determinant runs on Python integers.  Each relation row of the minor is
-multiplied by the unit t^-lo of its own band, lo <= 0 the least exponent in
-the row, so the determinant changes only by a unit and the minor, now over
-Z[t], is evaluated once at t = X = 2^K and expanded by cofactors, division-free.
-Its determinant D sums signed products of one entry per column, so ||D||_1
-(the sum of its coefficients' absolute values) is at most the product over
-the columns of their entries' summed L1 norms, which a unit shift leaves as
-they are: the row bound applied to the transpose, and far smaller here, where
-a bottom arc's column holds only units.  K = bit_length(that bound) + 2,
-rounded up to whole bytes, puts each coefficient of D in (-X/2, X/2), so the
-balanced base-X digits of D(X) are the coefficients, decoded once at the end.
-normalize_alexander turns that digit list into the tuple (a_0, a_1, ..., a_g).
+The determinant runs on Python integers.  Each relation row is multiplied by
+the unit t^-lo of its band (lo <= 0 the row's least exponent), and the minor,
+now over Z[t], is evaluated once at t = X = 2^K and expanded by cofactors,
+division-free.  Its determinant D sums signed products of one entry per
+column, so ||D||_1 is at most the product over the columns of their entries'
+summed L1 norms, which a unit shift keeps.  K = bit_length(that bound) + 2,
+rounded up to whole bytes, puts each coefficient of D in (-X/2, X/2): the
+balanced base-X digits of D(X) are its coefficients, decoded once at the end.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, cycle
+from functools import partial
+from itertools import accumulate, cycle, repeat
 from math import prod
-from typing import Dict, List, Sequence, Tuple
+from operator import add, sub
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .algebra import normalize_alexander
 
@@ -46,15 +44,22 @@ class DiagramError(ValueError):
     """Raised for link (non-knot) inputs or degenerate twist parameters."""
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One Wirtinger crossing: under-arc `incoming` passes under `over` and
-    re-emerges as `outgoing`, conjugated with exponent `exponent` (+-1)."""
+class Crossing(NamedTuple):
+    """One Wirtinger crossing: under-arc `incoming` passes under `over` and re-emerges
+    as `outgoing`, with exponent `exponent` (+-1); never equal to a plain tuple."""
 
     over: int
     incoming: int
     outgoing: int
     exponent: int
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Crossing and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not Crossing or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -114,21 +119,18 @@ def _diagonal(pos: str, going_down: bool) -> Tuple[int, int]:
 
 
 def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
-    """Combinatorial pretzel diagram P(p, q, r); knot cases only.
+    """Combinatorial pretzel diagram P(p, q, r); knot cases only: exactly one
+    of p, q, r must be even (else it is a 2- or 3-component link), none zero.
 
-    Exactly one of p, q, r must be even (else the diagram is a 2- or
-    3-component link) and none may be zero.
-
-    Each band is written in closed form.  Its over-strand enters at the top
-    on side L for a positive twist, else R; its arcs are y_0 and y_1 (top,
-    under and over side), then y_2, ..., y_{n+1}, one per crossing, and
-    crossing j is Crossing(over=y_{j+1}, incoming=y_j, outgoing=y_{j+2},
-    exponent=e_{j mod 2}): the strands swap sides at each crossing, so the
-    two exponents are read once off the strand directions by the sign rule.
-    Raw labels count the bands in order (top L, top R, then one per
-    crossing).  The cyclic closure merges band-end arcs only, so union-find
-    runs on at most 12 labels; every arc is then relabelled by the rank of
-    its class representative.
+    Each band is written in closed form.  Its over-strand enters at the top on
+    side L for a positive twist, else R; its arcs are y_0 and y_1 (top, under
+    and over side), then y_2, ..., y_{n+1}, one per crossing, and crossing j
+    is Crossing(over=y_{j+1}, incoming=y_j, outgoing=y_{j+2}, exponent=
+    e_{j mod 2}), made in C: the strands swap sides at each crossing, so the
+    two exponents are read once off the strand directions.  Raw labels count
+    the bands in order (top L, top R, then one per crossing).  The closure
+    merges band-end arcs only, so union-find runs on at most 12 labels; every
+    arc is relabelled by the rank of its class representative.
     """
     twists = (p, q, r)
     if any(t == 0 for t in twists):
@@ -152,25 +154,24 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     for k in range(3):
         _union(parent, tops[k][1], tops[(k + 1) % 3][0])
         _union(parent, bottoms[k][1], bottoms[(k + 1) % 3][0])
-    merged = sorted(x for x in parent if _find(parent, x) != x)
+    root = {x: _find(parent, x) for x in parent}
+    merged = sorted(x for x in parent if root[x] != x)
+    label = {x: r - bisect_left(merged, r) for x, r in root.items()}
 
     crossings: List[Crossing] = []
     for band, (t, start, y0, y1) in enumerate(bands):
         n = abs(t)
         over, under = ("L", "R") if t > 0 else ("R", "L")
-        exponents = []
-        for over_side, under_side in ((over, under), (under, over)):
-            over_down = directions[(band, over_side)] == "down"
-            under_down = directions[(band, under_side)] == "down"
-            sign = 1 if _cross(_diagonal(over, over_down), _diagonal(under, under_down)) > 0 else -1
-            exponents.append(sign if under_down else -sign)
+        down = {side: directions[(band, side)] == "down" for side in "LR"}  # by top side entered
+        # the sign rule is symmetric in the two strands, so both crossings share it
+        sign = 1 if _cross(_diagonal(over, down[over]), _diagonal(under, down[under])) > 0 else -1
+        exponents = [sign if down[under] else -sign, sign if down[over] else -sign]
         # interior arcs are their own representatives, and no merged label lies among them
         shift = bisect_left(merged, start + 2)
         y = [y0, y1, *range(start + 2 - shift, start + n + 2 - shift)]
         for j in {0, 1, n, n + 1}:
-            root = _find(parent, (y0, y1)[j] if j < 2 else start + j)
-            y[j] = root - bisect_left(merged, root)
-        crossings.extend(map(Crossing, y[1:], y, y[2:], cycle(exponents)))
+            y[j] = label[(y0, y1)[j] if j < 2 else start + j]
+        crossings.extend(map(partial(tuple.__new__, Crossing), zip(y[1:], y, y[2:], cycle(exponents))))
 
     diagram = PretzelDiagram(twists=twists, crossings=tuple(crossings), arc_count=base - len(merged))
     if diagram.arc_count != len(crossings):
@@ -189,7 +190,7 @@ def _evaluate(cs: Sequence[int], bits: int) -> int:
     packed through bytes with X/2 added to every coefficient, then subtracted."""
     half = 1 << (bits - 1)
     offset = (bytes(bits // 8 - 1) + b"\x80") * len(cs)  # X/2 in every digit
-    raw = b"".join((c + half).to_bytes(bits // 8, "little") for c in cs)
+    raw = b"".join(map(int.to_bytes, map(add, cs, repeat(half)), repeat(bits // 8), repeat("little")))
     return int.from_bytes(raw, "little") - int.from_bytes(offset, "little")
 
 
@@ -201,15 +202,17 @@ def _decode(value: int, bits: int) -> List[int]:
     low = ((value & -value).bit_length() - 1) // bits if value else 0  # zero digits below X^low
     value >>= bits * low
     n = abs(value).bit_length() // bits + 1
-    half = 1 << (bits - 1)
-    offset = (bytes(width - 1) + b"\x80") * n
-    raw = (value + int.from_bytes(offset, "little")).to_bytes(n * width, "little")
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") - half for i in range(n)]
+    raw = (value + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")).to_bytes(n * width, "little")
+    edges = range(0, (n + 1) * width, width)  # digit boundaries; each digit is still X/2 high
+    chunks = map(raw.__getitem__, map(slice, edges, edges[1:]))
+    return list(map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(1 << (bits - 1))))
 
 
 def _expand(mat: List[List[int]]) -> int:
     """Determinant of a square block by cofactor expansion along its first
     row: division-free, with n! products for an n x n block; 1 if empty."""
+    if len(mat) == 2:  # the expansion's last step, written out
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     if not mat:
         return 1
     total = 0
@@ -237,10 +240,10 @@ def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int], List[int]]
     sums = list(accumulate(exponents, initial=0))  # u_i = (-1)^i t^sums[i]
     lo = min(sums)
     cs = [0] * (max(sums) - lo + 1)
-    for k, c in Counter(sums[: n : 2]).items():
-        cs[k - lo] += c
-    for k, c in Counter(sums[1 : n : 2]).items():
-        cs[k - lo] -= c
+    for k in sums[:n:2]:
+        cs[k - lo] += 1
+    for k in sums[1:n:2]:
+        cs[k - lo] -= 1
     s_n = cs[:]
     cs[sums[n] - lo] += -1 if n % 2 else 1
     return lo, cs, s_n
@@ -249,50 +252,47 @@ def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int], List[int]]
 def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
     """Normalized Alexander polynomial (a_0, ..., a_g) of the diagram via Fox calculus.
 
-    The crossings are read in band order, |p|, |q| and |r| of them.  Each band
-    must chain (crossing j+1 passes under the arc crossing j emitted, and its
-    incoming arc is crossing j's over-arc), else a DiagramError is raised, and
-    gives its bottom arcs' relations bottom = S y_1 + (1 - S) y_0.  The last
-    band's last relation and the first band's incoming top arc are deleted.
-    Each row is multiplied by t^-lo, so it reads -X^-lo at the bottom arc,
-    S(X) at y_1 and X^-lo - S(X) at y_0, with S evaluated once from t^lo; the
-    unit ambiguity is removed by normalize_alexander.
+    The crossings are read in band order, |p|, |q| and |r| of them, each band
+    transposed once into field tuples.  A band must chain (crossing j+1 passes
+    under the arc crossing j emitted, and its incoming arc is crossing j's
+    over-arc), else a DiagramError is raised; its bottom arcs give relations
+    bottom = S y_1 + (1 - S) y_0.  The last band's last relation and the first
+    band's incoming top arc are deleted.  Each row is multiplied by t^-lo.
     """
-    if len(d.crossings) != sum(map(abs, d.twists)):
+    if 0 in d.twists or len(d.crossings) != sum(map(abs, d.twists)):
         raise DiagramError(f"{len(d.crossings)} crossings for twists {d.twists}")
-    relations = []  # (bottom, y1, y0, lo, S as a coefficient list from t^lo)
-    start = 0
-    for twist in d.twists:
-        band = d.crossings[start : start + abs(twist)]
-        start += abs(twist)
-        for prev, cur in zip(band, band[1:]):
-            if cur.over != prev.outgoing or cur.incoming != prev.over:
-                raise DiagramError(f"the crossings of the {twist}-twist band do not chain")
-        lo, s_next, s_n = _band_transfer([c.exponent for c in band])
-        y1, y0 = band[0].over, band[0].incoming
-        if len(band) > 1:
-            relations.append((band[-1].over, y1, y0, lo, s_n))
-        relations.append((band[-1].outgoing, y1, y0, lo, s_next))
+    relations = []  # (bottom, y1, y0, lo, S as a coefficient list from t^lo, step or None)
+    for twist, end in zip(d.twists, accumulate(map(abs, d.twists))):
+        band = d.crossings[end - abs(twist) : end]
+        overs, incomings, outgoings, exponents = zip(*band)
+        if incomings[1:] != overs[:-1] or overs[1:] != outgoings[:-1]:
+            raise DiagramError(f"the crossings of the {twist}-twist band do not chain")
+        lo, s_next, s_n = _band_transfer(exponents)
+        y1, y0, step = overs[0], incomings[0], None
+        if len(band) > 1:  # S_{n+1} = S_n + (-1)^n t^(e_0 + ... + e_{n-1}): one step on
+            relations.append((overs[-1], y1, y0, lo, s_n, None))
+            step = (-1 if len(band) % 2 else 1, sum(exponents) - lo)
+        relations.append((outgoings[-1], y1, y0, lo, s_next, step))
     arcs = {arc for relation in relations for arc in relation[:3]}
     if len(arcs) != len(relations):
         raise DiagramError("arc/relation count mismatch; diagram is not a knot diagram")
     del relations[-1]
     columns = sorted(arcs - {d.crossings[0].incoming})
-    norms = Counter()  # per arc: its column's entries' L1 norms
-    for bottom, y1, y0, lo, s in relations:
+    norms = dict.fromkeys(arcs, 0)  # per arc: its column's entries' L1 norms
+    for bottom, y1, y0, lo, s, _ in relations:
         size = sum(map(abs, s))
         norms[bottom] += 1
         norms[y1] += size
         norms[y0] += size + 1  # ||1 - S||_1 <= ||S||_1 + 1
-    bits = _digit_bits(prod(norms[arc] for arc in columns))
+    bits = _digit_bits(prod(map(norms.__getitem__, columns)))
     minor = []
-    for bottom, y1, y0, lo, s in relations:
-        value, unit = _evaluate(s, bits), 1 << bits * -lo  # the row times t^-lo
-        row: Dict[int, int] = defaultdict(int)  # arcs may coincide
+    for bottom, y1, y0, lo, s, step in relations:  # each row times t^-lo
+        value = _evaluate(s, bits) if step is None else value + (step[0] << bits * step[1])
+        row, unit = dict.fromkeys(arcs, 0), 1 << bits * -lo  # arcs may coincide
         row[bottom] -= unit
         row[y1] += value
         row[y0] += unit - value
-        minor.append([row[arc] for arc in columns])
+        minor.append(list(map(row.__getitem__, columns)))
     return normalize_alexander(_decode(_expand(minor), bits))
 
 

@@ -132,7 +132,10 @@ class GeneratorMultiset:
 
     @property
     def total_rank(self) -> int:
-        return sum((hi - lo + 1) * rk for lo, hi, _, rk in self.runs)
+        total = 0  # a plain loop: no generator frame for the few runs of a curve
+        for lo, hi, _, rk in self.runs:
+            total += (hi - lo + 1) * rk
+        return total
 
     def deltas(self) -> set:
         return {d for (_, _, d, _) in self.runs}

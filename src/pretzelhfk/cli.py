@@ -52,7 +52,10 @@ def _over_ceiling(what: str, total: int, ceiling: int) -> bool:
 def _record(params: TangleParams) -> Dict:
     start = time.perf_counter()
     report = verify(params)
-    alex = normalize_alexander(euler_characteristic(report.table))
+    try:
+        alex = normalize_alexander(euler_characteristic(report.table))
+    except AlgebraError:  # verify has failed the Euler check, so compute exits 1
+        alex = ()
     p, q, r = params.pretzel_triple()
     generators = [
         {"s": s, "delta_times_2": d.twice, "rank": rk}
@@ -142,9 +145,16 @@ def _format_ascii(record: Dict) -> str:
     """Dot plot in the (s, mu) plane, mu = s - delta.
 
     The delta grading is relative; the plot shifts it so the lowest delta
-    line lies on mu = s.
+    line lies on mu = s.  An empty table plots as the header line alone.
     """
     gens = record["generators"]
+    k = record["knot"]
+    out = [
+        f"P({k['p']},{k['q']},{k['r']})  rank per (s, mu) cell; "
+        "delta offset is conventional (lowest delta line placed on mu = s)"
+    ]
+    if not gens:
+        return out[0]
     low = min(g["delta_times_2"] for g in gens)
     points = {}
     for g in gens:
@@ -154,11 +164,6 @@ def _format_ascii(record: Dict) -> str:
         points[(g["s"], mu2 // 2)] = g["rank"]
     s_vals = [s for s, _ in points]
     mu_vals = [mu for _, mu in points]
-    k = record["knot"]
-    out = [
-        f"P({k['p']},{k['q']},{k['r']})  rank per (s, mu) cell; "
-        "delta offset is conventional (lowest delta line placed on mu = s)"
-    ]
     width = 3
     for mu in range(max(mu_vals), min(mu_vals) - 1, -1):
         row = f"mu={mu:>3} |"

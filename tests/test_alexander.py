@@ -6,6 +6,7 @@ import io
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 from math import prod
 
 import pytest
@@ -326,9 +327,28 @@ def test_band_transfer_is_the_product_of_the_crossing_matrices(exponents):
     assert got == expect
 
 
+class TestCrossingRecords:
+    def test_every_built_crossing_is_a_crossing(self):
+        for twists in [(6, -3, 5), (2, -1, -1), (-1, 4, 1), (200, -41, 201)]:
+            assert all(type(c) is Crossing for c in build_pretzel_diagram(*twists).crossings), twists
+
+    def test_a_crossing_is_never_equal_to_a_plain_tuple(self):
+        c, same = Crossing(1, 2, 3, 1), (1, 2, 3, 1)
+        assert not c == same and not same == c
+        assert c != same and same != c
+        assert c == Crossing(1, 2, 3, 1) and not c != Crossing(1, 2, 3, 1)
+        assert c != Crossing(1, 2, 3, -1) and not c == Crossing(1, 2, 3, -1)
+        assert hash(c) == hash(Crossing(1, 2, 3, 1)) and len({c, Crossing(1, 2, 3, 1)}) == 1
+
+    def test_replace_returns_a_crossing(self):
+        c = build_pretzel_diagram(6, -3, 5).crossings[4]
+        replaced = c._replace(exponent=7)
+        assert type(replaced) is Crossing and replaced == Crossing(c.over, c.incoming, c.outgoing, 7)
+
+
 def with_crossing(diagram, index, **changes):
     crossings = list(diagram.crossings)
-    crossings[index] = replace(crossings[index], **changes)
+    crossings[index] = crossings[index]._replace(**changes)
     return replace(diagram, crossings=tuple(crossings))
 
 
@@ -340,17 +360,37 @@ def outcome(oracle, diagram):
         return f"AlgebraError: {exc}"
 
 
+def chain_breaks(diagram, index):
+    """Changes to crossing `index` that break its band's chain: its over and
+    incoming arcs swapped, and a wrong arc on each side where it meets a
+    neighbour in its band."""
+    starts = list(accumulate(map(abs, diagram.twists), initial=0))
+    c = diagram.crossings[index]
+    changes = [{"over": c.incoming, "incoming": c.over}]
+    if index not in starts:
+        changes.append({"incoming": c.outgoing})
+    if index + 1 not in starts:
+        changes.append({"outgoing": c.incoming})
+    return changes
+
+
 class TestBandPreconditions:
     """A diagram whose bands do not chain, or that lacks crossings, raises."""
 
     diagram = build_pretzel_diagram(6, -3, 5)
 
-    @pytest.mark.parametrize("index", [1, 3, 5, 7])
-    def test_a_broken_chain_is_rejected(self, index):
-        c = self.diagram.crossings[index]
-        for changes in ({"over": c.incoming, "incoming": c.over}, {"incoming": c.outgoing}):
+    # P(6, -3, 5) by crossing index: its bands of 6, 3 and 5 crossings begin or
+    # end at 0, 5, 6, 8, 9 and 13; P(2, -1, -1) has nothing to chain in its unit bands
+    @pytest.mark.parametrize(
+        "twists, index",
+        [pytest.param((6, -3, 5), i, id=str(i)) for i in (0, 1, 3, 5, 6, 7, 8, 9, 13)]
+        + [pytest.param((2, -1, -1), i, id=f"P(2,-1,-1)-{i}") for i in (0, 1)],
+    )
+    def test_a_broken_chain_is_rejected(self, twists, index):
+        diagram = build_pretzel_diagram(*twists)
+        for changes in chain_breaks(diagram, index):
             with pytest.raises(DiagramError, match="chain"):
-                fox_alexander(with_crossing(self.diagram, index, **changes))
+                fox_alexander(with_crossing(diagram, index, **changes))
 
     @pytest.mark.parametrize("index", [2, 3, 5, 8, 10])
     def test_an_off_period_exponent_is_rejected(self, index):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import pretzelhfk
-from pretzelhfk import cli
+from pretzelhfk import cli, hfk
 from pretzelhfk.alexander import build_pretzel_diagram, pretzel_determinant
 from pretzelhfk.algebra import AlgebraError, GeneratorMultiset, HalfInteger, HfkTable
 from pretzelhfk.cli import MAX_PARAMETER_SUM, MAX_SWEEP_KNOTS, MAX_TWIST_SUM, main
@@ -84,6 +84,45 @@ class TestCompute:
         assert code == 2
 
 
+class TestComputeOnABrokenTable:
+    """A table whose Euler characteristic does not normalize gives a record
+    with no Alexander polynomial and exit code 1, in every format."""
+
+    knot = ("--a", "3", "--b", "1", "--c", "2", "--sign", "+")
+
+    @staticmethod
+    def patch_table(monkeypatch, change):
+        def broken(params):
+            table = compute_hfk(params)
+            return HfkTable(params=params, entries=change(dict(table.entries)))
+
+        monkeypatch.setattr(hfk, "compute_hfk", broken)
+
+    def test_a_non_unit_euler_characteristic_exits_1_with_the_failing_checks(self, capsys, monkeypatch):
+        def one_more(entries):
+            entries[max(entries)] += 1
+            return entries
+
+        self.patch_table(monkeypatch, one_more)
+        code, out = run(capsys, "compute", *self.knot)
+        record = json.loads(out)
+        assert code == 1
+        assert record["alexander"] == []
+        assert record["checks"]["euler_matches_alexander_oracle"] == "fail"
+        assert sum(g["rank"] for g in record["generators"]) == 14
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "ascii"])
+    def test_an_empty_table_exits_1(self, capsys, monkeypatch, fmt):
+        self.patch_table(monkeypatch, lambda entries: {})
+        code, out = run(capsys, "compute", *self.knot, "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            record = json.loads(out)
+            assert record["generators"] == record["alexander"] == []
+        elif fmt == "ascii":  # the header line alone
+            assert out.startswith("P(6,-3,5)  rank per (s, mu) cell;") and out.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_passes_and_prints_each_check(self, capsys):
         code, out = run(capsys, "verify", "--a", "2", "--b", "1", "--c", "2", "--sign", "-")
@@ -147,7 +186,7 @@ class TestAlex:
         def broken_chain(p, q, r):
             d = build_pretzel_diagram(p, q, r)
             c = d.crossings[1]
-            swapped = replace(c, over=c.incoming, incoming=c.over)
+            swapped = c._replace(over=c.incoming, incoming=c.over)
             return replace(d, crossings=(d.crossings[0], swapped, *d.crossings[2:]))
 
         monkeypatch.setattr(cli, "build_pretzel_diagram", broken_chain)
