@@ -1,5 +1,7 @@
 """Unit tests for the exact-arithmetic building blocks."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,52 @@ class TestHalfInteger:
         assert HalfInteger(-1) < HalfInteger(1) < HalfInteger(3)
 
 
+class TestHalfIntegerRecord:
+    """Equal only to another HalfInteger, ordered only against one."""
+
+    def test_never_equal_to_a_plain_tuple_or_int(self):
+        h = HalfInteger(3)
+        for other in [(3,), 3, [3]]:
+            assert not h == other and not other == h
+            assert h != other and other != h
+        assert h == HalfInteger(3) and not h != HalfInteger(3)
+        assert h != HalfInteger(1) and not h == HalfInteger(1)
+
+    @pytest.mark.parametrize("other", [(3,), 3])
+    def test_ordering_against_another_type_raises(self, other):
+        h = HalfInteger(3)
+        for compare in [
+            lambda: h < other, lambda: h <= other, lambda: h > other, lambda: h >= other,
+            lambda: other < h, lambda: other <= h, lambda: other > h, lambda: other >= h,
+        ]:
+            with pytest.raises(TypeError):
+                compare()
+
+    def test_sorting_is_by_value(self):
+        values = [HalfInteger(t) for t in (3, -1, 6, -3, 1, 0)]
+        assert [h.twice for h in sorted(values)] == [-3, -1, 0, 1, 3, 6]
+        assert (min(values), max(values)) == (HalfInteger(-3), HalfInteger(6))
+        assert HalfInteger(1) <= HalfInteger(1) >= HalfInteger(-1) > HalfInteger(-3)
+
+    def test_hash_and_repr(self):
+        for twice in (-3, 0, 1, 6):
+            assert hash(HalfInteger(twice)) == hash((twice,))
+        assert repr(HalfInteger(3)) == "HalfInteger(twice=3)"
+        assert repr(HalfInteger(-4)) == "HalfInteger(twice=-4)"
+        # sets of deltas iterate in the order of the same sets of 1-tuples
+        twices = [5, -1, 3, 1, -7, 9, 11, -3]
+        assert [h.twice for h in {HalfInteger(t) for t in twices}] == [t for (t,) in {(t,) for t in twices}]
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError):
+            HalfInteger(1).twice = 3
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        h = pickle.loads(pickle.dumps(HalfInteger(-3), protocol))
+        assert type(h) is HalfInteger and h == HalfInteger(-3) and str(h) == "-3/2"
+
+
 class TestNormalizeAlexander:
     def test_trefoil_normalization(self):
         # -(t^2 - t + 1) t^3, with zeros at both ends of the list
@@ -43,6 +91,30 @@ class TestNormalizeAlexander:
             normalize_alexander([2, -1])
         with pytest.raises(AlgebraError, match="not symmetrizable"):
             normalize_alexander([1, 1, -1])
+
+    def test_strips_zeros_at_both_ends_and_negates_a_minus_unit(self):
+        # the figure-eight knot -t + 3 - t^-1, as p = t^2 - 3t + 1 with p(1) = -1
+        for cs in ([1, -3, 1], [0, 0, 1, -3, 1], [1, -3, 1, 0], (0, 1, -3, 1, 0, 0, 0)):
+            assert normalize_alexander(cs) == (3, -1)
+        for cs in ([-1, 3, -1], [0, -1, 3, -1, 0, 0]):  # p(1) = 1 keeps its signs
+            assert normalize_alexander(cs) == (3, -1)
+        assert normalize_alexander([0, 0, -1, 0]) == (1,)
+        assert normalize_alexander([0, 1, -1, 1, -1, 1, 0]) == (1, -1, 1)
+        assert normalize_alexander([0, -1, 1, -1, 1, -1]) == (1, -1, 1)
+
+    @pytest.mark.parametrize("cs, message", [
+        ([], "cannot normalize the zero polynomial"),
+        ((0, 0, 0), "cannot normalize the zero polynomial"),
+        ([0, 1, 1, 1, 0], r"p\(1\) = 3 is not a unit; not a knot polynomial"),
+        ([0, 0, 2, -4, 2], r"p\(1\) = 0 is not a unit; not a knot polynomial"),
+        ([0, 2, -1, 0], r"no symmetrizing unit exists \(odd exponent span\)"),
+        ([0, 2, -3, 0, 0, 0, 0], r"no symmetrizing unit exists \(odd exponent span\)"),
+        ([0, -1, 1, 1, 0], "polynomial is not symmetrizable"),
+        ([0, 3, -3, 1, 0], "polynomial is not symmetrizable"),
+    ])
+    def test_each_error_keeps_its_message(self, cs, message):
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            normalize_alexander(cs)
         # the unit test comes first: 2t^2 + 1 is neither a unit at 1 nor symmetric
         with pytest.raises(AlgebraError, match="not a unit"):
             normalize_alexander([0, 2, 0, 1])

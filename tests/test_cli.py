@@ -21,10 +21,10 @@ from pretzelhfk import cli, hfk
 from pretzelhfk.alexander import build_pretzel_diagram, pretzel_determinant
 from pretzelhfk.algebra import AlgebraError, GeneratorMultiset, HalfInteger, HfkTable
 from pretzelhfk.cli import MAX_PARAMETER_SUM, MAX_SWEEP_KNOTS, MAX_TWIST_SUM, main
-from pretzelhfk.curves import GradedCurve, TangleParams
+from pretzelhfk.curves import GradedCurve, TangleParams, pretzel_tangle_curves
 from pretzelhfk.geometry import closure_curve, enumerate_geometric_pairing
 from pretzelhfk.hfk import compute_hfk
-from pretzelhfk.pairing import ReducedPairing
+from pretzelhfk.pairing import ReducedPairing, pair_curve
 
 
 def run(capsys, *argv):
@@ -426,6 +426,32 @@ def test_the_benchmarks_other_reach_ins_resolve():
     cell = (0, HalfInteger(2))
     gens = GeneratorMultiset({cell: 1}).add(GeneratorMultiset({cell: 2}))
     assert ReducedPairing(gens).generators.entries == {cell: 3}
+
+    # each tracer count function, applied to a real result of the function it
+    # is bound to, so that a record losing .total_rank or .crossings fails here
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+    namespace = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    curve = GradedCurve.rational(-1, 4, -4, 4)
+    args = {
+        "compute_hfk": (params,),
+        "pretzel_tangle_curves": (params.a, params.b),
+        "pair_curve": (params.sign, params.c, curve),
+        "build_pretzel_diagram": params.pretzel_triple(),
+        "enumerate_geometric_pairing": (closure_curve(2, "-"), curve),
+    }
+    expected = {
+        "compute_hfk": (len(table.entries), table.total_rank),
+        "pretzel_tangle_curves": len(pretzel_tangle_curves(params.a, params.b)),
+        "pair_curve": pair_curve(params.sign, params.c, curve).generators.total_rank,
+        "build_pretzel_diagram": 14,
+        "enumerate_geometric_pairing": unreduced.total_rank,
+    }
+    counted = [(module, attr, count) for module, attr, _, count in namespace["BINDINGS"] if count]
+    assert {count.__name__ for _, _, count in counted} == {"_rank", "_table", "_crossings", "len"}
+    for module, attr, count in counted:
+        fn = getattr(importlib.import_module(f"pretzelhfk.{module}"), attr)
+        assert count(fn(*args[attr])) == expected[attr], (module, attr)
 
 
 def test_a_closed_pipe_exits_141_without_a_traceback():

@@ -15,7 +15,7 @@ from test_acceptance import GRID, eftekhary_sized, is_overlap
 
 from pretzelhfk import hfk
 from pretzelhfk.alexander import DiagramError
-from pretzelhfk.algebra import GeneratorMultiset, HalfInteger, HfkTable, euler_characteristic
+from pretzelhfk.algebra import AlgebraError, GeneratorMultiset, HalfInteger, HfkTable, euler_characteristic
 from pretzelhfk.curves import TangleParams, pretzel_tangle_curves
 from pretzelhfk.geometry import closure_curve
 from pretzelhfk.hfk import (
@@ -270,6 +270,72 @@ class TestChecksRejectPerturbedTables:
             failures = verify(params).failures()
             assert "euler_matches_alexander_oracle" in failures, params
             assert "rank_counting" in failures, params
+
+
+class TestCheckVerdictsOnHandBuiltTables:
+    """Checks (ii)-(iv), and the helpers they read, on tables built by hand.
+
+    Each table is the thin table of P(2,-3,5) with one change; verify runs on
+    it in place of the computed one.  Zero-rank cells count as support: they
+    open a delta line and an Alexander grading.
+    """
+
+    PARAMS = TangleParams(1, 1, 2, "+")
+    FAILS_OVERALL = {"euler_matches_alexander_oracle": "fail", "rank_counting": "fail"}
+    PASSES_OVERALL = {"euler_matches_alexander_oracle": "pass", "rank_counting": "pass"}
+
+    @pytest.mark.parametrize("extra, expected", [
+        # a cell whose mirror is missing, and one whose mirror differs
+        ({(4, D(1)): 1}, {"rank_symmetry": "fail", "classification_consistent": "pass",
+                          "thin_ranks_match_alexander": "skip", **FAILS_OVERALL}),
+        ({(3, D(1)): 2}, {"rank_symmetry": "fail", "classification_consistent": "pass",
+                          "thin_ranks_match_alexander": "skip", **FAILS_OVERALL}),
+        # zero-rank cells: on the table's line, on a new line, on a new line at s = 0
+        ({(5, D(1)): 0}, {"rank_symmetry": "pass", "classification_consistent": "pass",
+                          "thin_ranks_match_alexander": "fail", **PASSES_OVERALL}),
+        ({(5, D(3)): 0}, {"rank_symmetry": "pass", "classification_consistent": "fail",
+                          "thin_ranks_match_alexander": "fail", **PASSES_OVERALL}),
+        ({(0, D(3)): 0}, {"rank_symmetry": "pass", "classification_consistent": "fail",
+                          "thin_ranks_match_alexander": "pass", **PASSES_OVERALL}),
+        # three delta lines, and deltas of mixed parity
+        ({(0, D(3)): 1, (0, D(-1)): 1}, {"rank_symmetry": "pass", "classification_consistent": "fail",
+                                         "thin_ranks_match_alexander": "skip", **FAILS_OVERALL}),
+        ({(0, D(2)): 1}, {"rank_symmetry": "pass", "classification_consistent": "fail",
+                          "thin_ranks_match_alexander": "skip", **FAILS_OVERALL}),
+    ])
+    def test_verdicts(self, monkeypatch, extra, expected):
+        entries = {**compute_hfk(self.PARAMS).entries, **extra}
+        monkeypatch.setattr(hfk, "compute_hfk", lambda params: HfkTable(params=params, entries=entries))
+        assert verify(self.PARAMS).checks == {**expected, "overlap_ranks": "skip"}
+
+    def test_classification_from_hand_built_tables(self):
+        low, high = D(-1), D(1)
+        line = {(s, high): 1 for s in range(-2, 3)}
+        overlap = HfkTable(None, {**line, (-1, high): 2, (1, high): 2, (-1, low): 1, (1, low): 1})
+        assert classification_from_table(overlap) == hfk.Classification(
+            Shape.OVERLAP, overlap_gradings=(-1, 1), overlap_ranks=(2, 1))
+        zero_overlap = HfkTable(None, {**line, (-2, low): 0, (2, low): 3})
+        assert classification_from_table(zero_overlap) == hfk.Classification(
+            Shape.OVERLAP, overlap_gradings=(-2, 2), overlap_ranks=(1, 3))
+        disjoint = HfkTable(None, {**line, (5, low): 1, (-5, low): 1})
+        assert classification_from_table(disjoint).shape is Shape.TWO_DELTA_DISJOINT
+        assert classification_from_table(HfkTable(None, line)).shape is Shape.THIN
+        with pytest.raises(ValueError, match=r"unexpected overlap support \[1, 2\]"):
+            classification_from_table(HfkTable(None, {**line, (1, low): 1, (2, low): 1}))
+        with pytest.raises(ValueError, match="table supported in 3 delta gradings"):
+            classification_from_table(HfkTable(None, {**line, (0, low): 1, (0, D(3)): 1}))
+        with pytest.raises(ValueError, match="table supported in 0 delta gradings"):
+            classification_from_table(HfkTable(None, {}))
+
+    def test_euler_lists_of_hand_built_tables(self):
+        d = D(1)
+        assert euler_characteristic(HfkTable(None, {(0, d): 1, (2, d): 0})) == [1, 0, 0]
+        assert euler_characteristic(HfkTable(None, {(3, d): 0})) == [0]
+        # the sign is fixed by the first cell's delta
+        assert euler_characteristic(HfkTable(None, {(0, d): 2, (1, D(3)): 1})) == [2, 1]
+        assert euler_characteristic(HfkTable(None, {(1, D(3)): 1, (0, d): 2})) == [-2, -1]
+        with pytest.raises(AlgebraError, match="delta gradings are not mutually integer-spaced"):
+            euler_characteristic(HfkTable(None, {(0, d): 1, (5, d): 1, (0, D(2)): 1}))
 
 
 class TestAssemblySize:

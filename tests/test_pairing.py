@@ -1,6 +1,7 @@
 """Tests for the closed-form curve pairings and the pair reduction."""
 
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from pretzelhfk.algebra import GeneratorMultiset, HalfInteger
 from pretzelhfk.curves import GradedCurve, ReducedSlope
 from pretzelhfk.pairing import (
     PairingError,
+    ReducedPairing,
     pair_curve,
     pair_rational_general,
     pair_rational_neg_half,
@@ -195,3 +197,46 @@ class TestDispatch:
             pair_curve("x", 1, GradedCurve.special14(1, 0, 4))
         with pytest.raises(PairingError):
             pair_curve("+", 1, GradedCurve.rational(3, 5, -2, 2))
+
+
+class TestReducedPairingRecord:
+    """Equal only to another ReducedPairing with equal generators; never ordered or hashed."""
+
+    @staticmethod
+    def pairing():
+        return ReducedPairing(GeneratorMultiset({(0, D(1)): 2, (1, D(1)): 1}))
+
+    def test_never_equal_to_a_plain_tuple(self):
+        rp = self.pairing()
+        for other in [(rp.generators,), rp.generators]:
+            assert not rp == other and not other == rp
+            assert rp != other and other != rp
+        assert rp == self.pairing() and not rp != self.pairing()
+        other = ReducedPairing(GeneratorMultiset({(0, D(1)): 2}))
+        assert rp != other and not rp == other
+
+    @pytest.mark.parametrize("other", [(3,), 3])
+    def test_ordering_against_another_type_raises(self, other):
+        rp = self.pairing()
+        for compare in [lambda: rp < other, lambda: other < rp, lambda: rp >= other, lambda: other >= rp]:
+            with pytest.raises(TypeError):
+                compare()
+
+    def test_pairings_are_not_ordered_or_hashed(self):
+        with pytest.raises(TypeError):
+            sorted([self.pairing(), self.pairing()])
+        with pytest.raises(TypeError):
+            hash(self.pairing())
+
+    def test_fields_and_repr(self):
+        rp = self.pairing()
+        assert rp.total_rank == 3 and rp.generators.entries == {(0, D(1)): 2, (1, D(1)): 1}
+        assert repr(rp) == "ReducedPairing(generators=GeneratorMultiset({(s=0, d=1/2): 2, (s=1, d=1/2): 1}))"
+        with pytest.raises(AttributeError):
+            rp.generators = GeneratorMultiset()
+
+    # from protocol 2: protocols 0 and 1 cannot pickle GeneratorMultiset's __slots__
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        rp = pickle.loads(pickle.dumps(self.pairing(), protocol))
+        assert type(rp) is ReducedPairing and rp == self.pairing() and rp.total_rank == 3
