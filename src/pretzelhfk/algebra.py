@@ -4,6 +4,10 @@ Everything downstream (pairing formulas, the Fox-calculus oracle, the
 verification predicates) is built on the types in this module.  All values are
 immutable after construction and all operations are pure.
 
+A delta grading is a `HalfInteger`, a NamedTuple made in C: it hashes as the
+1-tuple of its field, but it is equal only to another HalfInteger and ordered
+only against one.
+
 An Alexander polynomial is kept Conway-normalized, hence symmetric, as one
 tuple (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i).
 """
@@ -11,19 +15,39 @@ tuple (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from itertools import compress, count
+from operator import itemgetter, neg
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+
+
+_alexander = itemgetter(0)  # the Alexander grading of an (s, delta) cell key
 
 
 class AlgebraError(ValueError):
     """Raised when an algebraic precondition fails (bad normalization, etc.)."""
 
 
-@dataclass(frozen=True, order=True)
-class HalfInteger:
+def _among_half_integers(op: str, compare):
+    """A HalfInteger comparison that raises TypeError against any other type."""
+
+    def method(self, other) -> bool:
+        if type(other) is not HalfInteger:
+            raise TypeError(
+                f"'{op}' not supported between instances of "
+                f"{type(self).__name__!r} and {type(other).__name__!r}"
+            )
+        return compare(self, other)
+
+    return method
+
+
+class HalfInteger(NamedTuple):
     """An exact half-integer, stored as twice its value.
 
     Used for the (relative) delta gradings, which take values such as
-    -1/2, 1/2, 3/2.  Ordered by value.
+    -1/2, 1/2, 3/2.  Ordered by value.  Never equal to a plain tuple, and
+    ordering against any other type raises TypeError (tuple's own comparison
+    would otherwise answer for a reflected one).
     """
 
     twice: int
@@ -32,6 +56,18 @@ class HalfInteger:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is HalfInteger and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not HalfInteger or tuple.__ne__(self, other)
+
+    __lt__ = _among_half_integers("<", tuple.__lt__)
+    __le__ = _among_half_integers("<=", tuple.__le__)
+    __gt__ = _among_half_integers(">", tuple.__gt__)
+    __ge__ = _among_half_integers(">=", tuple.__ge__)
+    __hash__ = tuple.__hash__  # hash((twice,)), so sets of deltas keep their order
 
 
 def normalize_alexander(cs: Sequence[int]) -> Tuple[int, ...]:
@@ -42,10 +78,11 @@ def normalize_alexander(cs: Sequence[int]) -> Tuple[int, ...]:
     +-t^k p and Delta(1) = 1.  Raises AlgebraError if p is zero, p(1) != +-1,
     or no symmetrizing unit exists.
     """
-    support = [i for i, c in enumerate(cs) if c]
-    if not support:
+    first = next(compress(count(), cs), None)  # scans stop at the first nonzero
+    if first is None:
         raise AlgebraError("cannot normalize the zero polynomial")
-    cs = list(cs[support[0] : support[-1] + 1])
+    last = len(cs) - next(compress(count(), reversed(cs)))
+    cs = list(cs[first:last])
     value = sum(cs)
     if abs(value) != 1:
         raise AlgebraError(f"p(1) = {value} is not a unit; not a knot polynomial")
@@ -53,7 +90,8 @@ def normalize_alexander(cs: Sequence[int]) -> Tuple[int, ...]:
         raise AlgebraError("no symmetrizing unit exists (odd exponent span)")
     if cs != cs[::-1]:
         raise AlgebraError("polynomial is not symmetrizable")
-    return tuple(value * c for c in cs[len(cs) // 2 :])
+    half = cs[len(cs) // 2 :]
+    return tuple(half) if value == 1 else tuple(map(neg, half))
 
 
 # -- bigraded generator bookkeeping --------------------------------------
@@ -194,14 +232,14 @@ def euler_characteristic(h: HfkTable | GeneratorMultiset) -> List[int]:
     entries = h.entries
     if not entries:
         return []
-    parities = {d.twice % 2 for (_, d) in entries}
-    if len(parities) > 1:
-        raise AlgebraError("delta gradings are not mutually integer-spaced")
-    # offset chosen so that s - delta + offset is an integer
-    offset = next(iter(entries))[1]
-    low = min(s for s, _ in entries)
-    out = [0] * (max(s for s, _ in entries) - low + 1)
+    # offset chosen so that s - delta + offset is an integer; one loop reads
+    # the cells after C-level scans for the lowest and highest grading
+    offset = next(iter(entries))[1].twice
+    low = min(map(_alexander, entries))
+    out = [0] * (max(map(_alexander, entries)) - low + 1)
     for (s, d), rk in entries.items():
-        exp_sign = s - (d.twice - offset.twice) // 2
-        out[s - low] += rk if exp_sign % 2 == 0 else -rk
+        shift = d.twice - offset
+        if shift % 2:
+            raise AlgebraError("delta gradings are not mutually integer-spaced")
+        out[s - low] += -rk if (s - shift // 2) % 2 else rk
     return out

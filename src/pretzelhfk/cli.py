@@ -21,6 +21,8 @@ import json
 import os
 import sys
 import time
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
@@ -57,10 +59,12 @@ def _record(params: TangleParams) -> Dict:
     except AlgebraError:  # verify has failed the Euler check, so compute exits 1
         alex = ()
     p, q, r = params.pretzel_triple()
-    generators = [
-        {"s": s, "delta_times_2": d.twice, "rank": rk}
-        for (s, d), rk in sorted(report.table.entries.items())
-    ]
+    # rows of plain ints, built (and the cells sorted) in C: (s, 2*delta, rank)
+    # per cell, and (exp, coeff) per nonzero coefficient from t^-g to t^g
+    entries = report.table.entries
+    cells = sorted(zip(map(_S, entries), map(_TWICE, map(_DELTA, entries)), entries.values()))
+    coeffs = alex[:0:-1] + alex
+    terms = zip(compress(range(1 - len(alex), len(alex)), coeffs), filter(None, coeffs))
     return {
         "knot": {
             "a": params.a,
@@ -71,11 +75,8 @@ def _record(params: TangleParams) -> Dict:
             "q": q,
             "r": r,
         },
-        "generators": generators,
-        "alexander": [
-            {"exp": e, "coeff": alex[abs(e)]}
-            for e in range(1 - len(alex), len(alex)) if alex[abs(e)]
-        ],
+        "generators": _dicts(_GENERATOR_KEYS, cells),
+        "alexander": _dicts(_ALEXANDER_KEYS, terms),
         "classification": report.predicted.shape.value,
         "checks": dict(report.checks),
         "meta": {
@@ -85,8 +86,16 @@ def _record(params: TangleParams) -> Dict:
     }
 
 
-_GENERATOR_ROW = '{{\n      "s": {s},\n      "delta_times_2": {delta_times_2},\n      "rank": {rank}\n    }}'
-_ALEXANDER_ROW = '{{\n      "exp": {exp},\n      "coeff": {coeff}\n    }}'
+def _dicts(keys: Sequence[str], rows) -> List[Dict]:
+    """One dict per row of values, keyed by keys, built in C."""
+    return list(map(dict, map(zip, repeat(keys), rows)))
+
+
+_S, _DELTA, _TWICE = itemgetter(0), itemgetter(1), attrgetter("twice")
+_GENERATOR_KEYS = ("s", "delta_times_2", "rank")
+_ALEXANDER_KEYS = ("exp", "coeff")
+_GENERATOR_ROW = '{\n      "s": %s,\n      "delta_times_2": %s,\n      "rank": %s\n    }'
+_ALEXANDER_ROW = '{\n      "exp": %s,\n      "coeff": %s\n    }'
 
 
 def _json_block(items: List[str], brackets: str) -> str:
@@ -94,6 +103,11 @@ def _json_block(items: List[str], brackets: str) -> str:
     if not items:
         return brackets
     return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
+
+
+def _rows(template: str, keys: Sequence[str], rows: List[Dict]) -> str:
+    """Int-valued rows through a % template, their fields read by itemgetter."""
+    return _json_block(list(map(template.__mod__, map(itemgetter(*keys), rows))), "[]")
 
 
 def _format_json(record: Dict) -> str:
@@ -110,8 +124,8 @@ def _format_json(record: Dict) -> str:
 
     fields = [
         ("knot", scalars(record["knot"])),
-        ("generators", _json_block([_GENERATOR_ROW.format_map(g) for g in record["generators"]], "[]")),
-        ("alexander", _json_block([_ALEXANDER_ROW.format_map(x) for x in record["alexander"]], "[]")),
+        ("generators", _rows(_GENERATOR_ROW, _GENERATOR_KEYS, record["generators"])),
+        ("alexander", _rows(_ALEXANDER_ROW, _ALEXANDER_KEYS, record["alexander"])),
         ("classification", json.dumps(record["classification"])),
         ("checks", scalars(record["checks"])),
         ("meta", scalars(record["meta"])),

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby, repeat
+from operator import eq, itemgetter, neg
 from typing import Dict, List, Optional, Tuple
 
 from .alexander import build_pretzel_diagram, fox_alexander, pretzel_determinant
 from .algebra import (
     GeneratorMultiset,
+    HalfInteger,
     HfkTable,
     euler_characteristic,
     normalize_alexander,
@@ -29,6 +32,9 @@ from .curves import (
 )
 from .geometry import closure_curve, det_pair_count
 from .pairing import pair_curve
+
+_alexander = itemgetter(0)  # parts of an (s, delta) cell key
+_delta = itemgetter(1)
 
 
 class Shape(Enum):
@@ -82,14 +88,25 @@ def classify(params: TangleParams) -> Classification:
 
 
 def classification_from_table(table: HfkTable) -> Classification:
-    """Re-derive the shape from the computed ranks alone."""
-    deltas = sorted(table.deltas())
-    if len(deltas) == 1:
+    """Re-derive the shape from the computed ranks alone.
+
+    One pass groups the support by delta: groupby cuts the cells into runs of
+    one delta in C (a computed table has one run per delta line), and each
+    run's Alexander gradings join that line's set.
+    """
+    entries = table.entries
+    support: Dict[HalfInteger, set] = {}
+    for d, cells in groupby(entries, _delta):
+        line = support.get(d)
+        if line is None:
+            line = support[d] = set()
+        line.update(map(_alexander, cells))
+    if len(support) == 1:
         return Classification(Shape.THIN)
-    if len(deltas) != 2:
-        raise ValueError(f"table supported in {len(deltas)} delta gradings")
-    low, high = deltas
-    shared = sorted(table.support(low) & table.support(high))
+    if len(support) != 2:
+        raise ValueError(f"table supported in {len(support)} delta gradings")
+    low, high = sorted(support)
+    shared = sorted(support[low] & support[high])
     if not shared:
         return Classification(Shape.TWO_DELTA_DISJOINT)
     if len(shared) != 2 or shared[0] != -shared[1]:
@@ -98,7 +115,7 @@ def classification_from_table(table: HfkTable) -> Classification:
     return Classification(
         Shape.OVERLAP,
         overlap_gradings=(-s, s),
-        overlap_ranks=(table.rank(s, high), table.rank(s, low)),
+        overlap_ranks=(entries[s, high], entries[s, low]),
     )
 
 
@@ -140,10 +157,11 @@ def verify(params: TangleParams) -> VerificationReport:
     except ValueError:
         checks["euler_matches_alexander_oracle"] = "fail"
 
-    # (ii) per-delta rank symmetry under s -> -s
-    symmetric = all(
-        table.rank(-s, d) == rk for (s, d), rk in table.entries.items()
-    )
+    # (ii) per-delta rank symmetry under s -> -s: each cell's mirror key is
+    # built and read through the bound entries.get in C
+    entries = table.entries
+    mirrors = zip(map(neg, map(_alexander, entries)), map(_delta, entries))
+    symmetric = all(map(eq, map(entries.get, mirrors, repeat(0)), entries.values()))
     checks["rank_symmetry"] = "pass" if symmetric else "fail"
 
     # (iii) predicted classification against the one re-derived from the table

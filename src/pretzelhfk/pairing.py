@@ -6,12 +6,15 @@ differ by 2 are merged into a single generator at half the averaged label.
 Every pairing is given as at most four constant-rank runs: an interval, or
 blocks alternating between neighbouring gradings, truncated at the
 intersection count L given by the rational-curve determinant law.
+
+A pairing comes back as a `ReducedPairing`, a NamedTuple made in C (no
+Python-level constructor runs), equal only to another ReducedPairing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import partial
+from typing import Dict, NamedTuple, Tuple
 
 from .algebra import GeneratorMultiset, HalfInteger
 from .curves import CurveKind, GradedCurve, ReducedSlope
@@ -25,15 +28,34 @@ class PairingError(ValueError):
     """Raised on unpairable multisets or unsupported curve shapes."""
 
 
-@dataclass(frozen=True)
-class ReducedPairing:
-    """Reduced Floer generators of one curve pairing, final gradings."""
+def _unordered(self, other) -> bool:
+    raise TypeError(f"{type(self).__name__} is not ordered")
+
+
+class ReducedPairing(NamedTuple):
+    """Reduced Floer generators of one curve pairing, final gradings.
+
+    A NamedTuple made in C, equal only to another ReducedPairing with equal
+    generators; it is never ordered, and not hashable.
+    """
 
     generators: GeneratorMultiset
 
     @property
     def total_rank(self) -> int:
         return self.generators.total_rank
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ReducedPairing and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not ReducedPairing or tuple.__ne__(self, other)
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
+# _pairing((gens,)) builds a ReducedPairing without a Python-level __new__
+_pairing = partial(tuple.__new__, ReducedPairing)
 
 
 def reduce_generator_pairs(unreduced: GeneratorMultiset) -> ReducedPairing:
@@ -63,7 +85,7 @@ def reduce_generator_pairs(unreduced: GeneratorMultiset) -> ReducedPairing:
                 pending[alpha + 2] = counts[alpha] - matched
         if any(pending.values()):
             raise PairingError(f"unpairable multiset, leftovers at {sorted(pending)}")
-    return ReducedPairing(GeneratorMultiset(out))
+    return _pairing((GeneratorMultiset(out),))
 
 
 def pair_special14(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
@@ -75,7 +97,7 @@ def pair_special14(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
         gens = GeneratorMultiset.interval(m // 2 - c, M // 2 - c - 1, DELTA_HALF)
     else:
         gens = GeneratorMultiset.interval(m // 2 + c + 1, M // 2 + c, DELTA_HALF)
-    return ReducedPairing(gens)
+    return _pairing((gens,))
 
 
 def pair_special23(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
@@ -87,7 +109,7 @@ def pair_special23(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
         gens = GeneratorMultiset.interval(m // 2 + c + 1, M // 2 + c, DELTA_HALF)
     else:
         gens = GeneratorMultiset.interval(m // 2 - c, M // 2 - c - 1, DELTA_HALF)
-    return ReducedPairing(gens)
+    return _pairing((gens,))
 
 
 def pair_rational_neg_half(closure: str, c: int, n: int, curve: GradedCurve) -> ReducedPairing:
@@ -98,7 +120,7 @@ def pair_rational_neg_half(closure: str, c: int, n: int, curve: GradedCurve) -> 
         gens = GeneratorMultiset.interval(-n + c + 1, n - c - 1, DELTA_HALF)
     else:
         gens = GeneratorMultiset.interval(n - c, c - n, DELTA_MINUS_HALF)
-    return ReducedPairing(gens)
+    return _pairing((gens,))
 
 
 def pair_rational_pos_half(closure: str, c: int, n: int, curve: GradedCurve) -> ReducedPairing:
@@ -110,7 +132,7 @@ def pair_rational_pos_half(closure: str, c: int, n: int, curve: GradedCurve) -> 
         gens = GeneratorMultiset.interval(m // 2 + c + 1, M // 2 - c - 1, DELTA_HALF)
     else:
         gens = GeneratorMultiset.interval(M // 2 - c, m // 2 + c, DELTA_THREE_HALVES)
-    return ReducedPairing(gens)
+    return _pairing((gens,))
 
 
 def _blocks(base0: int, step: int, A: int, L: int, delta: HalfInteger) -> GeneratorMultiset:
@@ -144,7 +166,7 @@ def pair_rational_general(closure: str, c: int, slope: ReducedSlope, M: int) -> 
         gens = _blocks(M // 2 - c, -1, A, Ac - B, DELTA_MINUS_HALF)
     else:
         gens = _blocks(-M // 2 + c + 1, +1, A, B - Ac, DELTA_HALF)
-    return ReducedPairing(gens)
+    return _pairing((gens,))
 
 
 def pair_curve(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
