@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter, neg
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 
 _alexander = itemgetter(0)  # the Alexander grading of an (s, delta) cell key
@@ -92,6 +92,15 @@ def normalize_alexander(cs: Sequence[int]) -> Tuple[int, ...]:
         raise AlgebraError("polynomial is not symmetrizable")
     half = cs[len(cs) // 2 :]
     return tuple(half) if value == 1 else tuple(map(neg, half))
+
+
+def alexander_terms(alex: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """(exponent, coefficient) of each nonzero term of Delta, from t^-g up.
+
+    alex is (a_0, a_1, ..., a_g); the terms are paired up in C.
+    """
+    coeffs = tuple(alex[:0:-1]) + tuple(alex)
+    return zip(compress(range(1 - len(alex), len(alex)), coeffs), filter(None, coeffs))
 
 
 # -- bigraded generator bookkeeping --------------------------------------
@@ -208,9 +217,6 @@ class HfkTable:
 
     def deltas(self) -> set:
         return {d for (_, d) in self.entries}
-
-    def support(self, delta: HalfInteger) -> set:
-        return {s for (s, d) in self.entries if d == delta}
 
     def rank_by_alexander(self) -> Dict[int, int]:
         out: Dict[int, int] = {}

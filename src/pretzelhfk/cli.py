@@ -21,13 +21,12 @@ import json
 import os
 import sys
 import time
-from itertools import compress, repeat
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .alexander import DiagramError, build_pretzel_diagram, fox_alexander, pretzel_determinant
-from .algebra import AlgebraError, euler_characteristic, normalize_alexander
+from .algebra import AlgebraError, alexander_terms, euler_characteristic, normalize_alexander
 from .curves import CurveError, TangleParams
 # unused here: benchmarks/tracing.py BINDINGS and benchmarks/tests bind cli.compute_hfk
 from .hfk import compute_hfk, verify  # noqa: F401
@@ -59,12 +58,10 @@ def _record(params: TangleParams) -> Dict:
     except AlgebraError:  # verify has failed the Euler check, so compute exits 1
         alex = ()
     p, q, r = params.pretzel_triple()
-    # rows of plain ints, built (and the cells sorted) in C: (s, 2*delta, rank)
-    # per cell, and (exp, coeff) per nonzero coefficient from t^-g to t^g
+    # (s, 2*delta, rank) rows of plain ints, built and sorted in C; a dict
+    # display per row is faster than dict(zip(keys, row))
     entries = report.table.entries
     cells = sorted(zip(map(_S, entries), map(_TWICE, map(_DELTA, entries)), entries.values()))
-    coeffs = alex[:0:-1] + alex
-    terms = zip(compress(range(1 - len(alex), len(alex)), coeffs), filter(None, coeffs))
     return {
         "knot": {
             "a": params.a,
@@ -75,8 +72,8 @@ def _record(params: TangleParams) -> Dict:
             "q": q,
             "r": r,
         },
-        "generators": _dicts(_GENERATOR_KEYS, cells),
-        "alexander": _dicts(_ALEXANDER_KEYS, terms),
+        "generators": [{"s": s, "delta_times_2": d, "rank": rk} for s, d, rk in cells],
+        "alexander": [{"exp": e, "coeff": a} for e, a in alexander_terms(alex)],
         "classification": report.predicted.shape.value,
         "checks": dict(report.checks),
         "meta": {
@@ -86,16 +83,12 @@ def _record(params: TangleParams) -> Dict:
     }
 
 
-def _dicts(keys: Sequence[str], rows) -> List[Dict]:
-    """One dict per row of values, keyed by keys, built in C."""
-    return list(map(dict, map(zip, repeat(keys), rows)))
-
-
 _S, _DELTA, _TWICE = itemgetter(0), itemgetter(1), attrgetter("twice")
-_GENERATOR_KEYS = ("s", "delta_times_2", "rank")
-_ALEXANDER_KEYS = ("exp", "coeff")
+# one array row each, filled by % from the fields its itemgetter reads
 _GENERATOR_ROW = '{\n      "s": %s,\n      "delta_times_2": %s,\n      "rank": %s\n    }'
+_GENERATOR_FIELDS = itemgetter("s", "delta_times_2", "rank")
 _ALEXANDER_ROW = '{\n      "exp": %s,\n      "coeff": %s\n    }'
+_ALEXANDER_FIELDS = itemgetter("exp", "coeff")
 
 
 def _json_block(items: List[str], brackets: str) -> str:
@@ -105,9 +98,8 @@ def _json_block(items: List[str], brackets: str) -> str:
     return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
 
 
-def _rows(template: str, keys: Sequence[str], rows: List[Dict]) -> str:
-    """Int-valued rows through a % template, their fields read by itemgetter."""
-    return _json_block(list(map(template.__mod__, map(itemgetter(*keys), rows))), "[]")
+def _rows(template: str, fields: itemgetter, rows: List[Dict]) -> str:
+    return _json_block(list(map(template.__mod__, map(fields, rows))), "[]")
 
 
 def _format_json(record: Dict) -> str:
@@ -124,8 +116,8 @@ def _format_json(record: Dict) -> str:
 
     fields = [
         ("knot", scalars(record["knot"])),
-        ("generators", _rows(_GENERATOR_ROW, _GENERATOR_KEYS, record["generators"])),
-        ("alexander", _rows(_ALEXANDER_ROW, _ALEXANDER_KEYS, record["alexander"])),
+        ("generators", _rows(_GENERATOR_ROW, _GENERATOR_FIELDS, record["generators"])),
+        ("alexander", _rows(_ALEXANDER_ROW, _ALEXANDER_FIELDS, record["alexander"])),
         ("classification", json.dumps(record["classification"])),
         ("checks", scalars(record["checks"])),
         ("meta", scalars(record["meta"])),

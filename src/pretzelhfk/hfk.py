@@ -20,6 +20,7 @@ from .algebra import (
     GeneratorMultiset,
     HalfInteger,
     HfkTable,
+    alexander_terms,
     euler_characteristic,
     normalize_alexander,
 )
@@ -59,8 +60,9 @@ class Classification:
 def compute_hfk(params: TangleParams) -> HfkTable:
     """Knot Floer homology of P(2a, -2b-1, +-(2c+1)) from the curve pairings."""
     runs = []
+    sign, c = params.sign, params.c
     for curve in pretzel_tangle_curves(params.a, params.b):
-        runs.extend(pair_curve(params.sign, params.c, curve).generators.runs)
+        runs.extend(pair_curve(sign, c, curve).generators.runs)
     return HfkTable(params=params, entries=GeneratorMultiset.of_runs(runs).entries)
 
 
@@ -177,8 +179,7 @@ def verify(params: TangleParams) -> VerificationReport:
     # (iv) thin tables are determined by the Alexander polynomial
     # chi = (a_0, ..., a_g): the rank at s must be |a_|s||, and ranks are positive
     if predicted.shape is Shape.THIN and chi is not None:
-        g = len(chi) - 1
-        thin_ok = table.rank_by_alexander() == {s: abs(chi[abs(s)]) for s in range(-g, g + 1) if chi[abs(s)]}
+        thin_ok = table.rank_by_alexander() == dict(alexander_terms(tuple(map(abs, chi))))
         checks["thin_ranks_match_alexander"] = "pass" if thin_ok else "fail"
     else:
         checks["thin_ranks_match_alexander"] = "skip"
@@ -195,9 +196,10 @@ def verify(params: TangleParams) -> VerificationReport:
 
     # (vi) rank counting: odd total, per-curve counts match the determinant law
     counts_ok = table.total_rank % 2 == 1
-    red = closure_curve(params.c, params.sign).slope
+    sign, c = params.sign, params.c
+    red = closure_curve(c, sign).slope
     for curve in pretzel_tangle_curves(params.a, params.b):
-        got = pair_curve(params.sign, params.c, curve).total_rank
+        got = pair_curve(sign, c, curve).total_rank
         if curve.kind is CurveKind.RATIONAL:
             expect = det_pair_count(red, curve.slope)
         else:

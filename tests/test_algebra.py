@@ -11,6 +11,7 @@ from pretzelhfk.algebra import (
     GeneratorMultiset,
     HalfInteger,
     HfkTable,
+    alexander_terms,
     euler_characteristic,
     normalize_alexander,
 )
@@ -133,6 +134,13 @@ class TestNormalizeAlexander:
         alex = (1 - 2 * sum(upper), *upper)
         cs = [0] * below + [unit * a for a in alex[:0:-1] + alex] + [0] * above
         assert normalize_alexander(cs) == alex
+
+
+class TestAlexanderTerms:
+    def test_nonzero_terms_from_the_lowest_power(self):
+        assert list(alexander_terms((3, 0, -2, 1))) == [(-3, 1), (-2, -2), (0, 3), (2, -2), (3, 1)]
+        assert list(alexander_terms((1,))) == [(0, 1)]
+        assert list(alexander_terms(())) == []
 
 
 class TestGeneratorMultiset:
