@@ -20,7 +20,9 @@ from operator import itemgetter, neg
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 
-_alexander = itemgetter(0)  # the Alexander grading of an (s, delta) cell key
+# the two parts of an (s, delta) cell key, read in C
+cell_alexander = itemgetter(0)
+cell_delta = itemgetter(1)
 
 
 class AlgebraError(ValueError):
@@ -241,8 +243,8 @@ def euler_characteristic(h: HfkTable | GeneratorMultiset) -> List[int]:
     # offset chosen so that s - delta + offset is an integer; one loop reads
     # the cells after C-level scans for the lowest and highest grading
     offset = next(iter(entries))[1].twice
-    low = min(map(_alexander, entries))
-    out = [0] * (max(map(_alexander, entries)) - low + 1)
+    low = min(map(cell_alexander, entries))
+    out = [0] * (max(map(cell_alexander, entries)) - low + 1)
     for (s, d), rk in entries.items():
         shift = d.twice - offset
         if shift % 2:

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .alexander import DiagramError, build_pretzel_diagram, fox_alexander, pretzel_determinant
-from .algebra import AlgebraError, alexander_terms, euler_characteristic, normalize_alexander
+from .algebra import (AlgebraError, alexander_terms, cell_alexander, cell_delta,
+                      euler_characteristic, normalize_alexander)
 from .curves import CurveError, TangleParams
 # unused here: benchmarks/tracing.py BINDINGS and benchmarks/tests bind cli.compute_hfk
 from .hfk import compute_hfk, verify  # noqa: F401
@@ -61,7 +62,8 @@ def _record(params: TangleParams) -> Dict:
     # (s, 2*delta, rank) rows of plain ints, built and sorted in C; a dict
     # display per row is faster than dict(zip(keys, row))
     entries = report.table.entries
-    cells = sorted(zip(map(_S, entries), map(_TWICE, map(_DELTA, entries)), entries.values()))
+    deltas = map(attrgetter("twice"), map(cell_delta, entries))
+    cells = sorted(zip(map(cell_alexander, entries), deltas, entries.values()))
     return {
         "knot": {
             "a": params.a,
@@ -83,7 +85,6 @@ def _record(params: TangleParams) -> Dict:
     }
 
 
-_S, _DELTA, _TWICE = itemgetter(0), itemgetter(1), attrgetter("twice")
 # one array row each, filled by % from the fields its itemgetter reads
 _GENERATOR_ROW = '{\n      "s": %s,\n      "delta_times_2": %s,\n      "rank": %s\n    }'
 _GENERATOR_FIELDS = itemgetter("s", "delta_times_2", "rank")

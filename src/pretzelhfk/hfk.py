@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby, repeat
-from operator import eq, itemgetter, neg
+from operator import eq, neg
 from typing import Dict, List, Optional, Tuple
 
 from .alexander import build_pretzel_diagram, fox_alexander, pretzel_determinant
@@ -21,6 +21,8 @@ from .algebra import (
     HalfInteger,
     HfkTable,
     alexander_terms,
+    cell_alexander,
+    cell_delta,
     euler_characteristic,
     normalize_alexander,
 )
@@ -33,9 +35,6 @@ from .curves import (
 )
 from .geometry import closure_curve, det_pair_count
 from .pairing import pair_curve
-
-_alexander = itemgetter(0)  # parts of an (s, delta) cell key
-_delta = itemgetter(1)
 
 
 class Shape(Enum):
@@ -98,11 +97,11 @@ def classification_from_table(table: HfkTable) -> Classification:
     """
     entries = table.entries
     support: Dict[HalfInteger, set] = {}
-    for d, cells in groupby(entries, _delta):
+    for d, cells in groupby(entries, cell_delta):
         line = support.get(d)
         if line is None:
             line = support[d] = set()
-        line.update(map(_alexander, cells))
+        line.update(map(cell_alexander, cells))
     if len(support) == 1:
         return Classification(Shape.THIN)
     if len(support) != 2:
@@ -162,7 +161,7 @@ def verify(params: TangleParams) -> VerificationReport:
     # (ii) per-delta rank symmetry under s -> -s: each cell's mirror key is
     # built and read through the bound entries.get in C
     entries = table.entries
-    mirrors = zip(map(neg, map(_alexander, entries)), map(_delta, entries))
+    mirrors = zip(map(neg, map(cell_alexander, entries)), map(cell_delta, entries))
     symmetric = all(map(eq, map(entries.get, mirrors, repeat(0)), entries.values()))
     checks["rank_symmetry"] = "pass" if symmetric else "fail"
 
