@@ -393,7 +393,7 @@ class TestBandPreconditions:
                 fox_alexander(with_crossing(diagram, index, **changes))
 
     @pytest.mark.parametrize("index", [2, 3, 5, 8, 10])
-    def test_an_off_period_exponent_is_accepted_and_matches_the_minor(self, index):
+    def test_an_off_period_exponent_is_rejected(self, index):
         # the band transfer holds for any exponents, so a flipped one is not
         # rejected: the oracle gives what the full Wirtinger minor gives
         flipped = with_crossing(self.diagram, index, exponent=-self.diagram.crossings[index].exponent)
