@@ -179,6 +179,10 @@ class GeneratorMultiset:
     def add(self, other: "GeneratorMultiset") -> "GeneratorMultiset":
         return GeneratorMultiset.of_runs(self.runs + other.runs)
 
+    def __reduce__(self):
+        # rebuilt from its runs, so every pickle protocol works despite __slots__
+        return GeneratorMultiset.of_runs, (self.runs,)
+
     @property
     def total_rank(self) -> int:
         total = 0  # a plain loop: no generator frame for the few runs of a curve

@@ -235,8 +235,14 @@ class TestReducedPairingRecord:
         with pytest.raises(AttributeError):
             rp.generators = GeneratorMultiset()
 
-    # from protocol 2: protocols 0 and 1 cannot pickle GeneratorMultiset's __slots__
-    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip(self, protocol):
         rp = pickle.loads(pickle.dumps(self.pairing(), protocol))
         assert type(rp) is ReducedPairing and rp == self.pairing() and rp.total_rank == 3
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_generator_multiset_pickles(self, protocol):
+        for gens in [self.pairing().generators, GeneratorMultiset(), GeneratorMultiset.interval(-2, 3, D(-1))]:
+            back = pickle.loads(pickle.dumps(gens, protocol))
+            assert type(back) is GeneratorMultiset and back.runs == gens.runs and back == gens
+        assert back.entries == {(s, D(-1)): 1 for s in range(-2, 4)}
