@@ -398,6 +398,25 @@ def test_the_package_never_imports_fractions():
     assert imports_fractions(ast.parse("import fractions as f").body[0])
 
 
+def imports_outside_the_stdlib(node):
+    """An absolute import naming a module that is not in the standard library."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] not in sys.stdlib_module_names for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and (
+        node.module.split(".")[0] not in sys.stdlib_module_names
+    )
+
+
+def test_the_package_imports_only_the_stdlib():
+    # the library is pure stdlib: sympy and hypothesis are for derivations and tests only
+    assert nodes_in_the_package(imports_outside_the_stdlib) == []
+    assert imports_outside_the_stdlib(ast.parse("import sympy").body[0])
+    assert imports_outside_the_stdlib(ast.parse("from hypothesis import given").body[0])
+    assert imports_outside_the_stdlib(ast.parse("import os, sympy.matrices").body[0])
+    assert not imports_outside_the_stdlib(ast.parse("from .algebra import HalfInteger").body[0])
+    assert not imports_outside_the_stdlib(ast.parse("from itertools import accumulate").body[0])
+
+
 def test_every_benchmark_tracer_binding_resolves():
     # benchmarks/tracing.py replaces these attributes by name, so a dropped
     # import (such as cli's unused compute_hfk) would break only the benchmark;
