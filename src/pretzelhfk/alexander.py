@@ -5,7 +5,7 @@ and bottom) is written band by band in closed form, each crossing once as a
 `Crossing` NamedTuple made in C (`_replace` changes a field: it is not a
 dataclass); the Alexander polynomial is a minor of its Fox matrix over Z[t, 1/t].
 
-That matrix is never built in full.  Inside a band the crossings chain:
+That matrix is never built.  Inside a band the crossings chain:
 crossing j takes its over-arc y_{j+1} and its incoming arc y_j and emits
 y_{j+2} = (1 - t^e) y_{j+1} + t^e y_j, the abelianized Fox row of its
 relation (Fox, Free differential calculus I, 1953).  In differences,
@@ -17,14 +17,20 @@ single crossing).  Eliminating the interior arcs is unimodular, so after one
 relation and one arc column are deleted the minor, at most 5x5, is the
 Alexander polynomial up to a unit.
 
-The determinant runs on Python integers.  Each relation row is multiplied by
-the unit t^-lo of its band (lo <= 0 the row's least exponent), and the minor,
-now over Z[t], is evaluated once at t = X = 2^K and expanded by cofactors,
-division-free.  Its determinant D sums signed products of one entry per
-column, so ||D||_1 is at most the product over the columns of their entries'
-summed L1 norms, which a unit shift keeps.  K = bit_length(that bound) + 2,
-rounded up to whole bytes, puts each coefficient of D in (-X/2, X/2): the
-balanced base-X digits of D(X) are its coefficients, decoded once at the end.
+Nor is that minor expanded.  Which band ends are y_0, y_1, y_n and y_{n+1},
+and so how the closure glues the relations, depends on the twists' signs
+alone, so each of the eight sign classes has one form in `_FORMS`: the
+minor's determinant, expanded once symbolically with each band's S_n, S_{n+1}
+and row unit t^-lo (lo <= 0 the least prefix sum) as free symbols.  So a form
+holds for any exponents and bands of any parity and length: a single crossing
+(S_1 = 1) changes the minor only by a unit.
+
+The form runs on Python integers, once, at t = X = 2^K.  Every term takes
+one of t^-lo, t^-lo S_n and t^-lo S_{n+1}, polynomials in t, from each band
+with coefficient +-1, so the value's L1 norm is at most the product over the
+bands of 1 + n + (n + 1).  K = bit_length(that bound) + 2, rounded up to
+whole bytes, puts each coefficient in (-X/2, X/2): the balanced base-X
+digits of the value are its coefficients, decoded once at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, cycle, repeat
-from math import prod
 from operator import add, sub
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -208,21 +213,6 @@ def _decode(value: int, bits: int) -> List[int]:
     return list(map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(1 << (bits - 1))))
 
 
-def _expand(mat: List[List[int]]) -> int:
-    """Determinant of a square block by cofactor expansion along its first
-    row: division-free, with n! products for an n x n block; 1 if empty."""
-    if len(mat) == 2:  # the expansion's last step, written out
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if not mat:
-        return 1
-    total = 0
-    for j, entry in enumerate(mat[0]):
-        if entry:
-            term = entry * _expand([row[:j] + row[j + 1 :] for row in mat[1:]])
-            total += -term if j % 2 else term
-    return total
-
-
 def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int], List[int]]:
     """The product T_{e_{n-1}} ... T_{e_1} T_{e_0} over one band, in closed form.
 
@@ -249,51 +239,59 @@ def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int], List[int]]
     return lo, cs, s_n
 
 
+# The minor without the last band's last relation and the first band's y_0
+# column, up to a unit, in each band's u = t^-lo, s = t^-lo S_n and
+# x = t^-lo S_{n+1}; keyed by (p > 0, q > 0, r > 0).
+_FORMS = {
+    (1, 1, 1): lambda u0, s0, x0, u1, s1, x1, u2, s2, x2: (u1 - x1) * (u0 * (u2 - s2) - x0 * u2) + u1 * s0 * s2,
+    (0, 0, 0): lambda u0, s0, x0, u1, s1, x1, u2, s2, x2: (u0 - x0) * (u2 * (u1 - x1) - u1 * s2) + u0 * s1 * s2,
+    (1, 1, 0): lambda u0, s0, x0, u1, s1, x1, u2, s2, x2: s2 * (u0 * (x1 - u1) + u1 * s0) - u2 * s0 * s1,
+    (0, 0, 1): lambda u0, s0, x0, u1, s1, x1, u2, s2, x2: s2 * (u0 * (s1 - u1) + u1 * x0) - u2 * s0 * s1,
+    (1, 0, 1): lambda u0, s0, x0, u1, s1, x1, u2, s2, x2: s1 * (u0 * (s2 - u2) + u2 * x0) - u1 * s0 * s2,
+    (1, 0, 0): lambda u0, s0, x0, u1, s1, x1, u2, s2, x2: s0 * (u1 * (s2 - u2) + u2 * x1) - u0 * s1 * s2,
+    (0, 1, 1): lambda u0, s0, x0, u1, s1, x1, u2, s2, x2: s0 * u2 * (x1 - u1) + s2 * (u1 * x0 - u0 * x1),
+    (0, 1, 0): lambda u0, s0, x0, u1, s1, x1, u2, s2, x2: s1 * u2 * (x0 - u0) + s2 * (u0 * x1 - u1 * x0),
+}
+
+
 def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
     """Normalized Alexander polynomial (a_0, ..., a_g) of the diagram via Fox calculus.
 
     The crossings are read in band order, |p|, |q| and |r| of them, each band
     transposed once into field tuples.  A band must chain (crossing j+1 passes
     under the arc crossing j emitted, and its incoming arc is crossing j's
-    over-arc), else a DiagramError is raised; its bottom arcs give relations
-    bottom = S y_1 + (1 - S) y_0.  The last band's last relation and the first
-    band's incoming top arc are deleted.  Each row is multiplied by t^-lo.
+    over-arc), and each band's top and bottom arcs on the right must be the
+    next band's on the left, as the closure glues them, else a DiagramError is
+    raised.  The sign class's form is evaluated at t = 2^K.
     """
     if 0 in d.twists or len(d.crossings) != sum(map(abs, d.twists)):
         raise DiagramError(f"{len(d.crossings)} crossings for twists {d.twists}")
-    relations = []  # (bottom, y1, y0, lo, S as a coefficient list from t^lo, step or None)
+    lefts, rights, transfers, arcs, relations, bound = [], [], [], set(), 0, 1  # ends: (top, bottom)
     for twist, end in zip(d.twists, accumulate(map(abs, d.twists))):
-        band = d.crossings[end - abs(twist) : end]
-        overs, incomings, outgoings, exponents = zip(*band)
+        n = abs(twist)
+        overs, incomings, outgoings, exponents = zip(*d.crossings[end - n : end])
         if incomings[1:] != overs[:-1] or overs[1:] != outgoings[:-1]:
             raise DiagramError(f"the crossings of the {twist}-twist band do not chain")
-        lo, s_next, s_n = _band_transfer(exponents)
-        y1, y0, step = overs[0], incomings[0], None
-        if len(band) > 1:  # S_{n+1} = S_n + (-1)^n t^(e_0 + ... + e_{n-1}): one step on
-            relations.append((overs[-1], y1, y0, lo, s_n, None))
-            step = (-1 if len(band) % 2 else 1, sum(exponents) - lo)
-        relations.append((outgoings[-1], y1, y0, lo, s_next, step))
-    arcs = {arc for relation in relations for arc in relation[:3]}
-    if len(arcs) != len(relations):
+        # y_1 enters at the top and y_{n+1} leaves at the bottom on side L for a positive twist
+        over_side, under_side = (overs[0], outgoings[-1]), (incomings[0], overs[-1])
+        lefts.append(over_side if twist > 0 else under_side)
+        rights.append(under_side if twist > 0 else over_side)
+        arcs.update(over_side, under_side)
+        relations += 1 if n == 1 else 2
+        bound *= 2 * n + 2  # ||t^-lo|| + ||S_n|| + ||S_{n+1}|| for one band
+        lo, _, s_n = _band_transfer(exponents)
+        transfers.append((lo, s_n, -1 if n % 2 else 1, sum(exponents) - lo))
+    if len(arcs) != relations:
         raise DiagramError("arc/relation count mismatch; diagram is not a knot diagram")
-    del relations[-1]
-    columns = sorted(arcs - {d.crossings[0].incoming})
-    norms = dict.fromkeys(arcs, 0)  # per arc: its column's entries' L1 norms
-    for bottom, y1, y0, lo, s, _ in relations:
-        size = sum(map(abs, s))
-        norms[bottom] += 1
-        norms[y1] += size
-        norms[y0] += size + 1  # ||1 - S||_1 <= ||S||_1 + 1
-    bits = _digit_bits(prod(map(norms.__getitem__, columns)))
-    minor = []
-    for bottom, y1, y0, lo, s, step in relations:  # each row times t^-lo
-        value = _evaluate(s, bits) if step is None else value + (step[0] << bits * step[1])
-        row, unit = dict.fromkeys(arcs, 0), 1 << bits * -lo  # arcs may coincide
-        row[bottom] -= unit
-        row[y1] += value
-        row[y0] += unit - value
-        minor.append(list(map(row.__getitem__, columns)))
-    return normalize_alexander(_decode(_expand(minor), bits))
+    if rights[-1:] + rights[:-1] != lefts:  # each band's right ends are the next band's left ends
+        raise DiagramError(f"the band ends of P{d.twists} are not glued as the closure glues them")
+    bits = _digit_bits(bound)
+    values = []
+    for lo, s_n, sign, top in transfers:  # S_{n+1} = S_n + (-1)^n t^(e_0 + ... + e_{n-1})
+        s = _evaluate(s_n, bits)
+        values += (1 << bits * -lo, s, s + (sign << bits * top))
+    p, q, r = d.twists
+    return normalize_alexander(_decode(_FORMS[p > 0, q > 0, r > 0](*values), bits))
 
 
 def pretzel_determinant(p: int, q: int, r: int) -> int:

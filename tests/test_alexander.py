@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pretzelhfk import alexander
 from pretzelhfk.alexander import (
+    _FORMS,
     Crossing,
     DiagramError,
     PretzelDiagram,
@@ -23,7 +24,6 @@ from pretzelhfk.alexander import (
     _decode,
     _digit_bits,
     _evaluate,
-    _expand,
     _find,
     _strand_directions,
     _union,
@@ -157,6 +157,34 @@ ONE = {0: 1}
 ZERO = {}
 
 
+class Laurent(dict):
+    """A Laurent polynomial with +, - and *, so that alexander's forms run on it."""
+
+    def __add__(self, other):
+        return Laurent(plus(self, other))
+
+    def __sub__(self, other):
+        return Laurent(plus(self, negated(other)))
+
+    def __mul__(self, other):
+        return Laurent(product(self, other))
+
+
+def expand(mat):
+    """Determinant of a square integer block by cofactor expansion along its
+    first row: division-free, with n! products for an n x n block; 1 if empty."""
+    if len(mat) == 2:  # the expansion's last step, written out
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    if not mat:
+        return 1
+    total = 0
+    for j, entry in enumerate(mat[0]):
+        if entry:
+            term = entry * expand([row[:j] + row[j + 1 :] for row in mat[1:]])
+            total += -term if j % 2 else term
+    return total
+
+
 def laurent_determinant(rows):
     """Determinant over Z[t, 1/t], up to a unit, of square dense rows of
     Laurent polynomials (ZERO where empty), through the oracle's integer kernel.
@@ -175,7 +203,7 @@ def laurent_determinant(rows):
     for row in rows:
         low = min((min(e) for e in row if e), default=0)
         ints.append([_evaluate(coefficients(e), bits) << bits * (min(e) - low) if e else 0 for e in row])
-    return laurent((0, _decode(_expand(ints), bits)))
+    return laurent((0, _decode(expand(ints), bits)))
 
 
 def trimmed(cs):
@@ -267,12 +295,12 @@ class TestDeterminant:
         assert equal_up_to_unit(got, {3: 1, 2: -11, 1: 8, 0: 9, -1: -1})
         # the same block over the integers, at t = 1, where the determinant is 1 - 11 + 8 + 9 - 1
         at_one = [[sum(e[1]) for e in row] for row in mat]
-        assert abs(_expand(at_one)) == 6
+        assert abs(expand(at_one)) == 6
 
     def test_zero_row_or_column_gives_zero(self):
-        assert _expand([[1, 0], [2, 0]]) == 0
-        assert _expand([[1, 3], [0, 0]]) == 0
-        assert _expand([]) == 1
+        assert expand([[1, 0], [2, 0]]) == 0
+        assert expand([[1, 3], [0, 0]]) == 0
+        assert expand([]) == 1
         assert laurent_determinant([[ONE, ZERO], [{0: 2}, ZERO]]) == ZERO
 
 
@@ -393,17 +421,104 @@ class TestBandPreconditions:
                 fox_alexander(with_crossing(diagram, index, **changes))
 
     @pytest.mark.parametrize("index", [2, 3, 5, 8, 10])
-    def test_an_off_period_exponent_is_rejected(self, index):
+    def test_an_off_period_exponent_agrees_with_the_wirtinger_minor(self, index):
         # the band transfer holds for any exponents, so a flipped one is not
         # rejected: the oracle gives what the full Wirtinger minor gives
         flipped = with_crossing(self.diagram, index, exponent=-self.diagram.crossings[index].exponent)
         assert outcome(fox_alexander, flipped) == outcome(wirtinger_alexander, flipped)
+
+    # P(6, -3, 5) has 14 arcs and P(2, -1, -1) 4; each band end is moved to a
+    # fresh arc and to every other arc, one at a time
+    @pytest.mark.parametrize("twists", [(6, -3, 5), (2, -1, -1)], ids=str)
+    def test_a_band_end_glued_elsewhere_is_rejected(self, twists):
+        diagram = build_pretzel_diagram(*twists)
+        starts = list(accumulate(map(abs, twists), initial=0))
+        cases = 0
+        for first, end in zip(starts, starts[1:]):
+            for index, field in ((first, "incoming"), (end - 1, "outgoing")):
+                label = getattr(diagram.crossings[index], field)
+                for other in range(diagram.arc_count + 1):
+                    if other != label:
+                        cases += 1
+                        with pytest.raises(DiagramError):
+                            fox_alexander(with_crossing(diagram, index, **{field: other}))
+        assert cases == 6 * diagram.arc_count
 
     def test_missing_crossings_are_rejected(self):
         with pytest.raises(DiagramError):
             fox_alexander(replace(self.diagram, crossings=self.diagram.crossings[:-1]))
         with pytest.raises(DiagramError):
             fox_alexander(replace(self.diagram, twists=(6, 0, 5), crossings=self.diagram.crossings[:-3]))
+
+
+# -- reference: the band minor that each form was expanded from -------------
+
+
+def bands(d):
+    """Each band's crossings as field tuples: overs, incomings, outgoings, exponents."""
+    for twist, end in zip(d.twists, accumulate(map(abs, d.twists))):
+        yield tuple(zip(*d.crossings[end - abs(twist) : end]))
+
+
+def band_minor_determinant(d):
+    """The band minor as Laurent rows, expanded through `laurent_determinant`.
+
+    Each band's bottom arcs give relations bottom = S y_1 + (1 - S) y_0 (one
+    for a single crossing); the last band's last relation and the first band's
+    incoming top arc are deleted.
+    """
+    relations = []
+    for overs, incomings, outgoings, exponents in bands(d):
+        lo, s_next, s_n = _band_transfer(exponents)
+        if len(overs) > 1:
+            relations.append((overs[-1], overs[0], incomings[0], laurent((lo, s_n))))
+        relations.append((outgoings[-1], overs[0], incomings[0], laurent((lo, s_next))))
+    arcs = sorted({arc for relation in relations for arc in relation[:3]})
+    assert len(arcs) == len(relations)
+    rows = []
+    for bottom, y1, y0, s in relations[:-1]:
+        row = dict.fromkeys(arcs, ZERO)  # arcs may coincide
+        row[bottom] = plus(row[bottom], negated(ONE))
+        row[y1] = plus(row[y1], s)
+        row[y0] = plus(row[y0], plus(ONE, negated(s)))
+        rows.append([row[arc] for arc in arcs if arc != d.crossings[0].incoming])
+    return laurent_determinant(rows)
+
+
+def form_value(d):
+    """alexander's form for d's sign class, run on Laurent polynomials: each
+    band gives t^-lo, t^-lo S_n and t^-lo S_{n+1}."""
+    values = []
+    for _, _, _, exponents in bands(d):
+        lo, s_next, s_n = _band_transfer(exponents)
+        values += (Laurent({-lo: 1}), Laurent(laurent((0, s_n))), Laurent(laurent((0, s_next))))
+    return _FORMS[tuple(t > 0 for t in d.twists)](*values)
+
+
+SIGN_CLASSES = [(p, q, r) for p in (1, -1) for q in (1, -1) for r in (1, -1)]
+
+
+def sign_class_id(signs):
+    return "".join("+" if s > 0 else "-" for s in signs)
+
+
+def with_exponents_flipped(diagram, indices):
+    crossings = [c._replace(exponent=-c.exponent) if i in indices else c for i, c in enumerate(diagram.crossings)]
+    return replace(diagram, crossings=tuple(crossings))
+
+
+@pytest.mark.parametrize("signs", SIGN_CLASSES, ids=sign_class_id)
+def test_each_form_is_its_band_minor_up_to_a_unit(signs):
+    # every band order and every choice of single-crossing odd bands, with the
+    # pretzel exponents and with random ones
+    rng = random.Random(31)
+    for even in range(3):
+        for units in range(8):
+            sizes = [4 if k == even else 1 if units >> k & 1 else 3 + 2 * k for k in range(3)]
+            diagram = build_pretzel_diagram(*(s * n for s, n in zip(signs, sizes)))
+            flips = {i for i in range(len(diagram.crossings)) if rng.random() < 0.5}
+            for d in (diagram, with_exponents_flipped(diagram, flips)):
+                assert equal_up_to_unit(form_value(d), band_minor_determinant(d)), (d.twists, flips)
 
 
 # -- reference: the determinant of the full Wirtinger minor -----------------
@@ -501,6 +616,23 @@ class TestAgainstTheWirtingerMinor:
         assert fox_alexander(d) == wirtinger_alexander(d)
 
 
+@st.composite
+def flipped_diagrams(draw, signs):
+    """A diagram of the sign class, bands of 1 to 7 crossings, with random exponents flipped."""
+    even = draw(st.integers(0, 2))
+    sizes = [draw(st.sampled_from([2, 4, 6] if k == even else [1, 3, 5, 7])) for k in range(3)]
+    diagram = build_pretzel_diagram(*(s * n for s, n in zip(signs, sizes)))
+    return with_exponents_flipped(diagram, draw(st.sets(st.integers(0, len(diagram.crossings) - 1))))
+
+
+@pytest.mark.parametrize("signs", SIGN_CLASSES, ids=sign_class_id)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_any_exponents_agree_with_the_wirtinger_minor(signs, data):
+    d = data.draw(flipped_diagrams(signs))
+    assert outcome(fox_alexander, d) == outcome(wirtinger_alexander, d)
+
+
 def pinned_knots():
     """The grid, the seeded short-band knots and six large knots up to the CLI ceiling."""
     grid = [TangleParams(a, b, c, sign).pretzel_triple()
@@ -511,19 +643,19 @@ def pinned_knots():
     return grid + random_knots(seed=606, count=300, bound=45) + large
 
 
-def test_every_expanded_minor_is_square_and_at_most_5x5(monkeypatch):
-    # fox_alexander expands its minor by cofactors, with n! products for an
-    # n x n block, which is affordable only because the minor stays this small
-    expand, calls = alexander._expand, []
-    monkeypatch.setattr(alexander, "_expand", lambda mat: calls.append(mat) or expand(mat))
-    sizes = Counter()
-    for twists in pinned_knots():
+def test_the_digit_width_never_lets_a_coefficient_wrap(monkeypatch):
+    # the form fox_alexander decodes at 2^K has the coefficients of the same
+    # form run on the tests' Laurent polynomials
+    decode, calls = alexander._decode, []
+    monkeypatch.setattr(alexander, "_decode", lambda value, bits: calls.append((value, bits)) or decode(value, bits))
+    knots = pinned_knots()
+    for twists in knots:
         calls.clear()
-        fox_alexander(build_pretzel_diagram(*twists))
-        outermost = calls[0]
-        assert all(len(row) == len(outermost) for row in outermost), twists
-        sizes[len(outermost)] += 1
-    assert max(sizes) == 5 and sum(sizes.values()) == 738
+        diagram = build_pretzel_diagram(*twists)
+        fox_alexander(diagram)
+        ((value, bits),) = calls
+        assert decode(value, bits) == coefficients(form_value(diagram)), twists
+    assert len(knots) == 738
 
 
 def test_alex_output_bytes_are_pinned():
