@@ -513,7 +513,7 @@ def test_each_form_is_its_band_minor_up_to_a_unit(signs):
     # pretzel exponents and with random ones
     rng = random.Random(31)
     for even in range(3):
-        for units in range(8):
+        for units in [u for u in range(8) if not u >> even & 1]:  # bit k: band k has one crossing
             sizes = [4 if k == even else 1 if units >> k & 1 else 3 + 2 * k for k in range(3)]
             diagram = build_pretzel_diagram(*(s * n for s, n in zip(signs, sizes)))
             flips = {i for i in range(len(diagram.crossings)) if rng.random() < 0.5}
