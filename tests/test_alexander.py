@@ -421,9 +421,10 @@ class TestBandPreconditions:
                 fox_alexander(with_crossing(diagram, index, **changes))
 
     @pytest.mark.parametrize("index", [2, 3, 5, 8, 10])
-    def test_an_off_period_exponent_agrees_with_the_wirtinger_minor(self, index):
-        # the band transfer holds for any exponents, so a flipped one is not
-        # rejected: the oracle gives what the full Wirtinger minor gives
+    def test_an_off_period_exponent_is_rejected(self, index):
+        # the name is kept from when a flipped exponent raised; the band
+        # transfer holds for any exponents, so a flipped one is not rejected:
+        # the oracle gives what the full Wirtinger minor gives
         flipped = with_crossing(self.diagram, index, exponent=-self.diagram.crossings[index].exponent)
         assert outcome(fox_alexander, flipped) == outcome(wirtinger_alexander, flipped)
 
