@@ -3,7 +3,9 @@
 The pretzel diagram (three vertical twist bands, closed cyclically at top
 and bottom) is written band by band in closed form, each crossing once as a
 `Crossing` NamedTuple made in C (`_replace` changes a field: it is not a
-dataclass); the Alexander polynomial is a minor of its Fox matrix over Z[t, 1/t].
+dataclass), and the closure glues each band's right ends to the next band's
+left ends through one six-entry map; the Alexander polynomial is a minor of
+its Fox matrix over Z[t, 1/t].
 
 That matrix is never built.  Inside a band the crossings chain:
 crossing j takes its over-arc y_{j+1} and its incoming arc y_j and emits
@@ -38,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, cycle, repeat
+from itertools import accumulate, cycle, product, repeat
 from operator import add, sub
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -72,17 +74,6 @@ class PretzelDiagram:
     twists: Tuple[int, int, int]
     crossings: Tuple[Crossing, ...]
     arc_count: int
-
-
-def _union(parent: Dict[int, int], x: int, y: int) -> None:
-    parent[_find(parent, x)] = _find(parent, y)
-
-
-def _find(parent: Dict[int, int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def _strand_directions(twists: Tuple[int, int, int]) -> Dict[Tuple[int, str], str]:
@@ -123,6 +114,17 @@ def _diagonal(pos: str, going_down: bool) -> Tuple[int, int]:
     return (-1, -1) if going_down else (1, 1)
 
 
+def _band_exponents(positive: bool, over_down: bool, under_down: bool) -> Tuple[int, int]:
+    """A band's exponents (e_0, e_1), by its twist's sign and whether its over and
+    under strands go down; the sign rule is symmetric in the two strands."""
+    over, under = ("L", "R") if positive else ("R", "L")
+    sign = 1 if _cross(_diagonal(over, over_down), _diagonal(under, under_down)) > 0 else -1
+    return (sign if under_down else -sign, sign if over_down else -sign)
+
+
+_EXPONENTS = {key: _band_exponents(*key) for key in product((True, False), repeat=3)}
+
+
 def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     """Combinatorial pretzel diagram P(p, q, r); knot cases only: exactly one
     of p, q, r must be even (else it is a 2- or 3-component link), none zero.
@@ -132,19 +134,20 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     and over side), then y_2, ..., y_{n+1}, one per crossing, and crossing j
     is Crossing(over=y_{j+1}, incoming=y_j, outgoing=y_{j+2}, exponent=
     e_{j mod 2}), made in C: the strands swap sides at each crossing, so the
-    two exponents are read once off the strand directions.  Raw labels count
-    the bands in order (top L, top R, then one per crossing).  The closure
-    merges band-end arcs only, so union-find runs on at most 12 labels; every
-    arc is relabelled by the rank of its class representative.
+    two exponents are looked up once in `_EXPONENTS` by the strand directions.
+    Raw labels count the bands in order (top L, top R, then one per crossing).
+    The closure maps each band's top and bottom right ends to the next band's
+    left ends; a band end's representative is where that map leads, and every
+    arc is relabelled by the rank of its representative among the unmapped.
     """
     twists = (p, q, r)
-    if any(t == 0 for t in twists):
+    if 0 in twists:
         raise DiagramError("zero twist bands are not supported")
     if sum(1 for t in twists if t % 2 == 0) != 1:
         raise DiagramError(f"P{twists} is a link, not a knot")
     directions = _strand_directions(twists)
 
-    tops, bottoms, bands = [], [], []  # bands: (twist, start, raw y_0, raw y_1)
+    tops, bottoms, bands = [], [], []  # bands: (twist, start, raw y_0, y_1, y_n, y_{n+1})
     base = 0
     for t in twists:
         n = abs(t)
@@ -152,31 +155,27 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
         yn = y1 if n == 1 else base + n  # after n crossings: y_n under, y_{n+1} over side
         tops.append((base, base + 1))
         bottoms.append((base + n + 1, yn) if t > 0 else (yn, base + n + 1))
-        bands.append((t, base, y0, y1))
+        bands.append((t, base, y0, y1, yn, base + n + 1))
         base += n + 2
 
-    parent = {x: x for pair in tops + bottoms for x in pair}
-    for k in range(3):
-        _union(parent, tops[k][1], tops[(k + 1) % 3][0])
-        _union(parent, bottoms[k][1], bottoms[(k + 1) % 3][0])
-    root = {x: _find(parent, x) for x in parent}
-    merged = sorted(x for x in parent if root[x] != x)
-    label = {x: r - bisect_left(merged, r) for x, r in root.items()}
+    # a single crossing makes a bottom end a top end, so a chain of `glue` can take several steps
+    glue = {end[1]: ends[(k + 1) % 3][0] for ends in (tops, bottoms) for k, end in enumerate(ends)}
+    merged = sorted(glue)
 
     crossings: List[Crossing] = []
-    for band, (t, start, y0, y1) in enumerate(bands):
+    new_crossing = partial(tuple.__new__, Crossing)
+    for band, (t, start, *ends) in enumerate(bands):
         n = abs(t)
         over, under = ("L", "R") if t > 0 else ("R", "L")
-        down = {side: directions[(band, side)] == "down" for side in "LR"}  # by top side entered
-        # the sign rule is symmetric in the two strands, so both crossings share it
-        sign = 1 if _cross(_diagonal(over, down[over]), _diagonal(under, down[under])) > 0 else -1
-        exponents = [sign if down[under] else -sign, sign if down[over] else -sign]
-        # interior arcs are their own representatives, and no merged label lies among them
-        shift = bisect_left(merged, start + 2)
-        y = [y0, y1, *range(start + 2 - shift, start + n + 2 - shift)]
-        for j in {0, 1, n, n + 1}:
-            y[j] = label[(y0, y1)[j] if j < 2 else start + j]
-        crossings.extend(map(partial(tuple.__new__, Crossing), zip(y[1:], y, y[2:], cycle(exponents))))
+        exponents = _EXPONENTS[t > 0, directions[band, over] == "down", directions[band, under] == "down"]
+        # interior arcs are their own representatives; below them lie two merged
+        # labels per earlier band and this band's top right end
+        y = [0, 0, *range(start + 1 - 2 * band, start + n + 1 - 2 * band)]
+        for j, x in zip((0, 1, n, n + 1), ends):
+            while x in glue:
+                x = glue[x]
+            y[j] = x - bisect_left(merged, x)
+        crossings.extend(map(new_crossing, zip(y[1:], y, y[2:], cycle(exponents))))
 
     diagram = PretzelDiagram(twists=twists, crossings=tuple(crossings), arc_count=base - len(merged))
     if diagram.arc_count != len(crossings):
@@ -260,13 +259,17 @@ def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
     The crossings are read in band order, |p|, |q| and |r| of them, each band
     transposed once into field tuples.  A band must chain (crossing j+1 passes
     under the arc crossing j emitted, and its incoming arc is crossing j's
-    over-arc), and each band's top and bottom arcs on the right must be the
-    next band's on the left, as the closure glues them, else a DiagramError is
-    raised.  The sign class's form is evaluated at t = 2^K.
+    over-arc), each band's top and bottom arcs on the right must be the next
+    band's on the left, as the closure glues them, and the crossings must use
+    one arc label each, else a DiagramError is raised.  The sign class's form
+    is evaluated at t = 2^K.
     """
     if 0 in d.twists or len(d.crossings) != sum(map(abs, d.twists)):
         raise DiagramError(f"{len(d.crossings)} crossings for twists {d.twists}")
-    lefts, rights, transfers, arcs, relations, bound = [], [], [], set(), 0, 1  # ends: (top, bottom)
+    p, q, r = d.twists
+    # a band's ||t^-lo|| + ||S_n|| + ||S_{n+1}|| is at most 1 + n + (n + 1)
+    bits = _digit_bits((2 * abs(p) + 2) * (2 * abs(q) + 2) * (2 * abs(r) + 2))
+    lefts, rights, arcs, labels, relations, values = [], [], set(), set(), 0, []  # ends: (top, bottom)
     for twist, end in zip(d.twists, accumulate(map(abs, d.twists))):
         n = abs(twist)
         overs, incomings, outgoings, exponents = zip(*d.crossings[end - n : end])
@@ -277,20 +280,17 @@ def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
         lefts.append(over_side if twist > 0 else under_side)
         rights.append(under_side if twist > 0 else over_side)
         arcs.update(over_side, under_side)
+        labels.update(overs)  # with the band's ends, every arc of a chained band
         relations += 1 if n == 1 else 2
-        bound *= 2 * n + 2  # ||t^-lo|| + ||S_n|| + ||S_{n+1}|| for one band
         lo, _, s_n = _band_transfer(exponents)
-        transfers.append((lo, s_n, -1 if n % 2 else 1, sum(exponents) - lo))
+        s = _evaluate(s_n, bits)  # S_{n+1} = S_n + (-1)^n t^(e_0 + ... + e_{n-1})
+        values += (1 << bits * -lo, s, s + ((-1 if n % 2 else 1) << bits * (sum(exponents) - lo)))
     if len(arcs) != relations:
         raise DiagramError("arc/relation count mismatch; diagram is not a knot diagram")
     if rights[-1:] + rights[:-1] != lefts:  # each band's right ends are the next band's left ends
         raise DiagramError(f"the band ends of P{d.twists} are not glued as the closure glues them")
-    bits = _digit_bits(bound)
-    values = []
-    for lo, s_n, sign, top in transfers:  # S_{n+1} = S_n + (-1)^n t^(e_0 + ... + e_{n-1})
-        s = _evaluate(s_n, bits)
-        values += (1 << bits * -lo, s, s + (sign << bits * top))
-    p, q, r = d.twists
+    if len(labels | arcs) != len(d.crossings):
+        raise DiagramError(f"{len(labels | arcs)} arcs for {len(d.crossings)} crossings; diagram is not a knot diagram")
     return normalize_alexander(_decode(_FORMS[p > 0, q > 0, r > 0](*values), bits))
 
 

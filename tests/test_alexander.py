@@ -6,7 +6,7 @@ import io
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, permutations
 from math import prod
 
 import pytest
@@ -24,9 +24,7 @@ from pretzelhfk.alexander import (
     _decode,
     _digit_bits,
     _evaluate,
-    _find,
     _strand_directions,
-    _union,
     build_pretzel_diagram,
     fox_alexander,
     pretzel_determinant,
@@ -402,6 +400,12 @@ def chain_breaks(diagram, index):
     return changes
 
 
+def relabelled(diagram, old, new):
+    """The diagram with arc `old` renamed `new` in every crossing."""
+    crossings = [Crossing(*(new if arc == old else arc for arc in c[:3]), c.exponent) for c in diagram.crossings]
+    return replace(diagram, crossings=tuple(crossings))
+
+
 class TestBandPreconditions:
     """A diagram whose bands do not chain, or that lacks crossings, raises."""
 
@@ -445,6 +449,26 @@ class TestBandPreconditions:
                             fox_alexander(with_crossing(diagram, index, **{field: other}))
         assert cases == 6 * diagram.arc_count
 
+    def test_an_interior_arc_merged_with_another_arc_is_rejected(self):
+        # chains, band ends and gluing are untouched, so only the count of
+        # distinct arc labels (13 for 14 crossings) can tell
+        ends = {arc for overs, incomings, outgoings, _ in bands(self.diagram)
+                for arc in (overs[0], overs[-1], incomings[0], outgoings[-1])}
+        interior = set(range(self.diagram.arc_count)) - ends
+        assert len(interior) == 8 and self.diagram.crossings[0].outgoing in interior  # y_2 of the first band
+        for arc in interior:
+            for other in set(range(self.diagram.arc_count)) - {arc}:
+                with pytest.raises(DiagramError, match="13 arcs for 14 crossings"):
+                    fox_alexander(relabelled(self.diagram, arc, other))
+
+    def test_two_closure_arcs_merged_are_rejected_by_the_arc_relation_count(self):
+        ends = {arc for overs, incomings, outgoings, _ in bands(self.diagram)
+                for arc in (overs[0], overs[-1], incomings[0], outgoings[-1])}
+        assert ends == {0, 5, 6, 8, 9, 13}
+        for arc, other in permutations(ends, 2):
+            with pytest.raises(DiagramError, match="arc/relation count mismatch"):
+                fox_alexander(relabelled(self.diagram, arc, other))
+
     def test_missing_crossings_are_rejected(self):
         with pytest.raises(DiagramError):
             fox_alexander(replace(self.diagram, crossings=self.diagram.crossings[:-1]))
@@ -461,8 +485,8 @@ def bands(d):
         yield tuple(zip(*d.crossings[end - abs(twist) : end]))
 
 
-def band_minor_determinant(d):
-    """The band minor as Laurent rows, expanded through `laurent_determinant`.
+def band_minor(d):
+    """The band minor as dense rows of Laurent polynomials.
 
     Each band's bottom arcs give relations bottom = S y_1 + (1 - S) y_0 (one
     for a single crossing); the last band's last relation and the first band's
@@ -483,7 +507,12 @@ def band_minor_determinant(d):
         row[y1] = plus(row[y1], s)
         row[y0] = plus(row[y0], plus(ONE, negated(s)))
         rows.append([row[arc] for arc in arcs if arc != d.crossings[0].incoming])
-    return laurent_determinant(rows)
+    return rows
+
+
+def band_minor_determinant(d):
+    """The band minor, expanded through `laurent_determinant`."""
+    return laurent_determinant(band_minor(d))
 
 
 def form_value(d):
@@ -659,6 +688,33 @@ def test_the_digit_width_never_lets_a_coefficient_wrap(monkeypatch):
     assert len(knots) == 738
 
 
+def test_the_digit_bound_holds_before_byte_rounding(monkeypatch):
+    # K is rounded up to whole bytes, so a bound below the form's L1 norm could
+    # still decode correctly; the bound itself must cover the norm
+    digit_bits, bounds = alexander._digit_bits, []
+    monkeypatch.setattr(alexander, "_digit_bits", lambda bound: bounds.append(bound) or digit_bits(bound))
+    knots = pinned_knots()
+    for twists in knots:
+        bounds.clear()
+        diagram = build_pretzel_diagram(*twists)
+        fox_alexander(diagram)
+        (bound,) = bounds
+        assert bound >= sum(map(abs, form_value(diagram).values())), twists
+    assert len(knots) == 738
+
+
+def test_every_expanded_minor_is_square_and_at_most_5x5():
+    # the band minor each sign class's form was expanded from; a single-crossing
+    # band gives one relation, so one row and one column fewer
+    knots = pinned_knots()
+    sizes = Counter()
+    for twists in knots:
+        rows = band_minor(build_pretzel_diagram(*twists))
+        assert len(rows) <= 5 and all(len(row) == len(rows) for row in rows), twists
+        sizes[len(rows)] += 1
+    assert sizes == {5: 657, 4: 78, 3: 3}
+
+
 def test_alex_output_bytes_are_pinned():
     # `alex` on the pinned knots; the digest was taken when the oracle
     # returned a Laurent polynomial object and `alex` printed its repr
@@ -674,6 +730,17 @@ def test_alex_output_bytes_are_pinned():
 
 
 # -- reference: the diagram built crossing by crossing ----------------------
+
+
+def _union(parent, x, y):
+    parent[_find(parent, x)] = _find(parent, y)
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def reference_diagram(p, q, r):
