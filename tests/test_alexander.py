@@ -406,6 +406,12 @@ def relabelled(diagram, old, new):
     return replace(diagram, crossings=tuple(crossings))
 
 
+def closure_arcs(diagram):
+    """The arcs at the band ends, which the closure glues."""
+    return {arc for overs, incomings, outgoings, _ in bands(diagram)
+            for arc in (overs[0], overs[-1], incomings[0], outgoings[-1])}
+
+
 class TestBandPreconditions:
     """A diagram whose bands do not chain, or that lacks crossings, raises."""
 
@@ -452,9 +458,7 @@ class TestBandPreconditions:
     def test_an_interior_arc_merged_with_another_arc_is_rejected(self):
         # chains, band ends and gluing are untouched, so only the count of
         # distinct arc labels (13 for 14 crossings) can tell
-        ends = {arc for overs, incomings, outgoings, _ in bands(self.diagram)
-                for arc in (overs[0], overs[-1], incomings[0], outgoings[-1])}
-        interior = set(range(self.diagram.arc_count)) - ends
+        interior = set(range(self.diagram.arc_count)) - closure_arcs(self.diagram)
         assert len(interior) == 8 and self.diagram.crossings[0].outgoing in interior  # y_2 of the first band
         for arc in interior:
             for other in set(range(self.diagram.arc_count)) - {arc}:
@@ -462,8 +466,7 @@ class TestBandPreconditions:
                     fox_alexander(relabelled(self.diagram, arc, other))
 
     def test_two_closure_arcs_merged_are_rejected_by_the_arc_relation_count(self):
-        ends = {arc for overs, incomings, outgoings, _ in bands(self.diagram)
-                for arc in (overs[0], overs[-1], incomings[0], outgoings[-1])}
+        ends = closure_arcs(self.diagram)
         assert ends == {0, 5, 6, 8, 9, 13}
         for arc, other in permutations(ends, 2):
             with pytest.raises(DiagramError, match="arc/relation count mismatch"):
