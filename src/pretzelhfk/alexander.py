@@ -3,9 +3,10 @@
 The pretzel diagram (three vertical twist bands, closed cyclically at top
 and bottom) is written band by band in closed form, each crossing once as a
 `Crossing` NamedTuple made in C (`_replace` changes a field: it is not a
-dataclass), and the closure glues each band's right ends to the next band's
-left ends through one six-entry map; the Alexander polynomial is a minor of
-its Fox matrix over Z[t, 1/t].
+dataclass) with its exponent from one constant table keyed by the even band,
+and the closure glues each band's right ends to the next band's left ends
+through one six-entry map; the Alexander polynomial is a minor of its Fox
+matrix over Z[t, 1/t].
 
 That matrix is never built.  Inside a band the crossings chain:
 crossing j takes its over-arc y_{j+1} and its incoming arc y_j and emits
@@ -40,9 +41,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, cycle, product, repeat
+from itertools import accumulate, cycle, repeat
 from operator import add, sub
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .algebra import normalize_alexander
 
@@ -76,53 +77,15 @@ class PretzelDiagram:
     arc_count: int
 
 
-def _strand_directions(twists: Tuple[int, int, int]) -> Dict[Tuple[int, str], str]:
-    """Trace the closed-up diagram once and orient every band strand.
-
-    Returns dir[(band, top_side_entered)] in {"down", "up"}; raises if the
-    trace closes up before visiting all six strands (link case).
-    """
-    seen: Dict[Tuple[int, str], str] = {}
-    band, side, at_top = 0, "L", True
-    for _ in range(12):
-        n = abs(twists[band])
-        other_end_side = side if n % 2 == 0 else ("R" if side == "L" else "L")
-        top_side = side if at_top else other_end_side
-        if (band, top_side) in seen:
-            break
-        seen[(band, top_side)] = "down" if at_top else "up"
-        exit_side = other_end_side if at_top else top_side
-        # closure arcs: (k, R) joins (k+1, L); (k, L) joins (k-1, R)
-        if exit_side == "R":
-            band, side = (band + 1) % 3, "L"
-        else:
-            band, side = (band - 1) % 3, "R"
-        at_top = not at_top
-    if len(seen) != 6:
-        raise DiagramError(f"P{twists} is a link, not a knot")
-    return seen
-
-
-def _cross(u: Tuple[int, int], v: Tuple[int, int]) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _diagonal(pos: str, going_down: bool) -> Tuple[int, int]:
-    """Direction of a strand inside a crossing, by its position above it."""
-    if pos == "L":  # occupies the upper-left -> lower-right diagonal
-        return (1, -1) if going_down else (-1, 1)
-    return (-1, -1) if going_down else (1, 1)
-
-
-def _band_exponents(positive: bool, over_down: bool, under_down: bool) -> Tuple[int, int]:
-    """A band's exponents (e_0, e_1), by its twist's sign and whether its over and
-    under strands go down; the sign rule is symmetric in the two strands."""
-    over, under = ("L", "R") if positive else ("R", "L")
-    sign = 1 if _cross(_diagonal(over, over_down), _diagonal(under, under_down)) > 0 else -1
-    return (sign if under_down else -sign, sign if over_down else -sign)
-
-
-_EXPONENTS = {key: _band_exponents(*key) for key in product((True, False), repeat=3)}
+# Each band's exponents (e_0, e_1) for a positive twist, by which band is even:
+# the closure runs the even band's strands opposite ways, each odd band's the
+# same way, the lower-indexed odd band down.  A negative twist negates each
+# crossing's sign and swaps the under-strand: an odd band's pair is negated.
+_EXPONENTS = (
+    ((-1, 1), (-1, -1), (1, 1)),
+    ((-1, -1), (1, -1), (1, 1)),
+    ((-1, -1), (1, 1), (-1, 1)),
+)
 
 
 def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
@@ -133,19 +96,22 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     side L for a positive twist, else R; its arcs are y_0 and y_1 (top, under
     and over side), then y_2, ..., y_{n+1}, one per crossing, and crossing j
     is Crossing(over=y_{j+1}, incoming=y_j, outgoing=y_{j+2}, exponent=
-    e_{j mod 2}), made in C: the strands swap sides at each crossing, so the
-    two exponents are looked up once in `_EXPONENTS` by the strand directions.
-    Raw labels count the bands in order (top L, top R, then one per crossing).
-    The closure maps each band's top and bottom right ends to the next band's
-    left ends; a band end's representative is where that map leads, and every
-    arc is relabelled by the rank of its representative among the unmapped.
+    e_{j mod 2}), made in C.  The strands swap sides at each crossing, and
+    which way each runs depends only on which band is even, so the pair
+    (e_0, e_1) is read from the constant `_EXPONENTS`, negated for an odd band
+    with a negative twist.  Raw labels count the bands in order (top L, top R,
+    then one per crossing).  The closure maps each band's top and bottom right
+    ends to the next band's left ends; a band end's representative is where
+    that map leads, and every arc is relabelled by the rank of its
+    representative among the unmapped, so there are as many arcs as crossings.
     """
     twists = (p, q, r)
     if 0 in twists:
         raise DiagramError("zero twist bands are not supported")
-    if sum(1 for t in twists if t % 2 == 0) != 1:
+    parities = [t % 2 for t in twists]
+    if parities.count(0) != 1:
         raise DiagramError(f"P{twists} is a link, not a knot")
-    directions = _strand_directions(twists)
+    pairs = _EXPONENTS[parities.index(0)]
 
     tops, bottoms, bands = [], [], []  # bands: (twist, start, raw y_0, y_1, y_n, y_{n+1})
     base = 0
@@ -166,8 +132,9 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     new_crossing = partial(tuple.__new__, Crossing)
     for band, (t, start, *ends) in enumerate(bands):
         n = abs(t)
-        over, under = ("L", "R") if t > 0 else ("R", "L")
-        exponents = _EXPONENTS[t > 0, directions[band, over] == "down", directions[band, under] == "down"]
+        e0, e1 = pairs[band]
+        if t < 0 and n % 2:
+            e0, e1 = -e0, -e1
         # interior arcs are their own representatives; below them lie two merged
         # labels per earlier band and this band's top right end
         y = [0, 0, *range(start + 1 - 2 * band, start + n + 1 - 2 * band)]
@@ -175,12 +142,9 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
             while x in glue:
                 x = glue[x]
             y[j] = x - bisect_left(merged, x)
-        crossings.extend(map(new_crossing, zip(y[1:], y, y[2:], cycle(exponents))))
+        crossings.extend(map(new_crossing, zip(y[1:], y, y[2:], cycle((e0, e1)))))
 
-    diagram = PretzelDiagram(twists=twists, crossings=tuple(crossings), arc_count=base - len(merged))
-    if diagram.arc_count != len(crossings):
-        raise DiagramError("arc/crossing count mismatch; diagram is not a knot diagram")
-    return diagram
+    return PretzelDiagram(twists=twists, crossings=tuple(crossings), arc_count=base - len(merged))
 
 
 def _digit_bits(bound: int) -> int:
@@ -212,16 +176,17 @@ def _decode(value: int, bits: int) -> List[int]:
     return list(map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(1 << (bits - 1))))
 
 
-def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int], List[int]]:
+def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int]]:
     """The product T_{e_{n-1}} ... T_{e_1} T_{e_0} over one band, in closed form.
 
     Crossing j gives y_{j+2} - y_{j+1} = -t^(e_j) (y_{j+1} - y_j), so
     y_{i+1} - y_i = u_i (y_1 - y_0) with u_i = (-1)^i t^(e_0 + ... + e_{i-1}),
     and y_m = (1 - S_m) y_0 + S_m y_1 with S_m = u_0 + ... + u_{m-1}.  The
     product maps (y_1, y_0) to (y_{n+1}, y_n), so its rows are
-    (S_{n+1}, 1 - S_{n+1}) and (S_n, 1 - S_n), for any exponent sequence.
-    Returns (lo, S_{n+1}, S_n): both as coefficient lists of t^lo, t^(lo+1),
-    ..., where lo <= 0 is the least prefix sum.
+    (S_{n+1}, 1 - S_{n+1}) and (S_n, 1 - S_n), for any exponent sequence,
+    with S_{n+1} = S_n + u_n.  Returns (lo, S_n): S_n as the coefficient list
+    of t^lo, t^(lo+1), ..., where lo <= 0 is the least prefix sum, long enough
+    to hold u_n too.
     """
     n = len(exponents)
     if n == 0:
@@ -233,9 +198,7 @@ def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int], List[int]]
         cs[k - lo] += 1
     for k in sums[1:n:2]:
         cs[k - lo] -= 1
-    s_n = cs[:]
-    cs[sums[n] - lo] += -1 if n % 2 else 1
-    return lo, cs, s_n
+    return lo, cs
 
 
 # The minor without the last band's last relation and the first band's y_0
@@ -282,7 +245,7 @@ def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
         arcs.update(over_side, under_side)
         labels.update(overs)  # with the band's ends, every arc of a chained band
         relations += 1 if n == 1 else 2
-        lo, _, s_n = _band_transfer(exponents)
+        lo, s_n = _band_transfer(exponents)
         s = _evaluate(s_n, bits)  # S_{n+1} = S_n + (-1)^n t^(e_0 + ... + e_{n-1})
         values += (1 << bits * -lo, s, s + ((-1 if n % 2 else 1) << bits * (sum(exponents) - lo)))
     if len(arcs) != relations:

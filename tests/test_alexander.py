@@ -20,11 +20,9 @@ from pretzelhfk.alexander import (
     DiagramError,
     PretzelDiagram,
     _band_transfer,
-    _cross,
     _decode,
     _digit_bits,
     _evaluate,
-    _strand_directions,
     build_pretzel_diagram,
     fox_alexander,
     pretzel_determinant,
@@ -327,6 +325,15 @@ def test_large_knots_match_the_euler_characteristic(a, b, c, sign):
 # -- the band transfer -------------------------------------------------------
 
 
+def band_sums(exponents):
+    """(lo, S_{n+1}, S_n): `_band_transfer`'s lo and S_n, and S_{n+1} by the rule
+    that fox_alexander applies, S_n + (-1)^n t^(e_0 + ... + e_{n-1})."""
+    lo, s_n = _band_transfer(exponents)
+    s_next = s_n[:]
+    s_next[sum(exponents) - lo] += -1 if len(exponents) % 2 else 1
+    return lo, s_next, s_n
+
+
 def crossing_matrix(e):
     """T_e = [[1 - t^e, t^e], [1, 0]] for one crossing, as Laurent polynomials."""
     t_e = {e: 1}
@@ -348,7 +355,7 @@ def test_band_transfer_is_the_product_of_the_crossing_matrices(exponents):
     expect = [[ONE, ZERO], [ZERO, ONE]]
     for e in exponents:
         expect = matmul(crossing_matrix(e), expect)
-    lo, s_next, s_n = _band_transfer(exponents)
+    lo, s_next, s_n = band_sums(exponents)
     got = [[laurent((lo, s)), plus(ONE, negated(laurent((lo, s))))] for s in (s_next, s_n)]
     assert got == expect
 
@@ -497,7 +504,7 @@ def band_minor(d):
     """
     relations = []
     for overs, incomings, outgoings, exponents in bands(d):
-        lo, s_next, s_n = _band_transfer(exponents)
+        lo, s_next, s_n = band_sums(exponents)
         if len(overs) > 1:
             relations.append((overs[-1], overs[0], incomings[0], laurent((lo, s_n))))
         relations.append((outgoings[-1], overs[0], incomings[0], laurent((lo, s_next))))
@@ -523,7 +530,7 @@ def form_value(d):
     band gives t^-lo, t^-lo S_n and t^-lo S_{n+1}."""
     values = []
     for _, _, _, exponents in bands(d):
-        lo, s_next, s_n = _band_transfer(exponents)
+        lo, s_next, s_n = band_sums(exponents)
         values += (Laurent({-lo: 1}), Laurent(laurent((0, s_n))), Laurent(laurent((0, s_next))))
     return _FORMS[tuple(t > 0 for t in d.twists)](*values)
 
@@ -746,6 +753,37 @@ def _find(parent, x):
     return x
 
 
+def _strand_directions(twists):
+    """Trace the closed-up diagram once and orient every band strand.
+
+    Returns dir[(band, top_side_entered)] in {"down", "up"}; raises if the
+    trace closes up before visiting all six strands (link case).
+    """
+    seen = {}
+    band, side, at_top = 0, "L", True
+    for _ in range(12):
+        n = abs(twists[band])
+        other_end_side = side if n % 2 == 0 else ("R" if side == "L" else "L")
+        top_side = side if at_top else other_end_side
+        if (band, top_side) in seen:
+            break
+        seen[(band, top_side)] = "down" if at_top else "up"
+        exit_side = other_end_side if at_top else top_side
+        # closure arcs: (k, R) joins (k+1, L); (k, L) joins (k-1, R)
+        if exit_side == "R":
+            band, side = (band + 1) % 3, "L"
+        else:
+            band, side = (band - 1) % 3, "R"
+        at_top = not at_top
+    if len(seen) != 6:
+        raise DiagramError(f"P{twists} is a link, not a knot")
+    return seen
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def reference_diagram(p, q, r):
     """P(p, q, r) built one crossing at a time, then merged by union-find.
 
@@ -847,6 +885,16 @@ class TestBuilderAgainstTheReference:
     def test_large_knots(self, a, b, c, sign):
         twists = TangleParams(a, b, c, sign).pretzel_triple()
         assert build_pretzel_diagram(*twists) == reference_diagram(*twists)
+
+    def test_every_even_band_position_sign_and_unit_band(self):
+        # the grid puts the even band first: here each of the three positions is
+        # even, with every sign and unit bands, so each `_EXPONENTS` entry is read
+        values = (1, -1, 2, -2, 3, -3, 4, -4)
+        knots = [(p, q, r) for p in values for q in values for r in values]
+        knots = [t for t in knots if sum(x % 2 == 0 for x in t) == 1]
+        assert len(knots) == 192
+        for twists in knots:
+            assert build_pretzel_diagram(*twists) == reference_diagram(*twists), twists
 
     def test_zero_bands_and_links_raise_the_same_error(self):
         rng = random.Random(607)

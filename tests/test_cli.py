@@ -417,6 +417,30 @@ def test_the_package_imports_only_the_stdlib():
     assert not imports_outside_the_stdlib(ast.parse("from itertools import accumulate").body[0])
 
 
+def unused_imports(source):
+    """The names a module imports and never reads; `__future__` imports are directives."""
+    tree = ast.parse(source)
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_module_reads_every_name_it_imports():
+    # an import outlives the code that read it unless a test looks; `__init__`
+    # imports to re-export, and cli imports compute_hfk for benchmarks/tracing.py to bind
+    package = Path(pretzelhfk.__file__).resolve().parent
+    unused = {path.stem: unused_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
+    del unused["__init__"]
+    assert unused == {**dict.fromkeys(unused, []), "cli": ["compute_hfk"]}
+    assert unused_imports("from itertools import accumulate, product\nlist(accumulate([1]))\n") == ["product"]
+    assert unused_imports("from typing import Dict\nx: Dict[int, int] = {}\n") == []
+
+
 def test_every_benchmark_tracer_binding_resolves():
     # benchmarks/tracing.py replaces these attributes by name, so a dropped
     # import (such as cli's unused compute_hfk) would break only the benchmark;

@@ -1,6 +1,8 @@
-"""Tests for the summary maths of tools/pairs.py (no benchmark is run)."""
+"""Tests for the summary maths and run loop of tools/pairs.py (no benchmark is run)."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,22 @@ def test_unpaired_runs_are_rejected():
         pairs.summarize([1, 2], [1], "lower")
     with pytest.raises(ValueError):
         pairs.summarize([], [], "lower")
+
+
+def test_a_failed_run_keeps_the_finished_runs(monkeypatch, tmp_path, capsys):
+    # no export and no benchmark: the third run (pair 2, change first) exits 3
+    calls = []
+
+    def run_once(checkout, args):
+        calls.append(checkout)
+        if len(calls) == 3:
+            raise subprocess.CalledProcessError(3, ["benchmarks/run.py"])
+        return {"failed": 0, "run": len(calls)}
+
+    monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    out = tmp_path / "runs.json"
+    code = pairs.main(["--workload", "grid-sweep", "--seed", "1", "--pairs", "10", "--out", str(out)])
+    assert code == 1 and len(calls) == 3
+    assert json.loads(out.read_text()) == {"parent": [{"failed": 0, "run": 1}], "change": [{"failed": 0, "run": 2}]}
+    assert "pair 2/10 change: exit code 3" in capsys.readouterr().err

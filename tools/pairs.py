@@ -10,7 +10,9 @@ bytecode from an earlier run.  For every metric it prints each side's median
 and quartiles, the median's relative change, the pairs the change wins (by
 the metric's `better` in BENCHMARK.json), and whether the medians lie further
 apart than the parent's interquartile range.  `--out FILE` also writes every
-run's result line as JSON.
+run's result line as JSON.  If a run exits nonzero, the runs finished so far
+are still written to `--out`, the pair, side and exit code go to stderr, and
+the exit status is 1.
 """
 
 from __future__ import annotations
@@ -92,7 +94,14 @@ def main(argv: List[str] | None = None) -> int:
         sides = {"parent": Path(tmp), "change": ROOT}
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_once(sides[side], args))
+                try:
+                    runs[side].append(run_once(sides[side], args))
+                except subprocess.CalledProcessError as exc:
+                    # keep the finished runs: one crash must not discard the others
+                    if args.out:
+                        args.out.write_text(json.dumps(runs, indent=1))
+                    print(f"pair {i + 1}/{args.pairs} {side}: exit code {exc.returncode}", file=sys.stderr)
+                    return 1
                 print(f"pair {i + 1}/{args.pairs} {side}: failed {runs[side][-1]['failed']}", file=sys.stderr)
     if args.out:
         args.out.write_text(json.dumps(runs, indent=1))
