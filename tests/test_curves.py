@@ -1,5 +1,6 @@
 """Tests for the graded tangle curve lists and their invariants."""
 
+import hashlib
 import pickle
 import random
 from dataclasses import FrozenInstanceError, replace
@@ -189,6 +190,15 @@ class TestTangleCurveLists:
         ]
         assert (rc.slope.numerator, rc.slope.denominator) == (-3, 10)
         assert (rc.m, rc.M) == (-4, 4)
+
+    def test_every_ordered_list_up_to_40_is_pinned(self):
+        # (a, b, [str(curve), ...]) for all a, b <= 40 pins every curve of
+        # every list and its position in the list
+        digest = hashlib.sha256()
+        for a in range(1, 41):
+            for b in range(1, 41):
+                digest.update(f"{(a, b, [str(c) for c in pretzel_tangle_curves(a, b)])}\n".encode())
+        assert digest.hexdigest() == "561b7051ec51fc1f5f34e83e12956d76efa127ab534cace3732d24814a57b5b3"
 
 
 def memo_sample():

@@ -83,6 +83,19 @@ class TestClassification:
         assert overlap.overlap_gradings == (-2, 2)
         assert overlap.overlap_ranks == (1, 2)
 
+    def test_every_prediction_up_to_40_is_pinned(self):
+        # (a, b, c, sign, shape, overlap gradings, overlap ranks) for all
+        # a, b, c <= 40 and both closure signs
+        digest = hashlib.sha256()
+        for a in range(1, 41):
+            for b in range(1, 41):
+                for c in range(1, 41):
+                    for sign in "+-":
+                        k = classify(TangleParams(a, b, c, sign))
+                        row = (a, b, c, sign, k.shape.value, k.overlap_gradings, k.overlap_ranks)
+                        digest.update(f"{row}\n".encode())
+        assert digest.hexdigest() == "bc6d2042924faeb82f25c2679b3083d5ccb8dbd0ab704483a241d9459a1e75fd"
+
     def test_table_rederivation_agrees(self):
         for tup in [(1, 1, 2, "+"), (3, 1, 2, "+"), (1, 1, 1, "-"), (3, 2, 4, "+")]:
             params = TangleParams(*tup)
