@@ -209,7 +209,11 @@ class GeneratorMultiset:
 
 @dataclass(frozen=True)
 class HfkTable:
-    """The assembled knot Floer homology: rank per (Alexander, relative delta)."""
+    """The assembled knot Floer homology: rank per (Alexander, relative delta).
+
+    Every cell's rank is positive, as compute_hfk writes it; a zero-rank cell
+    is outside this contract, and the checks may count it as support.
+    """
 
     params: "object"  # TangleParams; kept loose to avoid an import cycle
     entries: Mapping[Tuple[int, HalfInteger], int]

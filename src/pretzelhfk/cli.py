@@ -262,10 +262,7 @@ def cmd_sweep(args) -> int:
 def _poly_str(alex: Sequence[int]) -> str:
     """a_0 + sum a_i (t^i + t^-i) for alex = (a_0, ..., a_g), highest power of t first."""
     parts = []
-    for e in range(len(alex) - 1, -len(alex), -1):
-        c = alex[abs(e)]
-        if not c:
-            continue
+    for e, c in reversed(list(alexander_terms(alex))):
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
         if e == 0:

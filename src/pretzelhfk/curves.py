@@ -1,8 +1,10 @@
 """Graded immersed-curve lists for the (2a,-2b-1)-pretzel tangle.
 
-The tangle invariant consists of "special" curves i_k(1,4) / i_k(2,3) and one
-family of rational curves, with the exact list depending on how a compares to
-b (three cases).  Each curve carries the minimal and maximal Alexander grading
+The tangle invariant is a ladder of "special" curves i_k(1,4), a rational
+middle and the ladder's grading reversal, the curves i_k(2,3).  The ladder's
+length and the middle depend on how a compares to b: when a <= b the middle is
+2(b-a)+1 parallel curves of slope 1/2a, and when a > b it is one curve of
+slope -A/B.  Each curve carries the minimal and maximal Alexander grading
 (m, M) of its intersections with the parametrizing square, and is checked once,
 by `GradedCurve.__init__`, however it is made (`dataclasses.replace` included).
 """
@@ -154,15 +156,14 @@ def case_of(a: int, b: int) -> CaseLabel:
 def slope_AB(a: int, b: int) -> Tuple[int, int, int]:
     """The (A, B, M) data of the general rational curve, defined only when a > b+1.
 
-    A = 2(a-b)-1, B = 4b(a-b-1)+2a = A(2b+1)+1, M = 2b+2.
+    A = 2(a-b)-1, B = 4b(a-b-1)+2a = A(2b+1)+1, M = 2b+2.  B = A(2b+1)+1
+    makes gcd(A, B) = 1, and ReducedSlope rechecks lowest terms.
     """
     if case_of(a, b) is not CaseLabel.CASE_III:
         raise CurveError(f"slope_AB requires a > b + 1, got a={a}, b={b}")
     A = 2 * (a - b) - 1
     B = 4 * b * (a - b - 1) + 2 * a
     M = 2 * b + 2
-    if B != A * (2 * b + 1) + 1 or math.gcd(A, B) != 1:
-        raise CurveError(f"inconsistent general-slope data A={A}, B={B} at a={a}, b={b}")
     return A, B, M
 
 
@@ -170,45 +171,37 @@ def slope_AB(a: int, b: int) -> Tuple[int, int, int]:
 def pretzel_tangle_curves(a: int, b: int) -> Tuple[GradedCurve, ...]:
     """The full graded curve list for the (2a,-2b-1)-pretzel tangle, as a tuple.
 
+    The list is the (1,4) ladder, then the rational middle, then the ladder's
+    grading reversal.  The ladder holds, for j = 1..min(a-1, b), the curves
+    i_j(1,4) t^(-2b-2) t^(4j-2b-2) and i_j(1,4) t^(-2b) t^(4j-2b), and when
+    a <= b also i_a(1,4) t^(-2b-2) t^(4a-2b-2).  The middle is the curves
+    r(1/2a) t^m t^(m+4a), m = -2b, ..., 2b-4a in steps of 2, when a <= b, and
+    r(-A/B) t^-M t^M when a > b: (A, B, M) = slope_AB(a, b) when a > b+1, and
+    (1, 2a, 2a), the same formulas at a = b+1.  Each ladder curve
+    i_k(1,4) t^m t^M, in reverse order, gives the mirror curve i_k(2,3)
+    t^-M t^-m.
+
     The list depends on (a, b) alone; c enters only when each curve is paired
     with the closure curve.  verify and a sweep over c ask for the same (a, b)
     again, so the last result is kept.  It is a tuple of frozen curves, so a
     caller cannot change what the next one gets.  typed=True keeps (3.0, 1)
-    raising TypeError after (3, 1) was cached.  The rational curves of a
-    Case I list share one frozen ReducedSlope(1, 2a).
+    raising TypeError after (3, 1) was cached.  The rational curves of an
+    a <= b list share one frozen ReducedSlope(1, 2a).
     """
-    case = case_of(a, b)
+    if a < 1 or b < 1:
+        raise CurveError("a and b must be positive")
     S14, S23 = CurveKind.SPECIAL14, CurveKind.SPECIAL23
-    out: List[GradedCurve] = []
-    if case is CaseLabel.CASE_I:
-        for j in range(1, a):
-            out.append(GradedCurve(S14, -2 * b - 2, 4 * j - 2 * b - 2, None, j))
-            out.append(GradedCurve(S14, -2 * b, 4 * j - 2 * b, None, j))
-        out.append(GradedCurve(S14, -2 * b - 2, 4 * a - 2 * b - 2, None, a))
+    specials: List[GradedCurve] = []
+    for j in range(1, min(a - 1, b) + 1):
+        specials.append(GradedCurve(S14, -2 * b - 2, 4 * j - 2 * b - 2, None, j))
+        specials.append(GradedCurve(S14, -2 * b, 4 * j - 2 * b, None, j))
+    if a <= b:
+        specials.append(GradedCurve(S14, -2 * b - 2, 4 * a - 2 * b - 2, None, a))
         slope = ReducedSlope(1, 2 * a)
-        for m in range(-2 * b, 2 * b - 4 * a + 1, 2):
-            out.append(GradedCurve(CurveKind.RATIONAL, m, m + 4 * a, slope))
-        out.append(GradedCurve(S23, 2 * b - 4 * a + 2, 2 * b + 2, None, a))
-        for j in range(a - 1, 0, -1):
-            out.append(GradedCurve(S23, 2 * b - 4 * j, 2 * b, None, j))
-            out.append(GradedCurve(S23, 2 * b - 4 * j + 2, 2 * b + 2, None, j))
-    elif case is CaseLabel.CASE_II:
-        for j in range(1, a):
-            out.append(GradedCurve(S14, -2 * a, 4 * j - 2 * a, None, j))
-            out.append(GradedCurve(S14, -2 * a + 2, 4 * j - 2 * a + 2, None, j))
-        out.append(GradedCurve.rational(-1, 2 * a, -2 * a, 2 * a))
-        for j in range(a - 1, 0, -1):
-            out.append(GradedCurve(S23, 2 * a - 4 * j - 2, 2 * a - 2, None, j))
-            out.append(GradedCurve(S23, 2 * a - 4 * j, 2 * a, None, j))
+        middle = [GradedCurve(CurveKind.RATIONAL, m, m + 4 * a, slope)
+                  for m in range(-2 * b, 2 * b - 4 * a + 1, 2)]
     else:
-        A, B, M = slope_AB(a, b)
-        for j in range(1, b + 1):
-            out.append(GradedCurve(S14, -2 * b - 2, 4 * j - 2 * b - 2, None, j))
-            out.append(GradedCurve(S14, -2 * b, 4 * j - 2 * b, None, j))
-        out.append(GradedCurve.rational(-A, B, -M, M))
-        out.append(GradedCurve(S23, -2 * b, 2 * b, None, b))
-        out.append(GradedCurve(S23, -2 * b + 2, 2 * b + 2, None, b))
-        for j in range(b - 1, 0, -1):
-            out.append(GradedCurve(S23, 2 * b - 4 * j, 2 * b, None, j))
-            out.append(GradedCurve(S23, 2 * b - 4 * j + 2, 2 * b + 2, None, j))
-    return tuple(out)
+        A, B, M = slope_AB(a, b) if a > b + 1 else (1, 2 * a, 2 * a)
+        middle = [GradedCurve.rational(-A, B, -M, M)]
+    mirror = [GradedCurve(S23, -s.M, -s.m, None, s.k) for s in reversed(specials)]
+    return tuple(specials + middle + mirror)

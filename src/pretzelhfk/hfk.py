@@ -26,13 +26,7 @@ from .algebra import (
     euler_characteristic,
     normalize_alexander,
 )
-from .curves import (
-    CaseLabel,
-    CurveKind,
-    TangleParams,
-    case_of,
-    pretzel_tangle_curves,
-)
+from .curves import CurveKind, TangleParams, pretzel_tangle_curves
 from .geometry import closure_curve, det_pair_count
 from .pairing import pair_curve
 
@@ -66,21 +60,24 @@ def compute_hfk(params: TangleParams) -> HfkTable:
 
 
 def classify(params: TangleParams) -> Classification:
-    """Table shape predicted directly from (a, b, c) and the closure sign."""
+    """Table shape predicted directly from (a, b, c) and the closure sign.
+
+    With the negative closure the table is thin iff a > b or a > c, and
+    otherwise lies on two disjoint delta lines.  With the positive closure it
+    is thin iff a <= b or c <= b, and otherwise on two disjoint lines iff
+    a = b + 1.  What is left is the paper's overlap regime b < c and
+    b < a - 1, where the two lines share the gradings +-(c - b) with ranks
+    b (higher delta) and a - b - 1 (lower delta).
+    """
     a, b, c = params.a, params.b, params.c
     if not params.positive_closure:
         if a > b or a > c:
             return Classification(Shape.THIN)
         return Classification(Shape.TWO_DELTA_DISJOINT)
-    case = case_of(a, b)
-    if case is CaseLabel.CASE_I:
+    if a <= b or c <= b:
         return Classification(Shape.THIN)
-    if case is CaseLabel.CASE_II:
-        if a > c:
-            return Classification(Shape.THIN)
+    if a == b + 1:
         return Classification(Shape.TWO_DELTA_DISJOINT)
-    if c <= b:
-        return Classification(Shape.THIN)
     return Classification(
         Shape.OVERLAP,
         overlap_gradings=(-(c - b), c - b),
@@ -141,7 +138,12 @@ class VerificationReport:
 
 
 def verify(params: TangleParams) -> VerificationReport:
-    """Run every consistency check for one knot; failures are report entries."""
+    """Run every consistency check for one knot; failures are report entries.
+
+    The checks assume that every cell's rank is positive, as compute_hfk
+    writes it.  A zero-rank cell is outside that contract: (ii) reads it as
+    rank 0, while (iii) and (iv) count it as support.
+    """
     table = compute_hfk(params)
     predicted = classify(params)
     report = VerificationReport(params=params, table=table, predicted=predicted)

@@ -1,6 +1,7 @@
 """Tests for the graded tangle curve lists and their invariants."""
 
 import hashlib
+import math
 import pickle
 import random
 from dataclasses import FrozenInstanceError, replace
@@ -130,6 +131,7 @@ class TestCaseSplit:
         if case_of(a, b) is CaseLabel.CASE_III:
             A, B, M = slope_AB(a, b)
             assert B == A * (2 * b + 1) + 1
+            assert math.gcd(A, B) == 1
             assert M == 2 * b + 2
 
 
