@@ -145,35 +145,9 @@ class GeneratorMultiset:
 
     @property
     def entries(self) -> Dict[Tuple[int, HalfInteger], int]:
-        """Rank per (alexander, delta) cell, summed in one sorted walk per delta.
-
-        Each delta gets a sparse difference map {edge: rank change}, keyed by
-        the int 2*delta; the walk writes the cells between consecutive edges
-        straight out, so time and memory go with the runs, not with the span.
-        Cells come in first-seen delta order, then ascending s, and keep the
-        first-seen HalfInteger object; zero-rank cells are left out.
-        """
+        """Rank per (alexander, delta) cell, summed by cells_of_runs on first access."""
         if self._entries is None:
-            diffs: Dict[int, Dict[int, int]] = {}
-            first: Dict[int, HalfInteger] = {}
-            for lo, hi, d, rk in self.runs:
-                diff = diffs.get(d.twice)
-                if diff is None:
-                    diff = diffs[d.twice] = {}
-                    first[d.twice] = d
-                diff[lo] = diff.get(lo, 0) + rk
-                diff[hi + 1] = diff.get(hi + 1, 0) - rk
-            out: Dict[Tuple[int, HalfInteger], int] = {}
-            for twice, diff in diffs.items():
-                d = first[twice]
-                rk = start = 0
-                for edge in sorted(diff):
-                    if rk:
-                        for s in range(start, edge):
-                            out[s, d] = rk
-                    rk += diff[edge]
-                    start = edge
-            self._entries = out
+            self._entries = cells_of_runs(self.runs)
         return self._entries
 
     def add(self, other: "GeneratorMultiset") -> "GeneratorMultiset":
@@ -205,6 +179,37 @@ class GeneratorMultiset:
         items = sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         body = ", ".join(f"(s={s}, d={d}): {rk}" for (s, d), rk in items)
         return f"GeneratorMultiset({{{body}}})"
+
+
+def cells_of_runs(runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> Dict[Tuple[int, HalfInteger], int]:
+    """Rank per (alexander, delta) cell of runs, each nonempty with a rank >= 0.
+
+    One sorted walk per delta over a sparse difference map {edge: rank change},
+    keyed by the int 2*delta, writes the cells between consecutive edges, so
+    time and memory go with the runs, not the span.  Cells come in first-seen
+    delta order, then ascending s, and keep the first-seen HalfInteger object;
+    zero-rank cells are left out.
+    """
+    diffs: Dict[int, Dict[int, int]] = {}
+    first: Dict[int, HalfInteger] = {}
+    for lo, hi, d, rk in runs:
+        diff = diffs.get(d.twice)
+        if diff is None:
+            diff = diffs[d.twice] = {}
+            first[d.twice] = d
+        diff[lo] = diff.get(lo, 0) + rk
+        diff[hi + 1] = diff.get(hi + 1, 0) - rk
+    out: Dict[Tuple[int, HalfInteger], int] = {}
+    for twice, diff in diffs.items():
+        d = first[twice]
+        rk = start = 0
+        for edge in sorted(diff):
+            if rk:
+                for s in range(start, edge):
+                    out[s, d] = rk
+            rk += diff[edge]
+            start = edge
+    return out
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
     except BrokenPipeError:
         # the reader is gone: send the unflushed rest to devnull, exit as SIGPIPE does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 141
 
 

@@ -51,7 +51,7 @@ from collections import Counter
 from typing import Dict, Tuple
 
 from .algebra import GeneratorMultiset, HalfInteger
-from .curves import CurveKind, GradedCurve, ReducedSlope
+from .curves import RATIONAL, GradedCurve, ReducedSlope
 
 # The shoelace sign accepted as clockwise (see module docstring).
 CW_SIGN = -1
@@ -246,7 +246,7 @@ def enumerate_geometric_pairing(
     exactly 2 * det_pair_count of them, each graded by the local disk rule.
     """
     for curve in (red, blue):
-        if curve.kind is not CurveKind.RATIONAL:
+        if curve.kind is not RATIONAL:
             raise GeometryError("geometric pairing is defined for rational curves only")
     pr, qr = red.slope.numerator, red.slope.denominator
     pb, qb = blue.slope.numerator, blue.slope.denominator

@@ -17,16 +17,16 @@ from typing import Dict, List, Optional, Tuple
 
 from .alexander import build_pretzel_diagram, fox_alexander, pretzel_determinant
 from .algebra import (
-    GeneratorMultiset,
     HalfInteger,
     HfkTable,
     alexander_terms,
     cell_alexander,
     cell_delta,
+    cells_of_runs,
     euler_characteristic,
     normalize_alexander,
 )
-from .curves import CurveKind, TangleParams, pretzel_tangle_curves
+from .curves import RATIONAL, TangleParams, pretzel_tangle_curves
 from .geometry import closure_curve, det_pair_count
 from .pairing import pair_curve
 
@@ -35,6 +35,10 @@ class Shape(Enum):
     THIN = "thin"
     TWO_DELTA_DISJOINT = "two-delta-disjoint"
     OVERLAP = "overlap"
+
+
+# bound once for per-knot code, like CurveKind's members in curves
+THIN, TWO_DELTA_DISJOINT, OVERLAP = Shape.THIN, Shape.TWO_DELTA_DISJOINT, Shape.OVERLAP
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,8 @@ def compute_hfk(params: TangleParams) -> HfkTable:
     sign, c = params.sign, params.c
     for curve in pretzel_tangle_curves(params.a, params.b):
         runs.extend(pair_curve(sign, c, curve).generators.runs)
-    return HfkTable(params=params, entries=GeneratorMultiset.of_runs(runs).entries)
+    # each pairing's runs were checked when made, so of_runs' filter is skipped
+    return HfkTable(params=params, entries=cells_of_runs(runs))
 
 
 def classify(params: TangleParams) -> Classification:
@@ -72,14 +77,14 @@ def classify(params: TangleParams) -> Classification:
     a, b, c = params.a, params.b, params.c
     if not params.positive_closure:
         if a > b or a > c:
-            return Classification(Shape.THIN)
-        return Classification(Shape.TWO_DELTA_DISJOINT)
+            return Classification(THIN)
+        return Classification(TWO_DELTA_DISJOINT)
     if a <= b or c <= b:
-        return Classification(Shape.THIN)
+        return Classification(THIN)
     if a == b + 1:
-        return Classification(Shape.TWO_DELTA_DISJOINT)
+        return Classification(TWO_DELTA_DISJOINT)
     return Classification(
-        Shape.OVERLAP,
+        OVERLAP,
         overlap_gradings=(-(c - b), c - b),
         overlap_ranks=(b, a - b - 1),
     )
@@ -100,18 +105,18 @@ def classification_from_table(table: HfkTable) -> Classification:
             line = support[d] = set()
         line.update(map(cell_alexander, cells))
     if len(support) == 1:
-        return Classification(Shape.THIN)
+        return Classification(THIN)
     if len(support) != 2:
         raise ValueError(f"table supported in {len(support)} delta gradings")
     low, high = sorted(support)
     shared = sorted(support[low] & support[high])
     if not shared:
-        return Classification(Shape.TWO_DELTA_DISJOINT)
+        return Classification(TWO_DELTA_DISJOINT)
     if len(shared) != 2 or shared[0] != -shared[1]:
         raise ValueError(f"unexpected overlap support {shared}")
     s = shared[1]
     return Classification(
-        Shape.OVERLAP,
+        OVERLAP,
         overlap_gradings=(-s, s),
         overlap_ranks=(entries[s, high], entries[s, low]),
     )
@@ -179,14 +184,14 @@ def verify(params: TangleParams) -> VerificationReport:
 
     # (iv) thin tables are determined by the Alexander polynomial
     # chi = (a_0, ..., a_g): the rank at s must be |a_|s||, and ranks are positive
-    if predicted.shape is Shape.THIN and chi is not None:
+    if predicted.shape is THIN and chi is not None:
         thin_ok = table.rank_by_alexander() == dict(alexander_terms(tuple(map(abs, chi))))
         checks["thin_ranks_match_alexander"] = "pass" if thin_ok else "fail"
     else:
         checks["thin_ranks_match_alexander"] = "skip"
 
     # (v) overlap ranks at s = +-(c-b)
-    if predicted.shape is Shape.OVERLAP:
+    if predicted.shape is OVERLAP:
         checks["overlap_ranks"] = (
             "pass"
             if derived is not None and derived.overlap_ranks == predicted.overlap_ranks
@@ -201,12 +206,9 @@ def verify(params: TangleParams) -> VerificationReport:
     red = closure_curve(c, sign).slope
     for curve in pretzel_tangle_curves(params.a, params.b):
         got = pair_curve(sign, c, curve).total_rank
-        if curve.kind is CurveKind.RATIONAL:
-            expect = det_pair_count(red, curve.slope)
-        else:
-            expect = 2 * curve.k
+        expect = det_pair_count(red, curve.slope) if curve.kind is RATIONAL else 2 * curve.k
         counts_ok = counts_ok and got == expect
-    if predicted.shape is Shape.THIN:
+    if predicted.shape is THIN:
         counts_ok = counts_ok and table.total_rank == pretzel_determinant(
             *params.pretzel_triple()
         )

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Dict, NamedTuple, Tuple
 
 from .algebra import GeneratorMultiset, HalfInteger
-from .curves import CurveKind, GradedCurve, ReducedSlope
+from .curves import SPECIAL14, SPECIAL23, GradedCurve, ReducedSlope
 
 DELTA_MINUS_HALF = HalfInteger(-1)
 DELTA_HALF = HalfInteger(1)
@@ -90,25 +90,23 @@ def reduce_generator_pairs(unreduced: GeneratorMultiset) -> ReducedPairing:
 
 def pair_special14(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
     """Pairing with a special curve of (1,4) type: 2k generators at delta 1/2."""
-    if curve.kind is not CurveKind.SPECIAL14:
+    if curve.kind is not SPECIAL14:
         raise PairingError("curve is not special of (1,4) type")
-    m, M = curve.m, curve.M
     if closure == "-":
-        gens = GeneratorMultiset.interval(m // 2 - c, M // 2 - c - 1, DELTA_HALF)
+        gens = GeneratorMultiset.interval(curve.m // 2 - c, curve.M // 2 - c - 1, DELTA_HALF)
     else:
-        gens = GeneratorMultiset.interval(m // 2 + c + 1, M // 2 + c, DELTA_HALF)
+        gens = GeneratorMultiset.interval(curve.m // 2 + c + 1, curve.M // 2 + c, DELTA_HALF)
     return _pairing((gens,))
 
 
 def pair_special23(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
     """Pairing with a special curve of (2,3) type: mirror of the (1,4) case."""
-    if curve.kind is not CurveKind.SPECIAL23:
+    if curve.kind is not SPECIAL23:
         raise PairingError("curve is not special of (2,3) type")
-    m, M = curve.m, curve.M
     if closure == "-":
-        gens = GeneratorMultiset.interval(m // 2 + c + 1, M // 2 + c, DELTA_HALF)
+        gens = GeneratorMultiset.interval(curve.m // 2 + c + 1, curve.M // 2 + c, DELTA_HALF)
     else:
-        gens = GeneratorMultiset.interval(m // 2 - c, M // 2 - c - 1, DELTA_HALF)
+        gens = GeneratorMultiset.interval(curve.m // 2 - c, curve.M // 2 - c - 1, DELTA_HALF)
     return _pairing((gens,))
 
 
@@ -173,9 +171,10 @@ def pair_curve(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
     """Dispatch a tangle curve to the matching closed-form pairing."""
     if closure not in ("+", "-"):
         raise PairingError("closure sign must be '+' or '-'")
-    if curve.kind is CurveKind.SPECIAL14:
+    kind = curve.kind
+    if kind is SPECIAL14:
         return pair_special14(closure, c, curve)
-    if curve.kind is CurveKind.SPECIAL23:
+    if kind is SPECIAL23:
         return pair_special23(closure, c, curve)
     slope = curve.slope
     if slope.denominator % 2 == 0 and slope.numerator == 1:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import pretzelhfk
-from pretzelhfk import cli, hfk
+from pretzelhfk import cli, curves, hfk
 from pretzelhfk.alexander import build_pretzel_diagram, pretzel_determinant
 from pretzelhfk.algebra import AlgebraError, GeneratorMultiset, HalfInteger, HfkTable
 from pretzelhfk.cli import MAX_PARAMETER_SUM, MAX_SWEEP_KNOTS, MAX_TWIST_SUM, main
@@ -385,6 +385,46 @@ def test_the_package_has_no_assert_statements():
     assert nodes_in_the_package(lambda node: isinstance(node, ast.Assert)) == []
 
 
+# On CPython 3.11 EnumType defines __getattr__, so every CurveKind.X or
+# Shape.X read takes the slow attribute hook: 0.11-0.21 us against 0.02 us
+# for a module name (timeit), 2-4 reads per curve per pass.  These functions
+# run once per curve or knot and read the members bound in curves and hfk.
+PER_CURVE_FUNCTIONS = {
+    "curves.py": ["GradedCurve.__init__", "pretzel_tangle_curves"],
+    "pairing.py": ["pair_curve", "pair_special14", "pair_special23"],
+    "hfk.py": ["compute_hfk", "classify", "classification_from_table", "verify"],
+}
+
+
+def enum_member_reads(tree):
+    """Every CurveKind.<member> or Shape.<member> read in tree."""
+    return [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("CurveKind", "Shape")
+    ]
+
+
+def test_the_per_curve_functions_read_no_enum_member_through_its_class():
+    package = Path(pretzelhfk.__file__).resolve().parent
+    reads = {}
+    for filename, names in PER_CURVE_FUNCTIONS.items():
+        functions = {}
+        for node in ast.parse((package / filename).read_text()).body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            functions.update((f"{node.name}.{m.name}", m) for m in methods if isinstance(m, ast.FunctionDef))
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+        for name in names:
+            reads[f"{filename}:{name}"] = enum_member_reads(functions[name])
+    assert {name: found for name, found in reads.items() if found} == {}
+    assert enum_member_reads(ast.parse("k is CurveKind.RATIONAL or s is Shape.THIN")) == [
+        "CurveKind.RATIONAL", "Shape.THIN"]
+    assert [curves.RATIONAL, curves.SPECIAL14, curves.SPECIAL23] == list(curves.CurveKind)
+    assert [hfk.THIN, hfk.TWO_DELTA_DISJOINT, hfk.OVERLAP] == list(hfk.Shape)
+
+
 def imports_fractions(node):
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "fractions" for alias in node.names)
@@ -502,13 +542,44 @@ def test_a_closed_pipe_exits_141_without_a_traceback():
     # pipe holds, so the write is still pending when the reader goes away
     src = str(Path(pretzelhfk.__file__).resolve().parent.parent)
     argv = ["compute", "--a", "100", "--b", "99", "--c", "100", "--sign", "-", "--format", "ascii"]
-    proc = subprocess.Popen([sys.executable, "-m", "pretzelhfk.cli", *argv],
-                            env=dict(os.environ, PYTHONPATH=src),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"P(200,-199,-201)")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (141, b"")
+    with subprocess.Popen([sys.executable, "-m", "pretzelhfk.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"P(200,-199,-201)")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: flushing raises BrokenPipeError."""
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return 1
+
+
+def test_the_closed_pipe_handler_closes_its_devnull_descriptor(monkeypatch):
+    # os.dup2 is recorded, not run, so the real stdout is never touched
+    opened, duplicated = [], []
+    real_open = os.open
+
+    def recording_open(path, flags, *args):
+        fd = real_open(path, flags, *args)
+        opened.append((path, fd))
+        return fd
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "dup2", lambda fd, fd2: duplicated.append((fd, fd2)))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["alex", "--p", "2", "--q", "-3", "--r", "5"]) == 141
+    monkeypatch.undo()
+    [(path, fd)] = opened
+    assert path == os.devnull and duplicated == [(fd, 1)]
+    with pytest.raises(OSError):
+        os.fstat(fd)  # closed after dup2
 
 
 def test_ascii_plot_rejects_a_generator_off_the_mu_grid():

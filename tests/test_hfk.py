@@ -380,3 +380,17 @@ def test_entry_order_and_raw_euler_lists_are_pinned():
         cells = [(s, d.twice, rk) for (s, d), rk in table.entries.items()]
         digest.update(f"{cells}\n{euler_characteristic(table)}\n".encode())
     assert digest.hexdigest() == "7db0199cfe623e6f9688992a85a0dfa03599a2efd242d1e4cacb45c95020f7f7"
+
+
+def test_compute_hfk_sums_the_pairings_runs_as_of_runs_does():
+    # compute_hfk sums the pairings' runs without of_runs' filter; the cells
+    # and their order (classification_from_table's groupby and the Euler
+    # offset read it) must be what of_runs gives, on the grid and for a, c >= 50
+    large = [TangleParams(a, b, c, sign) for sign in "+-" for a, b, c in
+             [(50, 1, 50), (50, 48, 60), (60, 59, 50), (50, 80, 70), (100, 20, 100), (99, 100, 98)]]
+    for params in GRID + large:
+        runs = [run for curve in pretzel_tangle_curves(params.a, params.b)
+                for run in pair_curve(params.sign, params.c, curve).generators.runs]
+        expected = GeneratorMultiset.of_runs(runs).entries
+        entries = compute_hfk(params).entries
+        assert (entries, list(entries)) == (expected, list(expected)), params

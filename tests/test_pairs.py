@@ -39,6 +39,31 @@ def test_a_higher_is_better_metric_and_ties():
     assert pairs.summarize(parent, change, "lower")["wins"] == 1
 
 
+def test_a_claim_holds_on_nine_wins_in_ten_and_a_resolved_median():
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    change = [90, 91, 92, 93, 94, 95, 96, 97, 98, 110]  # one loss
+    s = pairs.summarize(parent, change, "lower")
+    assert (s["wins"], s["resolved"], s["holds"]) == (9, True, True)
+    tied = pairs.summarize(parent, change[:8] + [108, 110], "lower")
+    assert (tied["wins"], tied["resolved"], tied["holds"]) == (8, True, False)  # a tie is no win
+    # every pair won, but the medians lie inside the parent's IQR of 4.5
+    close = pairs.summarize(parent, [p - 1 for p in parent], "lower")
+    assert (close["wins"], close["resolved"], close["holds"]) == (10, False, False)
+    assert pairs.summarize([5], [4], "lower")["holds"] is True
+
+
+def test_the_table_prints_whether_a_claim_holds(monkeypatch, capsys):
+    def run_once(checkout, args):  # the change, run in this work tree, takes half the time
+        return {"failed": 0, "metrics": {"op_ms_p50": {"value": 1.0 if checkout == pairs.ROOT else 2.0}}}
+
+    monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(["--workload", "grid-sweep", "--seed", "1", "--pairs", "5"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[1:3]
+    assert header.split()[-3:] == ["wins", "resolved", "holds"]
+    assert row.split()[-3:] == ["5/5", "yes", "yes"]
+
+
 def test_unpaired_runs_are_rejected():
     with pytest.raises(ValueError):
         pairs.summarize([1, 2], [1], "lower")

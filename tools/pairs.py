@@ -8,11 +8,12 @@ pair i runs the parent first when i is even and the change first when i is
 odd.  Both sides run with PYTHONDONTWRITEBYTECODE=1, so neither reuses
 bytecode from an earlier run.  For every metric it prints each side's median
 and quartiles, the median's relative change, the pairs the change wins (by
-the metric's `better` in BENCHMARK.json), and whether the medians lie further
-apart than the parent's interquartile range.  `--out FILE` also writes every
-run's result line as JSON.  If a run exits nonzero, the runs finished so far
-are still written to `--out`, the pair, side and exit code go to stderr, and
-the exit status is 1.
+the metric's `better` in BENCHMARK.json), whether the medians lie further
+apart than the parent's interquartile range, and whether a claimed gain holds:
+at least 9 in 10 pairs won and the medians that far apart.  `--out FILE` also
+writes every run's result line as JSON.  If a run exits nonzero, the runs
+finished so far are still written to `--out`, the pair, side and exit code go
+to stderr, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -44,19 +45,24 @@ def summarize(parent: Sequence[float], change: Sequence[float], better: str) -> 
     """One metric over paired runs: parent[i] and change[i] come from pair i.
 
     `wins` counts the pairs where the change is strictly better; `resolved`
-    is whether the medians differ by more than the parent's IQR.
+    is whether the medians differ by more than the parent's IQR.  `holds` is
+    the claim rule: the change wins at least 9 in 10 of the pairs (a tie
+    counts for neither side) and the result is resolved.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
     sign = 1 if better == "lower" else -1
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    resolved = abs(cm - pm) > p3 - p1
     return {
         "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
         "change_median": cm, "change_q1": c1, "change_q3": c3,
         "relative": (cm - pm) / pm if pm else float("nan"),
-        "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
-        "resolved": abs(cm - pm) > p3 - p1,
+        "wins": wins,
+        "resolved": resolved,
+        "holds": 10 * wins >= 9 * len(parent) and resolved,
     }
 
 
@@ -109,13 +115,14 @@ def main(argv: List[str] | None = None) -> int:
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           f"trace {args.trace}; failed: parent {failed['parent']}, change {failed['change']}")
-    print(f"{'metric':32} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'rel':>8} wins  resolved")
+    print(f"{'metric':32} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'rel':>8} wins  resolved holds")
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
         s = summarize(values["parent"], values["change"], better[name])
         print(f"{name:32} {s['parent_median']:>14.6g} [{s['parent_q1']:.6g}, {s['parent_q3']:.6g}]"
               f" {s['change_median']:>14.6g} [{s['change_q1']:.6g}, {s['change_q3']:.6g}]"
-              f" {s['relative']:>+8.1%} {s['wins']:>2}/{args.pairs}  {'yes' if s['resolved'] else 'no'}")
+              f" {s['relative']:>+8.1%} {s['wins']:>2}/{args.pairs}  {'yes' if s['resolved'] else 'no':8} "
+              f"{'yes' if s['holds'] else 'no'}")
     return 0
 
 
