@@ -15,6 +15,7 @@ tuple (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, count
 from operator import itemgetter, neg
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
@@ -131,17 +132,14 @@ class GeneratorMultiset:
 
     @staticmethod
     def of_runs(runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> "GeneratorMultiset":
-        out = GeneratorMultiset.__new__(GeneratorMultiset)
+        out = _new_multiset()
         out._set_runs(runs)
         return out
 
     @staticmethod
     def interval(lo: int, hi: int, delta: HalfInteger) -> "GeneratorMultiset":
         """One generator at each Alexander grading lo..hi (empty if lo > hi)."""
-        out = GeneratorMultiset.__new__(GeneratorMultiset)
-        out.runs = ((lo, hi, delta, 1),) if lo <= hi else ()
-        out._entries = None
-        return out
+        return single_run(lo, hi, delta)
 
     @property
     def entries(self) -> Dict[Tuple[int, HalfInteger], int]:
@@ -179,6 +177,17 @@ class GeneratorMultiset:
         items = sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         body = ", ".join(f"(s={s}, d={d}): {rk}" for (s, d), rk in items)
         return f"GeneratorMultiset({{{body}}})"
+
+
+_new_multiset = partial(object.__new__, GeneratorMultiset)
+
+
+def single_run(lo: int, hi: int, delta: HalfInteger) -> GeneratorMultiset:
+    """GeneratorMultiset.interval without a class lookup: the one run lo..hi of rank 1."""
+    out = _new_multiset()
+    out.runs = ((lo, hi, delta, 1),) if lo <= hi else ()
+    out._entries = None
+    return out
 
 
 def cells_of_runs(runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> Dict[Tuple[int, HalfInteger], int]:

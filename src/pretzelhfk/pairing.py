@@ -13,10 +13,9 @@ Python-level constructor runs), equal only to another ReducedPairing.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, NamedTuple, Tuple
 
-from .algebra import GeneratorMultiset, HalfInteger
+from .algebra import GeneratorMultiset, HalfInteger, single_run
 from .curves import SPECIAL14, SPECIAL23, GradedCurve, ReducedSlope
 
 DELTA_MINUS_HALF = HalfInteger(-1)
@@ -54,8 +53,8 @@ class ReducedPairing(NamedTuple):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
-# _pairing((gens,)) builds a ReducedPairing without a Python-level __new__
-_pairing = partial(tuple.__new__, ReducedPairing)
+# _tuple_new(ReducedPairing, (gens,)) makes a ReducedPairing in C, no Python-level __new__
+_tuple_new = tuple.__new__
 
 
 def reduce_generator_pairs(unreduced: GeneratorMultiset) -> ReducedPairing:
@@ -85,7 +84,7 @@ def reduce_generator_pairs(unreduced: GeneratorMultiset) -> ReducedPairing:
                 pending[alpha + 2] = counts[alpha] - matched
         if any(pending.values()):
             raise PairingError(f"unpairable multiset, leftovers at {sorted(pending)}")
-    return _pairing((GeneratorMultiset(out),))
+    return _tuple_new(ReducedPairing, (GeneratorMultiset(out),))
 
 
 def pair_special14(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
@@ -93,10 +92,8 @@ def pair_special14(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
     if curve.kind is not SPECIAL14:
         raise PairingError("curve is not special of (1,4) type")
     if closure == "-":
-        gens = GeneratorMultiset.interval(curve.m // 2 - c, curve.M // 2 - c - 1, DELTA_HALF)
-    else:
-        gens = GeneratorMultiset.interval(curve.m // 2 + c + 1, curve.M // 2 + c, DELTA_HALF)
-    return _pairing((gens,))
+        return _tuple_new(ReducedPairing, (single_run(curve.m // 2 - c, curve.M // 2 - c - 1, DELTA_HALF),))
+    return _tuple_new(ReducedPairing, (single_run(curve.m // 2 + c + 1, curve.M // 2 + c, DELTA_HALF),))
 
 
 def pair_special23(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
@@ -104,33 +101,27 @@ def pair_special23(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
     if curve.kind is not SPECIAL23:
         raise PairingError("curve is not special of (2,3) type")
     if closure == "-":
-        gens = GeneratorMultiset.interval(curve.m // 2 + c + 1, curve.M // 2 + c, DELTA_HALF)
-    else:
-        gens = GeneratorMultiset.interval(curve.m // 2 - c, curve.M // 2 - c - 1, DELTA_HALF)
-    return _pairing((gens,))
+        return _tuple_new(ReducedPairing, (single_run(curve.m // 2 + c + 1, curve.M // 2 + c, DELTA_HALF),))
+    return _tuple_new(ReducedPairing, (single_run(curve.m // 2 - c, curve.M // 2 - c - 1, DELTA_HALF),))
 
 
 def pair_rational_neg_half(closure: str, c: int, n: int, curve: GradedCurve) -> ReducedPairing:
     """Pairing with r(-1/2n) t^-2n t^2n."""
     if closure == "-":
-        gens = GeneratorMultiset.interval(-n - c, n + c, DELTA_HALF)
-    elif n > c:
-        gens = GeneratorMultiset.interval(-n + c + 1, n - c - 1, DELTA_HALF)
-    else:
-        gens = GeneratorMultiset.interval(n - c, c - n, DELTA_MINUS_HALF)
-    return _pairing((gens,))
+        return _tuple_new(ReducedPairing, (single_run(-n - c, n + c, DELTA_HALF),))
+    if n > c:
+        return _tuple_new(ReducedPairing, (single_run(-n + c + 1, n - c - 1, DELTA_HALF),))
+    return _tuple_new(ReducedPairing, (single_run(n - c, c - n, DELTA_MINUS_HALF),))
 
 
 def pair_rational_pos_half(closure: str, c: int, n: int, curve: GradedCurve) -> ReducedPairing:
     """Pairing with r(1/2n) t^m t^(m+4n); m need not be symmetric."""
     m, M = curve.m, curve.M
     if closure == "+":
-        gens = GeneratorMultiset.interval(m // 2 - c, M // 2 + c, DELTA_HALF)
-    elif n > c:
-        gens = GeneratorMultiset.interval(m // 2 + c + 1, M // 2 - c - 1, DELTA_HALF)
-    else:
-        gens = GeneratorMultiset.interval(M // 2 - c, m // 2 + c, DELTA_THREE_HALVES)
-    return _pairing((gens,))
+        return _tuple_new(ReducedPairing, (single_run(m // 2 - c, M // 2 + c, DELTA_HALF),))
+    if n > c:
+        return _tuple_new(ReducedPairing, (single_run(m // 2 + c + 1, M // 2 - c - 1, DELTA_HALF),))
+    return _tuple_new(ReducedPairing, (single_run(M // 2 - c, m // 2 + c, DELTA_THREE_HALVES),))
 
 
 def _blocks(base0: int, step: int, A: int, L: int, delta: HalfInteger) -> GeneratorMultiset:
@@ -164,7 +155,7 @@ def pair_rational_general(closure: str, c: int, slope: ReducedSlope, M: int) -> 
         gens = _blocks(M // 2 - c, -1, A, Ac - B, DELTA_MINUS_HALF)
     else:
         gens = _blocks(-M // 2 + c + 1, +1, A, B - Ac, DELTA_HALF)
-    return _pairing((gens,))
+    return _tuple_new(ReducedPairing, (gens,))
 
 
 def pair_curve(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
