@@ -89,8 +89,9 @@ _EXPONENTS = (
 
 
 def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
-    """Combinatorial pretzel diagram P(p, q, r); knot cases only: exactly one
-    of p, q, r must be even (else it is a 2- or 3-component link), none zero.
+    """Combinatorial pretzel diagram P(p, q, r), none zero, with exactly one
+    even band: two or three even bands make a link, and the all-odd knots are
+    not covered.
 
     Each band is written in closed form.  Its over-strand enters at the top on
     side L for a positive twist, else R; its arcs are y_0 and y_1 (top, under
@@ -109,8 +110,11 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     if 0 in twists:
         raise DiagramError("zero twist bands are not supported")
     parities = [t % 2 for t in twists]
-    if parities.count(0) != 1:
+    if parities.count(0) > 1:
         raise DiagramError(f"P{twists} is a link, not a knot")
+    if 0 not in parities:
+        raise DiagramError(f"P{twists} has no even band: the oracle covers only knots "
+                           "with exactly one even band")
     pairs = _EXPONENTS[parities.index(0)]
 
     tops, bottoms, bands = [], [], []  # bands: (twist, start, raw y_0, y_1, y_n, y_{n+1})

@@ -183,7 +183,7 @@ _new_multiset = partial(object.__new__, GeneratorMultiset)
 
 
 def single_run(lo: int, hi: int, delta: HalfInteger) -> GeneratorMultiset:
-    """GeneratorMultiset.interval without a class lookup: the one run lo..hi of rank 1."""
+    """GeneratorMultiset.interval as a module function: no class lookup per single-run pairing."""
     out = _new_multiset()
     out.runs = ((lo, hi, delta, 1),) if lo <= hi else ()
     out._entries = None

@@ -796,8 +796,11 @@ def reference_diagram(p, q, r):
     twists = (p, q, r)
     if any(t == 0 for t in twists):
         raise DiagramError("zero twist bands are not supported")
-    if sum(1 for t in twists if t % 2 == 0) != 1:
+    evens = sum(1 for t in twists if t % 2 == 0)
+    if evens > 1:
         raise DiagramError(f"P{twists} is a link, not a knot")
+    if evens == 0:
+        raise DiagramError(f"P{twists} has no even band: the oracle covers only knots with exactly one even band")
     directions = _strand_directions(twists)
 
     next_arc = 0

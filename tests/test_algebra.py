@@ -14,6 +14,7 @@ from pretzelhfk.algebra import (
     alexander_terms,
     euler_characteristic,
     normalize_alexander,
+    single_run,
 )
 from pretzelhfk.pairing import ReducedPairing
 
@@ -221,6 +222,12 @@ class TestGeneratorMultisetRuns:
         assert ms.runs == ref.runs
         assert ms.entries == ref.entries
         assert ms.total_rank == ref.total_rank
+
+    @given(st.integers(-40, 40), st.integers(-40, 40), deltas)
+    def test_single_run_is_the_interval_multiset(self, lo, hi, d):
+        ms = single_run(lo, hi, d)
+        assert type(ms) is GeneratorMultiset and ms == GeneratorMultiset.interval(lo, hi, d)
+        assert ms.runs == GeneratorMultiset.of_runs([(lo, hi, d, 1)]).runs
 
     @given(runs, runs)
     def test_add_sums_overlapping_runs_per_cell(self, first, second):

@@ -170,6 +170,17 @@ class TestAlex:
         code = main(["alex", "--p", "2", "--q", "-4", "--r", "5"])
         assert code == 2
 
+    def test_an_all_odd_knot_is_not_called_a_link(self, capsys):
+        # P(-3, 5, 7) is a knot without an even band; only two or three even bands make a link
+        expected = {
+            (-3, 5, 7): "error: P(-3, 5, 7) has no even band: the oracle covers only knots with exactly one even band\n",
+            (2, -4, 5): "error: P(2, -4, 5) is a link, not a knot\n",
+            (2, -4, 6): "error: P(2, -4, 6) is a link, not a knot\n",
+        }
+        for (p, q, r), err in expected.items():
+            assert main(["alex", "--p", str(p), "--q", str(q), "--r", str(r)]) == 2
+            assert capsys.readouterr() == ("", err)
+
     def test_deterministic_output(self, capsys):
         _, first = run(capsys, "alex", "--p", "6", "--q", "-3", "--r", "5")
         _, second = run(capsys, "alex", "--p", "6", "--q", "-3", "--r", "5")

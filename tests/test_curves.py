@@ -234,6 +234,27 @@ class TestTangleCurveMemo:
         info = pretzel_tangle_curves.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
 
+    def test_a_cold_build_checks_each_curve_once(self, monkeypatch):
+        checked = []
+        init = GradedCurve.__init__
+
+        def counted(self, *args):
+            checked.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(GradedCurve, "__init__", counted)
+        pretzel_tangle_curves.cache_clear()
+        try:
+            for a, b in ((3, 5), (5, 5), (6, 5), (9, 5)):  # a < b, a = b, a = b + 1, a > b + 1
+                pretzel_tangle_curves.cache_clear()
+                checked.clear()
+                curves = pretzel_tangle_curves(a, b)
+                # one __init__ per returned curve, on that very curve, and no other curve built
+                assert len(checked) == len(curves), (a, b)
+                assert set(map(id, checked)) == set(map(id, curves)), (a, b)
+        finally:
+            pretzel_tangle_curves.cache_clear()
+
     def test_invalid_parameters_still_raise(self):
         for a, b in ((0, 1), (1, 0), (-2, 3)):
             with pytest.raises(CurveError):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pretzelhfk.algebra import GeneratorMultiset, HalfInteger
-from pretzelhfk.curves import GradedCurve, ReducedSlope
+from pretzelhfk.curves import GradedCurve, ReducedSlope, pretzel_tangle_curves
 from pretzelhfk.pairing import (
     PairingError,
     ReducedPairing,
@@ -191,6 +191,16 @@ class TestDispatch:
         assert pair_curve("-", 1, GradedCurve.special14(1, 0, 4)).total_rank == 2
         assert pair_curve("-", 1, GradedCurve.rational(-1, 2, -2, 2)).total_rank == 5
         assert pair_curve("-", 1, GradedCurve.rational(1, 2, -2, 2)).total_rank == 1
+
+    def test_every_run_of_a_list_pairing_survives_the_of_runs_filter(self):
+        # compute_hfk sums these runs without of_runs' filter: each must be nonempty with rank >= 1
+        for a in range(1, 13):
+            for b in range(1, 13):
+                for curve in pretzel_tangle_curves(a, b):
+                    for c in range(1, 13):
+                        for sign in "+-":
+                            runs = pair_curve(sign, c, curve).generators.runs
+                            assert runs == GeneratorMultiset.of_runs(runs).runs, (a, b, c, sign, str(curve))
 
     def test_bad_inputs(self):
         with pytest.raises(PairingError):

@@ -64,6 +64,38 @@ def test_the_table_prints_whether_a_claim_holds(monkeypatch, capsys):
     assert row.split()[-3:] == ["5/5", "yes", "yes"]
 
 
+def test_worse_is_a_median_past_the_bound_in_the_better_direction():
+    parent = [10, 10, 10, 10, 10]
+    assert pairs.summarize(parent, [12.6] * 5, "lower", 0.25)["worse"] is True
+    assert pairs.summarize(parent, [12.4] * 5, "lower", 0.25)["worse"] is False
+    assert pairs.summarize(parent, [7.9] * 5, "higher", 0.2)["worse"] is True
+    assert pairs.summarize(parent, [8.1] * 5, "higher", 0.2)["worse"] is False
+    # a large change in the better direction is never worse
+    assert pairs.summarize(parent, [1] * 5, "lower", 0.25)["worse"] is False
+    assert pairs.summarize(parent, [100] * 5, "higher", 0.2)["worse"] is False
+    # the median decides, not a single run
+    assert pairs.summarize(parent, [10, 10, 10, 30, 30], "lower", 0.25)["worse"] is False
+    assert pairs.summarize(parent, [13] * 5, "lower")["worse"] is None
+
+
+def test_the_table_prints_worse_from_the_bounds_in_benchmark_json(monkeypatch, capsys):
+    # bounds: op_ms_p50 0.25 and items_per_s 0.2 (higher is better); pairing.ms has none
+    values = {"op_ms_p50": (1.0, 1.3), "table_ms_p50": (1.0, 1.2), "items_per_s": (100.0, 70.0),
+              "pairing.ms": (1.0, 5.0)}
+
+    def run_once(checkout, args):
+        side = 1 if checkout == pairs.ROOT else 0
+        return {"failed": 0, "metrics": {name: {"value": v[side]} for name, v in values.items()}}
+
+    monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(["--workload", "large-knots", "--seed", "1", "--pairs", "3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()[1:]
+    assert header.split()[-5:] == ["rel", "worse", "wins", "resolved", "holds"]
+    worse = {row.split()[0]: row.split()[-4] for row in rows}
+    assert worse == {"op_ms_p50": "yes", "table_ms_p50": "no", "items_per_s": "yes", "pairing.ms": "-"}
+
+
 def test_unpaired_runs_are_rejected():
     with pytest.raises(ValueError):
         pairs.summarize([1, 2], [1], "lower")

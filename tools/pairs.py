@@ -9,11 +9,13 @@ odd.  Both sides run with PYTHONDONTWRITEBYTECODE=1, so neither reuses
 bytecode from an earlier run.  For every metric it prints each side's median
 and quartiles, the median's relative change, the pairs the change wins (by
 the metric's `better` in BENCHMARK.json), whether the medians lie further
-apart than the parent's interquartile range, and whether a claimed gain holds:
-at least 9 in 10 pairs won and the medians that far apart.  `--out FILE` also
-writes every run's result line as JSON.  If a run exits nonzero, the runs
-finished so far are still written to `--out`, the pair, side and exit code go
-to stderr, and the exit status is 1.
+apart than the parent's interquartile range, whether a claimed gain holds
+(at least 9 in 10 pairs won and the medians that far apart), and whether the
+change is worse: its median worse than the parent's by more than the metric's
+`bound` (a fraction of the parent's median; `-` for per-layer metrics, which
+have none).  `--out FILE` also writes every run's result line as JSON.  If a
+run exits nonzero, the runs finished so far are still written to `--out`, the
+pair, side and exit code go to stderr, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -41,13 +43,16 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: Sequence[float], change: Sequence[float], better: str) -> Dict[str, float]:
+def summarize(parent: Sequence[float], change: Sequence[float], better: str,
+              bound: float | None = None) -> Dict[str, float]:
     """One metric over paired runs: parent[i] and change[i] come from pair i.
 
     `wins` counts the pairs where the change is strictly better; `resolved`
     is whether the medians differ by more than the parent's IQR.  `holds` is
     the claim rule: the change wins at least 9 in 10 of the pairs (a tie
-    counts for neither side) and the result is resolved.
+    counts for neither side) and the result is resolved.  `worse` is the
+    no-regression rule: the change's median is worse than the parent's by
+    more than `bound` times the parent's median; None when there is no bound.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
@@ -63,6 +68,7 @@ def summarize(parent: Sequence[float], change: Sequence[float], better: str) -> 
         "wins": wins,
         "resolved": resolved,
         "holds": 10 * wins >= 9 * len(parent) and resolved,
+        "worse": None if bound is None else sign * (cm - pm) > bound * abs(pm),
     }
 
 
@@ -93,6 +99,7 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}  # per-layer metrics have none
 
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
@@ -115,13 +122,15 @@ def main(argv: List[str] | None = None) -> int:
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           f"trace {args.trace}; failed: parent {failed['parent']}, change {failed['change']}")
-    print(f"{'metric':32} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'rel':>8} wins  resolved holds")
+    print(f"{'metric':32} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'rel':>8} worse "
+          "wins  resolved holds")
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
-        s = summarize(values["parent"], values["change"], better[name])
+        s = summarize(values["parent"], values["change"], better[name], bound.get(name))
+        worse = "-" if s["worse"] is None else "yes" if s["worse"] else "no"
         print(f"{name:32} {s['parent_median']:>14.6g} [{s['parent_q1']:.6g}, {s['parent_q3']:.6g}]"
               f" {s['change_median']:>14.6g} [{s['change_q1']:.6g}, {s['change_q3']:.6g}]"
-              f" {s['relative']:>+8.1%} {s['wins']:>2}/{args.pairs}  {'yes' if s['resolved'] else 'no':8} "
+              f" {s['relative']:>+8.1%} {worse:5} {s['wins']:>2}/{args.pairs}  {'yes' if s['resolved'] else 'no':8} "
               f"{'yes' if s['holds'] else 'no'}")
     return 0
 
