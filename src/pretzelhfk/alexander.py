@@ -31,18 +31,19 @@ holds for any exponents and bands of any parity and length: a single crossing
 The form runs on Python integers, once, at t = X = 2^K.  Every term takes
 one of t^-lo, t^-lo S_n and t^-lo S_{n+1}, polynomials in t, from each band
 with coefficient +-1, so the value's L1 norm is at most the product over the
-bands of 1 + n + (n + 1).  K = bit_length(that bound) + 2, rounded up to
-whole bytes, puts each coefficient in (-X/2, X/2): the balanced base-X
-digits of the value are its coefficients, decoded once at the end.
+bands of 1 + n + (n + 1).  K >= bit_length(that bound) + 2 puts each
+coefficient in (-X/2, X/2): the value's balanced base-X digits, packed and
+decoded by one `struct` call each (K is 8, 16, 32 or 64m), are its coefficients.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, cycle, repeat
-from operator import add, sub
+from operator import add, and_, lshift, or_, rshift, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .algebra import normalize_alexander
@@ -152,32 +153,48 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
 
 
 def _digit_bits(bound: int) -> int:
-    """K = bit_length(bound) + 2, rounded up to whole bytes, so that coefficients
-    at most `bound` in absolute value are base-2^K digits."""
-    return (bound.bit_length() + 2 + 7) // 8 * 8
+    """The smallest K in {8, 16, 32} or 64m (m >= 1) with K >= bit_length(bound) + 2,
+    so that coefficients at most `bound` in absolute value are base-2^K digits."""
+    need = bound.bit_length() + 2
+    return next((k for k in (8, 16, 32) if k >= need), -(-need // 64) * 64)
+
+
+def _layout(bits: int) -> Tuple[int, str]:
+    """(m, code): a base-2^bits digit is m little-endian struct words of `code`."""
+    if bits in (8, 16, 32) or (bits > 0 and bits % 64 == 0):
+        return max(bits // 64, 1), {8: "B", 16: "H", 32: "I"}.get(bits, "Q")
+    raise ValueError(f"{bits}-bit digits: K must be 8, 16, 32 or a multiple of 64")
 
 
 def _evaluate(cs: Sequence[int], bits: int) -> int:
-    """sum cs[i] X^i at X = 2^bits, for |cs[i]| < X/2 and whole bytes of bits:
-    packed through bytes with X/2 added to every coefficient, then subtracted."""
-    half = 1 << (bits - 1)
-    offset = (bytes(bits // 8 - 1) + b"\x80") * len(cs)  # X/2 in every digit
-    raw = b"".join(map(int.to_bytes, map(add, cs, repeat(half)), repeat(bits // 8), repeat("little")))
-    return int.from_bytes(raw, "little") - int.from_bytes(offset, "little")
+    """sum cs[i] X^i at X = 2^bits, for |cs[i]| < X/2 and bits from `_digit_bits`:
+    X/2 is added to every coefficient, the digits are packed (word j of each
+    as one strided slice) by one struct.pack, and X/2 is subtracted again."""
+    m, code = _layout(bits)
+    digits = words = list(map(add, cs, repeat(1 << (bits - 1))))
+    if m > 1:
+        words = digits * m
+        for j in range(m):
+            words[j::m] = map(and_, map(rshift, digits, repeat(64 * j)), repeat((1 << 64) - 1))
+    raw = struct.pack(f"<{len(words)}{code}", *words)
+    return int.from_bytes(raw, "little") - int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * len(cs), "little")
 
 
 def _decode(value: int, bits: int) -> List[int]:
     """The balanced digits d_0, d_1, ..., in (-X/2, X/2), X = 2^bits, of
     value / X^low, where X^low is the largest power of X dividing `value`
-    ([0] for 0); a top digit d_h makes |value| > X^h / 2, which bounds h."""
-    width = bits // 8
+    ([0] for 0); a top digit d_h makes |value| > X^h / 2, which bounds h.  The
+    digits, X/2 high, come out of one struct.unpack, joined from their words."""
+    m, code = _layout(bits)
     low = ((value & -value).bit_length() - 1) // bits if value else 0  # zero digits below X^low
     value >>= bits * low
     n = abs(value).bit_length() // bits + 1
-    raw = (value + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")).to_bytes(n * width, "little")
-    edges = range(0, (n + 1) * width, width)  # digit boundaries; each digit is still X/2 high
-    chunks = map(raw.__getitem__, map(slice, edges, edges[1:]))
-    return list(map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(1 << (bits - 1))))
+    raw = (value + int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * n, "little")).to_bytes(n * bits // 8, "little")
+    words = struct.unpack(f"<{n * m}{code}", raw)
+    digits = words[m - 1 :: m]
+    for j in range(m - 2, -1, -1):  # high word first
+        digits = map(or_, map(lshift, digits, repeat(64)), words[j::m])
+    return list(map(sub, digits, repeat(1 << (bits - 1))))
 
 
 def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int]]:

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence
 
@@ -65,15 +66,7 @@ def _record(params: TangleParams) -> Dict:
     deltas = map(attrgetter("twice"), map(cell_delta, entries))
     cells = sorted(zip(map(cell_alexander, entries), deltas, entries.values()))
     return {
-        "knot": {
-            "a": params.a,
-            "b": params.b,
-            "c": params.c,
-            "sign": params.sign,
-            "p": p,
-            "q": q,
-            "r": r,
-        },
+        "knot": {"a": params.a, "b": params.b, "c": params.c, "sign": params.sign, "p": p, "q": q, "r": r},
         "generators": [{"s": s, "delta_times_2": d, "rank": rk} for s, d, rk in cells],
         "alexander": [{"exp": e, "coeff": a} for e, a in alexander_terms(alex)],
         "classification": report.predicted.shape.value,
@@ -92,15 +85,12 @@ _ALEXANDER_ROW = '{\n      "exp": %s,\n      "coeff": %s\n    }'
 _ALEXANDER_FIELDS = itemgetter("exp", "coeff")
 
 
-def _json_block(items: List[str], brackets: str) -> str:
-    """An array or object one level deep in json.dumps(..., indent=2)."""
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
-
-
 def _rows(template: str, fields: itemgetter, rows: List[Dict]) -> str:
-    return _json_block(list(map(template.__mod__, map(fields, rows))), "[]")
+    """A json.dumps(..., indent=2) array one level deep, in one `%` over the template repeated."""
+    if not rows:
+        return "[]"
+    body = ",\n    ".join(repeat(template, len(rows))) % tuple(chain.from_iterable(map(fields, rows)))
+    return f"[\n    {body}\n  ]"
 
 
 def _format_json(record: Dict) -> str:
@@ -109,11 +99,12 @@ def _format_json(record: Dict) -> str:
     With indent, json.dumps runs CPython's pure-Python encoder, which is
     several times slower on a large record.  Generator and Alexander rows hold
     ints only; every other key and value goes through json.dumps, so strings
-    are escaped exactly as json escapes them.
+    are escaped exactly as json escapes them: each object in one call without
+    indent, which runs the C encoder, its items split by the separator.
     """
 
     def scalars(obj: Dict) -> str:
-        return _json_block([f"{json.dumps(k)}: {json.dumps(v)}" for k, v in obj.items()], "{}")
+        return "{\n    " + json.dumps(obj, separators=(",\n    ", ": "))[1:-1] + "\n  }" if obj else "{}"
 
     fields = [
         ("knot", scalars(record["knot"])),
@@ -127,10 +118,7 @@ def _format_json(record: Dict) -> str:
 
 
 def _format_csv(record: Dict) -> str:
-    lines = ["s,delta_times_2,rank"]
-    for g in record["generators"]:
-        lines.append(f"{g['s']},{g['delta_times_2']},{g['rank']}")
-    return "\n".join(lines)
+    return "\n".join(["s,delta_times_2,rank", *map("%s,%s,%s".__mod__, map(_GENERATOR_FIELDS, record["generators"]))])
 
 
 def _format_latex(record: Dict) -> str:
@@ -169,18 +157,19 @@ def _format_ascii(record: Dict) -> str:
         if mu2 % 2:
             raise ValueError(f"generator at s={g['s']} is off the integer mu grid")
         points[(g["s"], mu2 // 2)] = g["rank"]
-    s_vals = [s for s, _ in points]
-    mu_vals = [mu for _, mu in points]
-    width = 3
-    for mu in range(max(mu_vals), min(mu_vals) - 1, -1):
-        row = f"mu={mu:>3} |"
-        for s in range(min(s_vals), max(s_vals) + 1):
+    s_range = range(min(s for s, _ in points), max(s for s, _ in points) + 1)
+    mus = range(max(mu for _, mu in points), min(mu for _, mu in points) - 1, -1)
+    # a cell is as wide as the widest s label or rank, the mu column as the widest mu; 3 at least
+    width = max(3, *map(len, map(str, (s_range[0], s_range[-1], *points.values()))))
+    mu_width = max(3, len(str(mus[0])), len(str(mus[-1])))
+    for mu in mus:
+        row = f"mu={mu:>{mu_width}} |"
+        for s in s_range:
             rk = points.get((s, mu))
             row += f"{rk:>{width}}" if rk else " " * (width - 1) + "."
         out.append(row)
-    axis = "       +" + "-" * ((max(s_vals) - min(s_vals) + 1) * width)
-    out.append(axis)
-    out.append("     s =" + "".join(f"{s:>{width}}" for s in range(min(s_vals), max(s_vals) + 1)))
+    out.append(" " * (mu_width + 4) + "+" + "-" * (len(s_range) * width))
+    out.append(" " * (mu_width + 2) + "s =" + "".join(f"{s:>{width}}" for s in s_range))
     return "\n".join(out)
 
 
@@ -224,16 +213,12 @@ def cmd_sweep(args) -> int:
         return 2
     if _over_ceiling("max-a + max-b + max-c", args.max_a + args.max_b + args.max_c, MAX_PARAMETER_SUM):
         return 2
-    if args.sign == "both":
-        signs = ["+", "-"]
-    else:
-        signs = [args.sign]
+    signs = ["+", "-"] if args.sign == "both" else [args.sign]
     knots = len(signs) * args.max_a * args.max_b * args.max_c
     if _over_ceiling("signs * max-a * max-b * max-c", knots, MAX_SWEEP_KNOTS):
         return 2
     census: Dict[str, int] = {}
     failures = []
-    total = 0
     for sign in signs:
         for a in range(1, args.max_a + 1):
             for b in range(1, args.max_b + 1):
@@ -242,13 +227,12 @@ def cmd_sweep(args) -> int:
                     report = verify(params)
                     shape = report.predicted.shape.value
                     census[shape] = census.get(shape, 0) + 1
-                    total += 1
                     status = "pass" if report.passed else "fail"
                     p, q, r = params.pretzel_triple()
                     print(f"P({p},{q},{r}) [{shape}]: {status}")
                     if not report.passed:
                         failures.append((params, report.failures()))
-    print(f"checked {total} knots")
+    print(f"checked {knots} knots")
     for shape in sorted(census):
         print(f"  {shape}: {census[shape]}")
     if failures:
@@ -319,16 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("sweep", help="verify a whole parameter grid")
-    ps.add_argument("--max-a", type=int, required=True)
-    ps.add_argument("--max-b", type=int, required=True)
-    ps.add_argument("--max-c", type=int, required=True)
+    for letter in "abc":
+        ps.add_argument(f"--max-{letter}", type=int, required=True)
     ps.add_argument("--sign", choices=["+", "-", "both"], default="both")
     ps.set_defaults(func=cmd_sweep)
 
     pa = sub.add_parser("alex", help="Fox-calculus Alexander polynomial oracle")
-    pa.add_argument("--p", type=int, required=True)
-    pa.add_argument("--q", type=int, required=True)
-    pa.add_argument("--r", type=int, required=True)
+    for letter in "pqr":
+        pa.add_argument(f"--{letter}", type=int, required=True)
     pa.set_defaults(func=cmd_alex)
 
     return parser

@@ -208,10 +208,13 @@ def trimmed(cs):
     return cs[support[0] : support[-1] + 1] if support else [0]
 
 
+ALLOWED_BITS = (8, 16, 32, 64, 128, 192)  # one B, H, I or Q struct word per digit, or two or three Q words
+
+
 @st.composite
 def digits_and_bits(draw):
-    """Coefficients up to +-(2^(K-1) - 1) and zero, with K a whole number of bytes."""
-    bits = 8 * draw(st.integers(1, 9))
+    """Coefficients up to +-(2^(K-1) - 1) and zero, with K a digit width that `_digit_bits` returns."""
+    bits = draw(st.sampled_from(ALLOWED_BITS))
     top = 2 ** (bits - 1) - 1
     digit = st.one_of(st.integers(-top, top), st.sampled_from([-top, 0, top]))
     return draw(st.lists(digit, max_size=40)), bits
@@ -223,14 +226,41 @@ class TestEvaluation:
     @example(([], 8))
     @example(([0, 0, 0], 16))
     @example(([127, -127] * 5, 8))
-    @example(([-(2**71 - 1)] * 30 + [2**71 - 1], 72))
+    @example(([-(2**127 - 1)] * 30 + [2**127 - 1], 128))
+    @example(([2**127 - 1, -(2**127 - 1), 1, -1], 128))
+    @example(([-1] + [0] * 5 + [2**191 - 1], 192))
     def test_decode_inverts_evaluate_up_to_half_a_digit(self, case):
         cs, bits = case
         assert _decode(_evaluate(cs, bits), bits) == trimmed(cs)
 
+    @given(digits_and_bits())
+    @settings(max_examples=100, deadline=None)
+    @example(([-1, 1], 8))
+    @example(([2**63 - 1, -(2**64 - 1) // 2, 2**64 // 3], 128))
+    def test_evaluate_is_the_integer_at_two_to_the_k(self, case):
+        # an integer reference: a slip in byte or word order changes the value
+        cs, bits = case
+        assert _evaluate(cs, bits) == sum(c << bits * i for i, c in enumerate(cs))
+
+    def test_digit_bits_is_the_smallest_allowed_width(self):
+        allowed = [8, 16, 32] + [64 * m for m in range(1, 8)]
+        bounds = {0, 1, 60000} | {2**e + d for e in range(1, 400) for d in (-1, 0, 1)}
+        for bound in sorted(bounds):
+            need = bound.bit_length() + 2
+            assert _digit_bits(bound) == min(k for k in allowed if k >= need), bound
+        # 2^62 - 1 is the largest bound of one Q word: K must reach bit_length + 2
+        assert [_digit_bits(b) for b in (2**61, 2**62 - 1, 2**62, 2**63 - 1, 2**63)] == [64, 64, 128, 128, 128]
+
+    @pytest.mark.parametrize("bits", [24, 0, 40, 96])
+    def test_a_width_that_is_not_allowed_raises(self, bits):
+        with pytest.raises(ValueError):
+            _evaluate([1, -1], bits)
+        with pytest.raises(ValueError):
+            _decode(5, bits)
+
     def test_a_coefficient_equal_to_the_bound_decodes(self):
         # diag(200t, 300): the column bound 200 * 300 is the determinant's coefficient
-        assert _digit_bits(60000) == 24
+        assert _digit_bits(60000) == 32  # 18 bits: not 24, which no struct word holds
         assert equal_up_to_unit(laurent_determinant([[{1: 200}, ZERO], [ZERO, {0: 300}]]), {1: 60000})
         assert _decode(60000, 16) != [60000]  # one byte short
 

@@ -281,11 +281,25 @@ class TestJsonWriter:
                   "classification": "a\nb", "checks": {}, "meta": {"seconds": 1e-07}}
         assert cli._format_json(record) == json.dumps(record, indent=2)
 
+    def test_empty_objects(self):
+        record = {"knot": {}, "generators": [{"s": -1, "delta_times_2": 0, "rank": 2}],
+                  "alexander": [{"exp": 0, "coeff": 1}], "classification": "", "checks": {}, "meta": {}}
+        assert cli._format_json(record) == json.dumps(record, indent=2)
+
+    @pytest.mark.parametrize("text", ['"', "\\", "\n", "\x01\x1f", "\u00e9\u2603\U0001f600", 'a"b\\c\nd\te'])
+    def test_escaped_keys_and_values(self, text):
+        scalars = {text: text, "t": True, "f": False, "n": None, "x": -0.5, "big": 1e300, "i": -7}
+        record = {"knot": scalars, "generators": [], "alexander": [], "classification": text,
+                  "checks": {text: "pass", "k": text}, "meta": dict(scalars, version=text)}
+        assert cli._format_json(record) == json.dumps(record, indent=2)
+
 
 def test_cli_output_bytes_are_pinned():
     # compute in all four formats and a sweep, with the "seconds" line dropped;
     # the digest was taken when json.dumps(record, indent=2) wrote the record
-    # and the diagram was built crossing by crossing
+    # and the diagram was built crossing by crossing, and retaken when the
+    # ascii plot of (100,20,100,+) and (100,99,100,-) widened its cells to
+    # their widest label, which changed no other output
     knots = [(3, 1, 2, "+"), (1, 2, 1, "-"), (1, 1, 1, "+"), (6, 6, 6, "+"), (2, 5, 3, "-"),
              (20, 3, 20, "+"), (100, 20, 100, "+"), (100, 99, 100, "-")]
     argvs = [["compute", "--a", str(a), "--b", str(b), "--c", str(c), "--sign", sign, "--format", fmt]
@@ -298,7 +312,7 @@ def test_cli_output_bytes_are_pinned():
             code = main(argv)
         kept = "".join(line for line in buf.getvalue().splitlines(True) if '"seconds"' not in line)
         digest.update(f"{code}\n{kept}".encode())
-    assert digest.hexdigest() == "50a3cad36f8e8680de47c3ee432558011593fbfd95303150e1a1a59f8361fb22"
+    assert digest.hexdigest() == "7c34d21b9c60ab0ec69855c00c7a06c751d0829018f93a9ed813878ed70ccfe6"
 
 
 class TestParserReuse:
@@ -603,6 +617,24 @@ def test_ascii_plot_rejects_a_generator_off_the_mu_grid():
     }
     with pytest.raises(ValueError):
         cli._format_ascii(record)
+
+
+def test_ascii_plot_columns_line_up_past_three_characters(capsys):
+    # mu runs down to -100, so the mu column and the cells are 4 characters wide
+    code, out = run(capsys, "compute", "--a", "60", "--b", "50", "--c", "70", "--sign", "-", "--format", "ascii")
+    assert code == 0
+    *rows, axis, labels = out.splitlines()[1:]
+    assert any(row.startswith("mu=-100 |") for row in rows)
+    assert len({len(row) for row in rows} | {len(axis), len(labels)}) == 1
+    bar = rows[0].index("|")
+    assert {row.index("|") for row in rows} == {axis.index("+")} == {labels.index("=")} == {bar}
+    cells = labels[bar + 1 :]
+    width = 4
+    columns = [cells[i : i + width] for i in range(0, len(cells), width)]
+    # each s label ends at its column, and so does every rank or dot above it
+    assert [int(column) for column in columns] == list(range(int(columns[0]), int(columns[0]) + len(columns)))
+    for line in [labels, *rows]:
+        assert all(line[bar + width * (j + 1)] != " " for j in range(len(columns))), line[:12]
 
 
 def test_missing_subcommand_exits_2():

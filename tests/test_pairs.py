@@ -53,10 +53,11 @@ def test_a_claim_holds_on_nine_wins_in_ten_and_a_resolved_median():
 
 
 def test_the_table_prints_whether_a_claim_holds(monkeypatch, capsys):
-    def run_once(checkout, args):  # the change, run in this work tree, takes half the time
-        return {"failed": 0, "metrics": {"op_ms_p50": {"value": 1.0 if checkout == pairs.ROOT else 2.0}}}
+    def run_once(checkout, args):  # the change, run in its copy of this work tree, takes half the time
+        return {"failed": 0, "metrics": {"op_ms_p50": {"value": 1.0 if checkout.name == "change" else 2.0}}}
 
     monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "copy_worktree", lambda into: None)
     monkeypatch.setattr(pairs, "run_once", run_once)
     assert pairs.main(["--workload", "grid-sweep", "--seed", "1", "--pairs", "5"]) == 0
     header, row = capsys.readouterr().out.splitlines()[1:3]
@@ -84,16 +85,53 @@ def test_the_table_prints_worse_from_the_bounds_in_benchmark_json(monkeypatch, c
               "pairing.ms": (1.0, 5.0)}
 
     def run_once(checkout, args):
-        side = 1 if checkout == pairs.ROOT else 0
+        side = 1 if checkout.name == "change" else 0
         return {"failed": 0, "metrics": {name: {"value": v[side]} for name, v in values.items()}}
 
     monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "copy_worktree", lambda into: None)
     monkeypatch.setattr(pairs, "run_once", run_once)
     assert pairs.main(["--workload", "large-knots", "--seed", "1", "--pairs", "3"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()[1:]
     assert header.split()[-5:] == ["rel", "worse", "wins", "resolved", "holds"]
     worse = {row.split()[0]: row.split()[-4] for row in rows}
     assert worse == {"op_ms_p50": "yes", "table_ms_p50": "no", "items_per_s": "yes", "pairing.ms": "-"}
+
+
+def test_the_change_runs_from_a_copy_with_its_edits_and_without_bytecode(tmp_path):
+    repo, into = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    (repo / ".gitignore").write_text("__pycache__/\n*.log\n")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.py").write_text("")
+    subprocess.run(git + ["add", "."], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")  # uncommitted
+    (repo / "pkg" / "new.py").write_text("Y = 3\n")  # untracked
+    (repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    (repo / "run.log").write_text("ignored")
+    (repo / "gone.py").unlink()
+    pairs.copy_worktree(into, root=repo)
+    assert (into / "pkg" / "mod.py").read_text() == "X = 2\n"
+    assert (into / "pkg" / "new.py").read_text() == "Y = 3\n"
+    assert sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file()) == [
+        ".gitignore", "pkg/mod.py", "pkg/new.py"]
+
+
+def test_both_sides_run_from_fresh_directories(monkeypatch, capsys):
+    made, ran = {}, set()
+    monkeypatch.setattr(pairs, "export", lambda rev, into: made.setdefault("parent", into))
+    monkeypatch.setattr(pairs, "copy_worktree", lambda into: made.setdefault("change", into))
+
+    def run_once(checkout, args):
+        ran.add(checkout)
+        return {"failed": 0, "metrics": {"op_ms_p50": {"value": 1.0}}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(["--workload", "grid-sweep", "--seed", "1", "--pairs", "2"]) == 0
+    assert ran == set(made.values()) and pairs.ROOT not in ran and len(ran) == 2
 
 
 def test_unpaired_runs_are_rejected():
@@ -104,7 +142,7 @@ def test_unpaired_runs_are_rejected():
 
 
 def test_a_failed_run_keeps_the_finished_runs(monkeypatch, tmp_path, capsys):
-    # no export and no benchmark: the third run (pair 2, change first) exits 3
+    # no export, no copy and no benchmark: the third run (pair 2, change first) exits 3
     calls = []
 
     def run_once(checkout, args):
@@ -114,6 +152,7 @@ def test_a_failed_run_keeps_the_finished_runs(monkeypatch, tmp_path, capsys):
         return {"failed": 0, "run": len(calls)}
 
     monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "copy_worktree", lambda into: None)
     monkeypatch.setattr(pairs, "run_once", run_once)
     out = tmp_path / "runs.json"
     code = pairs.main(["--workload", "grid-sweep", "--seed", "1", "--pairs", "10", "--out", str(out)])

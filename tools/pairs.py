@@ -2,14 +2,18 @@
 
     python3 tools/pairs.py --rev HEAD --workload grid-sweep --seed 101 --pairs 10 --seconds 30
 
-Exports the parent revision with `git archive` into a temporary directory and
-runs `benchmarks/run.py` there and in this work tree, one process at a time:
-pair i runs the parent first when i is even and the change first when i is
-odd.  Both sides run with PYTHONDONTWRITEBYTECODE=1, so neither reuses
-bytecode from an earlier run.  For every metric it prints each side's median
-and quartiles, the median's relative change, the pairs the change wins (by
-the metric's `better` in BENCHMARK.json), whether the medians lie further
-apart than the parent's interquartile range, whether a claimed gain holds
+Exports the parent revision with `git archive` into one temporary directory,
+copies this work tree into another (the files `git ls-files -co
+--exclude-standard` lists, as they are on disk, so an uncommitted edit goes
+with them and no `__pycache__` does), and runs `benchmarks/run.py` in each,
+one process at a time: pair i runs the parent first when i is even and the
+change first when i is odd.  Both sides run from fresh copies with
+PYTHONDONTWRITEBYTECODE=1, so each compiles its source on every run and
+neither reads bytecode an earlier run or test left behind.  For every
+metric it prints each side's median and quartiles, the median's relative
+change, the pairs the change wins (by the metric's `better` in
+BENCHMARK.json), whether the medians lie further apart than the parent's
+interquartile range, whether a claimed gain holds
 (at least 9 in 10 pairs won and the medians that far apart), and whether the
 change is worse: its median worse than the parent's by more than the metric's
 `bound` (a fraction of the parent's median; `-` for per-layer metrics, which
@@ -24,6 +28,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -79,6 +84,16 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into)
 
 
+def copy_worktree(into: Path, root: Path = ROOT) -> None:
+    """Copy the work tree's tracked and untracked, not ignored, files as they are on disk."""
+    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=root, check=True,
+                           stdout=subprocess.PIPE).stdout.split(b"\0")
+    for name in filter(None, map(os.fsdecode, names)):
+        if (root / name).is_file():  # a tracked file deleted from the work tree is still listed
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name)
+
+
 def run_once(checkout: Path, args: argparse.Namespace) -> dict:
     cmd = [sys.executable, "benchmarks/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
@@ -103,8 +118,9 @@ def main(argv: List[str] | None = None) -> int:
 
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        export(args.rev, Path(tmp))
-        sides = {"parent": Path(tmp), "change": ROOT}
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(args.rev, sides["parent"])
+        copy_worktree(sides["change"])
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 try:
