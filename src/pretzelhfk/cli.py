@@ -159,8 +159,8 @@ def _format_ascii(record: Dict) -> str:
         points[(g["s"], mu2 // 2)] = g["rank"]
     s_range = range(min(s for s, _ in points), max(s for s, _ in points) + 1)
     mus = range(max(mu for _, mu in points), min(mu for _, mu in points) - 1, -1)
-    # a cell is as wide as the widest s label or rank, the mu column as the widest mu; 3 at least
-    width = max(3, *map(len, map(str, (s_range[0], s_range[-1], *points.values()))))
+    # a cell is one wider than the widest s label or rank, the mu column the widest mu; 3 at least
+    width = max(3, 1 + max(map(len, map(str, (s_range[0], s_range[-1], *points.values())))))
     mu_width = max(3, len(str(mus[0])), len(str(mus[-1])))
     for mu in mus:
         row = f"mu={mu:>{mu_width}} |"

@@ -12,6 +12,12 @@ of the grid, traversed clockwise; the Alexander grading is the blue label at
 y minus the red label at x plus the signs of the punctures the disk covers.
 The cell's four boundary crossings, two per curve, are computed from its
 edges and labelled before the rule runs; only `CurveLabels` walks the grid.
+The sector a crossing leads runs from it along the counterclockwise boundary
+walk to the next crossing and back through the point, so it winds
+counterclockwise: the cell is convex and holds the point.  A disk runs
+y -> point -> x -> grid, against that walk, so the clockwise disks are the
+sectors led by y: which color leads a disk is the orientation convention,
+and no area needs computing.
 Points are counted per (Alexander, delta) label pair, and the multiset is
 built once from those counts.
 
@@ -24,10 +30,10 @@ computed span is checked against M - m.
 
 The delta grading is computed the same way with a half per covered puncture,
 using per-curve delta labels on the grid crossings.  Two discrete conventions
-are not determined by the construction alone: the orientation sign CW_SIGN
-and the per-curve delta labels.  They were fixed once by requiring agreement
-with the closed-form pairings, and the tests show that flipping either one
-breaks agreement on every pairing, so both are pinned, not merely fitted.
+are not determined by the construction alone: which color leads a disk,
+CW_SIGN, and the per-curve delta labels.  They were fixed once by requiring
+agreement with the closed-form pairings, and the tests show that flipping
+either one breaks agreement on every pairing, so both are pinned, not fitted.
 The resolved delta labels are: curves with odd slope denominator (the
 closure curves) carry -sign(slope) * 1/2 on vertical-edge crossings and 0 on
 horizontal ones, curves with even slope denominator (the tangle curves)
@@ -38,10 +44,10 @@ same unreduced multisets, so punctures on even rows are positive.
 
 All coordinates are integers on one lattice per pairing.  With
 det = pr*qb - pb*qr, the scale N = lcm(2qr, 2|pr|, 4qb, 4|pb|, 4|det|) puts
-every grid crossing, every intersection point and every cell corner on
-(1/N) Z^2, so a point is stored as (N x, N y) and a line as (p, q, C) with
-q Y = p X + C.  Every division that yields a coordinate is exact (`_exact`
-raises otherwise); only cell indices and the window of translates are floors.
+every grid crossing and every intersection point on (1/N) Z^2, so a point
+is stored as (N x, N y) and a line as (p, q, C) with q Y = p X + C.  Every
+division that yields a coordinate is exact (`_exact` raises otherwise); only
+cell indices and the window of translates are floors.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ from typing import Dict, Tuple
 from .algebra import GeneratorMultiset, HalfInteger
 from .curves import RATIONAL, GradedCurve, ReducedSlope
 
-# The shoelace sign accepted as clockwise (see module docstring).
+# Which color leads a disk (see module docstring): -1 blue, so disks are
+# clockwise; +1 red, so they would be counterclockwise.
 CW_SIGN = -1
 
 Line = Tuple[int, int, int]  # (p, q, C): q Y = p X + C in scaled coordinates
@@ -173,55 +180,29 @@ def _grade_point(z, n, marked):
     """Alexander label and delta label (in halves) of one intersection point.
 
     marked holds the two cell-boundary crossings of each curve, already
-    labelled: (t, point, alexander, delta_halves, color), with t as in
-    `_cell_crossings`.  All clockwise disk configurations are evaluated and
-    must agree.
-
-    Sector i runs from crossing i to crossing i + 1 along the boundary walk.
-    Its disk is bounded by blue from y to z, red from z to x and the grid
-    from x back to y; read from the crossing at t1, that is the polygon
-    t1 -> corners -> t2 -> z, traversed forwards when the crossing at t1 is
-    red (it is x) and backwards when it is blue (it is y).
+    labelled: (t, alexander, delta_halves, color), with t as in
+    `_cell_crossings`.  Sorted by t the colors must alternate; the disks
+    are then the two opposite sectors (see the module docstring) led by the
+    color CW_SIGN names, and both are graded and must agree.
     """
-    if len(marked) != 4:
-        raise GeometryError("cell boundary points do not alternate colors")
     marked = sorted(marked)
-    c0, c1 = marked[0][4], marked[1][4]
-    if not (c0 == "red" and c1 == "blue" or c0 == "blue" and c1 == "red") \
-            or marked[2][4] != c0 or marked[3][4] != c1:
+    colors = [entry[3] for entry in marked]
+    if colors not in (["red", "blue"] * 2, ["blue", "red"] * 2):
         raise GeometryError("cell boundary points do not alternate colors")
-
-    zx, zy = z
-    x0, y0 = zx // n * n, zy // n * n
-    lo, hi = _eps(y0 // n), _eps(y0 // n + 1)
-    # corners in walk order from (x0, y0), each with its row's puncture sign
-    corners = ((x0, y0, lo), (x0 + n, y0, lo), (x0 + n, y0 + n, hi), (x0, y0 + n, hi))
+    lo, hi = _eps(z[1] // n), _eps(z[1] // n + 1)
+    signs = (lo, lo, hi, hi) * 2  # corner puncture signs in walk order, twice round
+    lead = "red" if CW_SIGN > 0 else "blue"
     results = []
-    for i in range(4):
-        t1, (x1, y1), a1, d1, color = marked[i]
-        t2, (x2, y2), a2, d2, _ = marked[(i + 1) % 4]
+    for i in (0, 2) if colors[0] == lead else (1, 3):
+        t1, a1, d1, _ = marked[i]
+        t2, a2, d2, _ = marked[(i + 1) % 4]
         # corners passed walking from t1 to t2 (never a full turn: each line meets two edges)
         first = t1 // n + 1
         passed = (t2 // n - first + 1) % 4
-        area = punctures = 0
-        px, py = x1, y1
-        for j in range(first, first + passed):
-            cx, cy, eps = corners[j % 4]
-            area += px * cy - cx * py
-            punctures += eps
-            px, py = cx, cy
-        area += px * y2 - x2 * py + x2 * zy - zx * y2 + zx * y1 - x1 * zy
-        if color != "red":
-            area = -area
-        if area == 0 or (1 if area > 0 else -1) != CW_SIGN:
-            continue
-        if color == "red":  # x at t1, y at t2
-            results.append((a2 - a1 + punctures, d2 - d1 + passed))
-        else:  # y at t1, x at t2
-            results.append((a1 - a2 + punctures, d1 - d2 + passed))
-    if not results:
-        raise GeometryError("no clockwise disk configuration found")
-    if results.count(results[0]) != len(results):
+        # y minus x: a red lead is x, so t2 minus t1; a blue lead is y, so t1 minus t2
+        results.append((CW_SIGN * (a2 - a1) + sum(signs[first:first + passed]),
+                        CW_SIGN * (d2 - d1) + passed))
+    if results[0] != results[1]:
         raise GeometryError(f"disk configurations disagree: {results}")
     return results[0]
 
@@ -232,6 +213,8 @@ def closure_curve(c: int, closure: str) -> GradedCurve:
     Negative closure uses r(1/(2c+1)), positive closure r(-1/(2c+1)); both
     carry the symmetric grading t^(-2c-1) t^(2c+1).
     """
+    if closure not in ("+", "-"):
+        raise GeometryError(f"closure sign must be '+' or '-', not {closure!r}")
     num = -1 if closure == "+" else 1
     return GradedCurve.rational(num, 2 * c + 1, -2 * c - 1, 2 * c + 1)
 
@@ -294,11 +277,11 @@ def enumerate_geometric_pairing(
             (t1, pt1, kind1), (t2, pt2, kind2) = red_pts
             (t3, pt3, kind3), (t4, pt4, kind4) = blue_pts
             marked = [
-                (t1, pt1, red_table[pt1[0] % red_period], red_v if kind1 == "V" else red_h, "red"),
-                (t2, pt2, red_table[pt2[0] % red_period], red_v if kind2 == "V" else red_h, "red"),
-                (t3, pt3, blue_table[sigma * (pt3[0] - shift) % blue_period],
+                (t1, red_table[pt1[0] % red_period], red_v if kind1 == "V" else red_h, "red"),
+                (t2, red_table[pt2[0] % red_period], red_v if kind2 == "V" else red_h, "red"),
+                (t3, blue_table[sigma * (pt3[0] - shift) % blue_period],
                  blue_v if kind3 == "V" else blue_h, "blue"),
-                (t4, pt4, blue_table[sigma * (pt4[0] - shift) % blue_period],
+                (t4, blue_table[sigma * (pt4[0] - shift) % blue_period],
                  blue_v if kind4 == "V" else blue_h, "blue"),
             ]
             counts[_grade_point(z, n, marked)] += 1

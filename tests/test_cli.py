@@ -297,9 +297,12 @@ class TestJsonWriter:
 def test_cli_output_bytes_are_pinned():
     # compute in all four formats and a sweep, with the "seconds" line dropped;
     # the digest was taken when json.dumps(record, indent=2) wrote the record
-    # and the diagram was built crossing by crossing, and retaken when the
+    # and the diagram was built crossing by crossing, retaken when the
     # ascii plot of (100,20,100,+) and (100,99,100,-) widened its cells to
-    # their widest label, which changed no other output
+    # their widest label, which changed no other output, and retaken again
+    # when every ascii cell became one wider than its widest s label or rank,
+    # which changed the ascii plots of (6,6,6,+), (20,3,20,+), (100,20,100,+)
+    # and (100,99,100,-) and no other output
     knots = [(3, 1, 2, "+"), (1, 2, 1, "-"), (1, 1, 1, "+"), (6, 6, 6, "+"), (2, 5, 3, "-"),
              (20, 3, 20, "+"), (100, 20, 100, "+"), (100, 99, 100, "-")]
     argvs = [["compute", "--a", str(a), "--b", str(b), "--c", str(c), "--sign", sign, "--format", fmt]
@@ -312,7 +315,7 @@ def test_cli_output_bytes_are_pinned():
             code = main(argv)
         kept = "".join(line for line in buf.getvalue().splitlines(True) if '"seconds"' not in line)
         digest.update(f"{code}\n{kept}".encode())
-    assert digest.hexdigest() == "7c34d21b9c60ab0ec69855c00c7a06c751d0829018f93a9ed813878ed70ccfe6"
+    assert digest.hexdigest() == "0e8576ca7079647d5734185b34ddf3fdc82eee7636cafad6103fd3ce0bf2f1ec"
 
 
 class TestParserReuse:
@@ -620,7 +623,8 @@ def test_ascii_plot_rejects_a_generator_off_the_mu_grid():
 
 
 def test_ascii_plot_columns_line_up_past_three_characters(capsys):
-    # mu runs down to -100, so the mu column and the cells are 4 characters wide
+    # mu runs down to -100, so the mu column is 4 characters wide; s runs
+    # from -121, so the cells are 5: the widest label and a space
     code, out = run(capsys, "compute", "--a", "60", "--b", "50", "--c", "70", "--sign", "-", "--format", "ascii")
     assert code == 0
     *rows, axis, labels = out.splitlines()[1:]
@@ -629,12 +633,22 @@ def test_ascii_plot_columns_line_up_past_three_characters(capsys):
     bar = rows[0].index("|")
     assert {row.index("|") for row in rows} == {axis.index("+")} == {labels.index("=")} == {bar}
     cells = labels[bar + 1 :]
-    width = 4
+    width = 5
     columns = [cells[i : i + width] for i in range(0, len(cells), width)]
     # each s label ends at its column, and so does every rank or dot above it
     assert [int(column) for column in columns] == list(range(int(columns[0]), int(columns[0]) + len(columns)))
     for line in [labels, *rows]:
         assert all(line[bar + width * (j + 1)] != " " for j in range(len(columns))), line[:12]
+
+
+def test_ascii_plot_s_labels_never_touch(capsys):
+    # the s labels of this plot reach 3 characters, as wide as the narrowest cell
+    code, out = run(capsys, "compute", "--a", "6", "--b", "6", "--c", "6", "--sign", "+", "--format", "ascii")
+    assert code == 0
+    cells = out.splitlines()[-1].split("=", 1)[1]
+    assert [int(label) for label in cells.split()] == list(range(-12, 13))
+    width = len(cells) // 25
+    assert all(cells[i] == " " for i in range(0, len(cells), width))  # each label's own space
 
 
 def test_missing_subcommand_exits_2():

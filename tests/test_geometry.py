@@ -42,6 +42,12 @@ class TestClosureCurve:
         neg = closure_curve(2, "-")
         assert (neg.slope.numerator, neg.slope.denominator) == (1, 5)
 
+    @pytest.mark.parametrize("closure", ["x", "", "+-", " +", "plus", None, 1, -1])
+    def test_a_bad_sign_is_rejected_by_name(self, closure):
+        with pytest.raises(GeometryError, match="closure sign must be") as err:
+            closure_curve(2, closure)
+        assert str(err.value).endswith(f"not {closure!r}")
+
 
 class TestGeometricPairing:
     def test_rejects_special_curves(self):
@@ -203,21 +209,21 @@ def test_boundary_colors_that_do_not_alternate_are_rejected(monkeypatch):
     (z, n, marked), _ = graded_calls(monkeypatch, closure_curve(1, "-"), GradedCurve.rational(-1, 2, -2, 2))[0]
     by_t = sorted(marked)
     # keep the walk order, give the first two crossings one color and the last two the other
-    recolored = [entry[:4] + (color,) for entry, color in zip(by_t, ["red", "red", "blue", "blue"])]
+    recolored = [entry[:3] + (color,) for entry, color in zip(by_t, ["red", "red", "blue", "blue"])]
     with pytest.raises(GeometryError, match="do not alternate colors"):
         geometry._grade_point(z, n, recolored)
 
 
 def test_one_perturbed_label_makes_the_disk_configurations_disagree(monkeypatch):
-    # the two clockwise sectors are opposite, so each boundary crossing lies
+    # the two disks are opposite sectors, so each boundary crossing lies
     # on exactly one of them and one changed label splits their gradings
     calls = graded_calls(monkeypatch, closure_curve(2, "+"), GradedCurve.rational(-1, 4, -4, 4))
     for (z, n, marked), out in calls[:5]:
         assert geometry._grade_point(z, n, marked) == out
         for i in range(4):
             perturbed = list(marked)
-            t, pt, alex, delta, color = perturbed[i]
-            perturbed[i] = (t, pt, alex + 1, delta, color)
+            t, alex, delta, color = perturbed[i]
+            perturbed[i] = (t, alex + 1, delta, color)
             with pytest.raises(GeometryError, match="disk configurations disagree"):
                 geometry._grade_point(z, n, perturbed)
 
@@ -297,3 +303,57 @@ def test_large_case_iii_pairings_match_the_closed_form():
         unreduced = enumerate_geometric_pairing(red, blue)
         assert unreduced.total_rank == 2 * det_pair_count(red.slope, blue.slope)
         assert reduce_generator_pairs(unreduced).generators == pair_curve(sign, c, blue).generators
+
+
+# -- the fact the kernel relies on: every sector winds counterclockwise ----------
+
+
+def cell_records(monkeypatch, pairings):
+    """(z, n, red crossings, blue crossings) at every point of each distinct pairing."""
+    crossings, records = [], []
+    cell_crossings, grade_point = geometry._cell_crossings, geometry._grade_point
+
+    def recorded_crossings(line, x0, y0, n):
+        out = cell_crossings(line, x0, y0, n)
+        crossings.append(out)
+        return out
+
+    def recorded_grade(z, n, marked):
+        red, blue = crossings  # the red line's crossings are taken first
+        records.append((z, n, red, blue))
+        crossings.clear()
+        return grade_point(z, n, marked)
+
+    monkeypatch.setattr(geometry, "_cell_crossings", recorded_crossings)
+    monkeypatch.setattr(geometry, "_grade_point", recorded_grade)
+    unique = {(sign, c, blue.slope, blue.m, blue.M): blue for sign, c, blue in pairings}
+    for (sign, c, *_), blue in unique.items():
+        enumerate_geometric_pairing(closure_curve(c, sign), blue)
+    monkeypatch.undo()
+    return records
+
+
+def sector_areas(z, n, red, blue):
+    """Twice the shoelace area of each sector: from a crossing along the
+    counterclockwise boundary walk to the next crossing, then back through z."""
+    x0, y0 = z[0] // n * n, z[1] // n * n
+    corners = [(x0, y0), (x0 + n, y0), (x0 + n, y0 + n), (x0, y0 + n)]
+    walk = sorted(red + blue)
+    areas = []
+    for (t1, p1, _), (t2, p2, _) in zip(walk, walk[1:] + walk[:1]):
+        passed = [corners[j % 4] for j in range(t1 // n + 1, t1 // n + 1 + (t2 // n - t1 // n) % 4)]
+        polygon = [p1, *passed, p2, z]
+        areas.append(sum(xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(polygon, polygon[1:] + polygon[:1])))
+    return areas
+
+
+@pytest.mark.parametrize("pairings", [rational_pairings(6), case_iii_sample()], ids=["grid-6", "case-iii"])
+def test_every_sector_has_positive_area(monkeypatch, pairings):
+    # `_grade_point` picks the disks by the color of the crossing that leads a
+    # sector; that is the disk's orientation only if no sector is clockwise
+    records = cell_records(monkeypatch, pairings)
+    assert len(records) > 1000
+    for z, n, red, blue in records:
+        areas = sector_areas(z, n, red, blue)
+        assert len(areas) == 4 and sum(areas) == 2 * n * n  # the sectors tile the cell
+        assert min(areas) > 0, (z, n, red, blue)
