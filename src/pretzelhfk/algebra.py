@@ -136,11 +136,6 @@ class GeneratorMultiset:
         out._set_runs(runs)
         return out
 
-    @staticmethod
-    def interval(lo: int, hi: int, delta: HalfInteger) -> "GeneratorMultiset":
-        """One generator at each Alexander grading lo..hi (empty if lo > hi)."""
-        return single_run(lo, hi, delta)
-
     @property
     def entries(self) -> Dict[Tuple[int, HalfInteger], int]:
         """Rank per (alexander, delta) cell, summed by cells_of_runs on first access."""
@@ -162,12 +157,6 @@ class GeneratorMultiset:
             total += (hi - lo + 1) * rk
         return total
 
-    def deltas(self) -> set:
-        return {d for (_, _, d, _) in self.runs}
-
-    def rank(self, s: int, delta: HalfInteger) -> int:
-        return self.entries.get((s, delta), 0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneratorMultiset):
             return NotImplemented
@@ -183,7 +172,7 @@ _new_multiset = partial(object.__new__, GeneratorMultiset)
 
 
 def single_run(lo: int, hi: int, delta: HalfInteger) -> GeneratorMultiset:
-    """GeneratorMultiset.interval as a module function: no class lookup per single-run pairing."""
+    """One generator at each Alexander grading lo..hi (none if lo > hi), with no class lookup."""
     out = _new_multiset()
     out.runs = ((lo, hi, delta, 1),) if lo <= hi else ()
     out._entries = None
@@ -238,9 +227,6 @@ class HfkTable:
 
     def rank(self, s: int, delta: HalfInteger) -> int:
         return self.entries.get((s, delta), 0)
-
-    def deltas(self) -> set:
-        return {d for (_, d) in self.entries}
 
     def rank_by_alexander(self) -> Dict[int, int]:
         out: Dict[int, int] = {}

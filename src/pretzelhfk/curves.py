@@ -24,26 +24,18 @@ class CurveError(ValueError):
 
 @dataclass(frozen=True)
 class ReducedSlope:
-    """A reduced fraction numerator/denominator; 1/0 encodes infinity."""
+    """A finite slope numerator/denominator in lowest terms, denominator >= 1."""
 
     numerator: int
     denominator: int
 
     def __post_init__(self):
-        if self.denominator < 0:
-            raise CurveError("denominator must be non-negative")
-        if self.denominator == 0 and self.numerator != 1:
-            raise CurveError("infinite slope must be 1/0")
-        if self.denominator > 0 and math.gcd(abs(self.numerator), self.denominator) != 1:
+        if self.denominator < 1:
+            raise CurveError("denominator must be positive")
+        if math.gcd(abs(self.numerator), self.denominator) != 1:
             raise CurveError("slope must be in lowest terms")
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.denominator == 0
-
     def __str__(self) -> str:
-        if self.is_infinite:
-            return "inf"
         return f"{self.numerator}/{self.denominator}"
 
 
@@ -82,26 +74,20 @@ class GradedCurve:
                 raise CurveError("curve grading span must be even")
             if slope is None or k is not None:
                 raise CurveError("rational curve needs a slope and no index")
-        else:
+        elif kind is SPECIAL14 or kind is SPECIAL23:
             if m % 2 or M % 2:
                 raise CurveError("special curve gradings must be even")
             if k is None or k < 1 or slope is not None:
                 raise CurveError("special curve needs a positive index and no slope")
             if M - m != 4 * k:
                 raise CurveError(f"special curve span must be 4k, got {M - m}")
+        else:
+            raise CurveError(f"curve kind must be a CurveKind member, not {kind!r}")
         object.__setattr__(self, "__dict__", {"kind": kind, "m": m, "M": M, "slope": slope, "k": k})
 
     @staticmethod
     def rational(num: int, den: int, m: int, M: int) -> "GradedCurve":
         return GradedCurve(RATIONAL, m, M, ReducedSlope(num, den))
-
-    @staticmethod
-    def special14(k: int, m: int, M: int) -> "GradedCurve":
-        return GradedCurve(SPECIAL14, m, M, None, k)
-
-    @staticmethod
-    def special23(k: int, m: int, M: int) -> "GradedCurve":
-        return GradedCurve(SPECIAL23, m, M, None, k)
 
     def __str__(self) -> str:
         if self.kind is RATIONAL:
@@ -159,13 +145,13 @@ def case_of(a: int, b: int) -> CaseLabel:
 
 
 def slope_AB(a: int, b: int) -> Tuple[int, int, int]:
-    """The (A, B, M) data of the general rational curve, defined only when a > b+1.
+    """The (A, B, M) data of the single rational curve r(-A/B) t^-M t^M, a > b.
 
-    A = 2(a-b)-1, B = 4b(a-b-1)+2a = A(2b+1)+1, M = 2b+2.  B = A(2b+1)+1
-    makes gcd(A, B) = 1, and ReducedSlope rechecks lowest terms.
+    A = 2(a-b)-1, B = 4b(a-b-1)+2a = A(2b+1)+1, M = 2b+2, so (1, 2a, 2a) at
+    a = b+1.  B = A(2b+1)+1 makes gcd(A, B) = 1; ReducedSlope rechecks it.
     """
-    if case_of(a, b) is not CaseLabel.CASE_III:
-        raise CurveError(f"slope_AB requires a > b + 1, got a={a}, b={b}")
+    if case_of(a, b) is CaseLabel.CASE_I:
+        raise CurveError(f"slope_AB requires a > b, got a={a}, b={b}")
     A = 2 * (a - b) - 1
     B = 4 * b * (a - b - 1) + 2 * a
     M = 2 * b + 2
@@ -181,9 +167,8 @@ def pretzel_tangle_curves(a: int, b: int) -> Tuple[GradedCurve, ...]:
     i_j(1,4) t^(-2b-2) t^(4j-2b-2) and i_j(1,4) t^(-2b) t^(4j-2b), and when
     a <= b also i_a(1,4) t^(-2b-2) t^(4a-2b-2).  The middle is the curves
     r(1/2a) t^m t^(m+4a), m = -2b, ..., 2b-4a in steps of 2, when a <= b, and
-    r(-A/B) t^-M t^M when a > b: (A, B, M) = slope_AB(a, b) when a > b+1, and
-    (1, 2a, 2a), the same formulas at a = b+1.  Each ladder curve
-    i_k(1,4) t^m t^M, in reverse order, gives the mirror curve i_k(2,3)
+    r(-A/B) t^-M t^M with (A, B, M) = slope_AB(a, b) when a > b.  Each ladder
+    curve i_k(1,4) t^m t^M, in reverse order, gives the mirror curve i_k(2,3)
     t^-M t^-m.
 
     The list depends on (a, b) alone; c enters only when each curve is paired
@@ -205,7 +190,7 @@ def pretzel_tangle_curves(a: int, b: int) -> Tuple[GradedCurve, ...]:
         middle = [GradedCurve(RATIONAL, m, m + 4 * a, slope)
                   for m in range(-2 * b, 2 * b - 4 * a + 1, 2)]
     else:
-        A, B, M = slope_AB(a, b) if a > b + 1 else (1, 2 * a, 2 * a)
+        A, B, M = slope_AB(a, b)
         middle = [GradedCurve.rational(-A, B, -M, M)]
     mirror = [GradedCurve(SPECIAL23, -s.M, -s.m, None, s.k) for s in reversed(specials)]
     return tuple(specials + middle + mirror)

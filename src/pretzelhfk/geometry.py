@@ -233,8 +233,6 @@ def enumerate_geometric_pairing(
             raise GeometryError("geometric pairing is defined for rational curves only")
     pr, qr = red.slope.numerator, red.slope.denominator
     pb, qb = blue.slope.numerator, blue.slope.denominator
-    if qr == 0 or qb == 0:
-        raise GeometryError("infinite slopes are not supported")
     expected = 2 * det_pair_count(red.slope, blue.slope)  # raises on parallel slopes
     det = pr * qb - pb * qr
     n = math.lcm(2 * qr, 2 * pr or 1, 4 * qb, 4 * pb or 1, 4 * det)

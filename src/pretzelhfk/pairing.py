@@ -106,7 +106,9 @@ def pair_special23(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
 
 
 def pair_rational_neg_half(closure: str, c: int, n: int, curve: GradedCurve) -> ReducedPairing:
-    """Pairing with r(-1/2n) t^-2n t^2n."""
+    """Pairing with r(-1/2n) t^-2n t^2n; any other grading raises PairingError."""
+    if (curve.m, curve.M) != (-2 * n, 2 * n):
+        raise PairingError(f"r(-1/{2 * n}) needs the grading t^{-2 * n} t^{2 * n}, got {curve}")
     if closure == "-":
         return _tuple_new(ReducedPairing, (single_run(-n - c, n + c, DELTA_HALF),))
     if n > c:
@@ -115,8 +117,10 @@ def pair_rational_neg_half(closure: str, c: int, n: int, curve: GradedCurve) -> 
 
 
 def pair_rational_pos_half(closure: str, c: int, n: int, curve: GradedCurve) -> ReducedPairing:
-    """Pairing with r(1/2n) t^m t^(m+4n); m need not be symmetric."""
+    """Pairing with r(1/2n) t^m t^(m+4n); m need not be symmetric, the span must be 4n."""
     m, M = curve.m, curve.M
+    if M - m != 4 * n:
+        raise PairingError(f"r(1/{2 * n}) needs M - m = {4 * n}, got {curve}")
     if closure == "+":
         return _tuple_new(ReducedPairing, (single_run(m // 2 - c, M // 2 + c, DELTA_HALF),))
     if n > c:
@@ -173,5 +177,7 @@ def pair_curve(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
     if slope.denominator % 2 == 0 and slope.numerator == -1:
         return pair_rational_neg_half(closure, c, slope.denominator // 2, curve)
     if slope.numerator < 0 and slope.denominator % 2 == 0:
+        if curve.m != -curve.M:  # pair_rational_general reads only M
+            raise PairingError(f"r({slope}) needs m = -M, got {curve}")
         return pair_rational_general(closure, c, slope, curve.M)
     raise PairingError(f"no pairing formula for rational slope {slope}")

@@ -39,24 +39,22 @@ class TestReducedSlope:
         with pytest.raises(CurveError):
             ReducedSlope(1, -2)
 
-    def test_infinity_encoding(self):
-        inf = ReducedSlope(1, 0)
-        assert inf.is_infinite
-        with pytest.raises(CurveError):
-            ReducedSlope(2, 0)
-        with pytest.raises(CurveError, match="infinite slope must be 1/0"):
-            ReducedSlope(-1, 0)
+    def test_a_zero_denominator_is_rejected(self):
+        # every curve of the pairings has a finite slope; 1/0 is not an encoding
+        for numerator in (1, -1, 2, 0):
+            with pytest.raises(CurveError, match="denominator must be positive"):
+                ReducedSlope(numerator, 0)
 
 
 class TestGradedCurve:
     def test_special_span_must_be_4k(self):
         with pytest.raises(CurveError):
-            GradedCurve.special14(1, 0, 2)
-        GradedCurve.special14(1, 0, 4)
+            GradedCurve(CurveKind.SPECIAL14, 0, 2, None, 1)
+        GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1)
 
     def test_special_gradings_must_be_even(self):
         with pytest.raises(CurveError):
-            GradedCurve.special23(1, 1, 5)
+            GradedCurve(CurveKind.SPECIAL23, 1, 5, None, 1)
 
     def test_rational_odd_gradings_allowed(self):
         # closure curves carry odd symmetric gradings
@@ -72,6 +70,9 @@ class TestGradedCurve:
             ((CurveKind.SPECIAL14, 0, 0, None, 0), "special curve needs a positive index and no slope"),
             ((CurveKind.SPECIAL23, 0, 4), "special curve needs a positive index and no slope"),
             ((CurveKind.SPECIAL14, 0, 4, ReducedSlope(1, 2), 1), "special curve needs a positive index and no slope"),
+            (("special14", -4, 0, None, 1), "curve kind must be a CurveKind member, not 'special14'"),
+            (("rational", -2, 2, ReducedSlope(1, 2)), "curve kind must be a CurveKind member, not 'rational'"),
+            ((None, 0, 4, None, 1), "curve kind must be a CurveKind member, not None"),
         ],
     )
     def test_malformed_curves_are_rejected(self, args, message):
@@ -83,14 +84,18 @@ class TestGradedCurve:
         [
             (GradedCurve.rational(1, 2, -2, 2), {"slope": None}, "rational curve needs a slope and no index"),
             (GradedCurve.rational(1, 2, -2, 2), {"k": 1}, "rational curve needs a slope and no index"),
-            (GradedCurve.special14(1, 0, 4), {"k": 0, "M": 0}, "special curve needs a positive index and no slope"),
-            (GradedCurve.special23(1, 0, 4), {"k": None}, "special curve needs a positive index and no slope"),
+            (GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1), {"k": 0, "M": 0},
+             "special curve needs a positive index and no slope"),
+            (GradedCurve(CurveKind.SPECIAL23, 0, 4, None, 1), {"k": None},
+             "special curve needs a positive index and no slope"),
             (
-                GradedCurve.special23(1, 0, 4),
+                GradedCurve(CurveKind.SPECIAL23, 0, 4, None, 1),
                 {"slope": ReducedSlope(1, 2)},
                 "special curve needs a positive index and no slope",
             ),
-            (GradedCurve.special14(1, 0, 4), {"M": 8}, "special curve span must be 4k, got 8"),
+            (GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1), {"M": 8}, "special curve span must be 4k, got 8"),
+            (GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1), {"kind": "special14"},
+             "curve kind must be a CurveKind member"),
         ],
     )
     def test_replace_revalidates(self, curve, changes, message):
@@ -98,7 +103,7 @@ class TestGradedCurve:
             replace(curve, **changes)
 
     def test_fields_cannot_be_assigned(self):
-        curve = GradedCurve.special14(1, 0, 4)
+        curve = GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1)
         with pytest.raises(FrozenInstanceError):
             curve.m = 2
         with pytest.raises(FrozenInstanceError):
@@ -106,7 +111,7 @@ class TestGradedCurve:
         assert curve == GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1)
 
     def test_grading_reversal_swaps_special_types(self):
-        c = GradedCurve.special14(2, -2, 6)
+        c = GradedCurve(CurveKind.SPECIAL14, -2, 6, None, 2)
         r = grading_reversed(c)
         assert r.kind is CurveKind.SPECIAL23
         assert (r.m, r.M) == (-6, 2)
@@ -123,12 +128,16 @@ class TestCaseSplit:
         # a=3, b=1: A = 2(a-b)-1 = 3, B = A(2b+1)+1 = 10, M = 2b+2 = 4
         assert slope_AB(3, 1) == (3, 10, 4)
         assert slope_AB(4, 1) == (5, 16, 4)
-        with pytest.raises(CurveError):
-            slope_AB(2, 1)
+        # a = b + 1: the same formulas give r(-1/2a) t^-2a t^2a
+        assert slope_AB(2, 1) == (1, 4, 4)
+        assert slope_AB(5, 4) == (1, 10, 10)
+        for a, b in ((2, 2), (1, 3)):
+            with pytest.raises(CurveError, match="slope_AB requires a > b"):
+                slope_AB(a, b)
 
     @given(small, small)
     def test_slope_AB_identity(self, a, b):
-        if case_of(a, b) is CaseLabel.CASE_III:
+        if a > b:
             A, B, M = slope_AB(a, b)
             assert B == A * (2 * b + 1) + 1
             assert math.gcd(A, B) == 1

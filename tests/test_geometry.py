@@ -53,7 +53,7 @@ class TestGeometricPairing:
     def test_rejects_special_curves(self):
         with pytest.raises(GeometryError):
             enumerate_geometric_pairing(
-                closure_curve(1, "-"), GradedCurve.special14(1, 0, 4)
+                closure_curve(1, "-"), GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1)
             )
 
     def test_unreduced_count_is_twice_the_determinant(self):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from pretzelhfk.algebra import GeneratorMultiset, HalfInteger
-from pretzelhfk.curves import GradedCurve, ReducedSlope, pretzel_tangle_curves
+from pretzelhfk.algebra import GeneratorMultiset, HalfInteger, single_run
+from pretzelhfk.curves import SPECIAL14, SPECIAL23, GradedCurve, ReducedSlope, pretzel_tangle_curves
 from pretzelhfk.pairing import (
     PairingError,
     ReducedPairing,
@@ -94,15 +94,15 @@ class TestReduction:
 class TestSpecialPairings:
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(-3, 3))
     def test_rank_is_2k_at_delta_one_half(self, k, c, base):
-        curve = GradedCurve.special14(k, 2 * base, 2 * base + 4 * k)
+        curve = GradedCurve(SPECIAL14, 2 * base, 2 * base + 4 * k, None, k)
         for closure in ("+", "-"):
             out = pair_special14(closure, c, curve)
             assert out.total_rank == 2 * k
-            assert out.generators.deltas() == {D(1)}
+            assert {d for _, d in out.generators.entries} == {D(1)}
 
     def test_one_four_and_two_three_are_mirror_images(self):
-        c14 = GradedCurve.special14(2, -4, 4)
-        c23 = GradedCurve.special23(2, -4, 4)
+        c14 = GradedCurve(SPECIAL14, -4, 4, None, 2)
+        c23 = GradedCurve(SPECIAL23, -4, 4, None, 2)
         for c in (1, 2, 3):
             plus14 = pair_special14("+", c, c14).generators
             minus23 = pair_special23("-", c, c23).generators
@@ -110,28 +110,28 @@ class TestSpecialPairings:
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(PairingError):
-            pair_special14("+", 1, GradedCurve.special23(1, 0, 4))
+            pair_special14("+", 1, GradedCurve(SPECIAL23, 0, 4, None, 1))
 
 
 class TestRationalHalfSlopePairings:
     def test_negative_closure_gives_torus_knot_interval(self):
         curve = GradedCurve.rational(-1, 4, -4, 4)
         out = pair_rational_neg_half("-", 3, 2, curve)
-        assert out.generators == GeneratorMultiset.interval(-5, 5, D(1))
+        assert out.generators == single_run(-5, 5, D(1))
 
     def test_positive_closure_branches_on_n_versus_c(self):
         curve = GradedCurve.rational(-1, 6, -6, 6)
         wide = pair_rational_neg_half("+", 1, 3, curve)  # n > c
-        assert wide.generators == GeneratorMultiset.interval(-1, 1, D(1))
+        assert wide.generators == single_run(-1, 1, D(1))
         narrow = pair_rational_neg_half("+", 5, 3, curve)  # n <= c
-        assert narrow.generators == GeneratorMultiset.interval(-2, 2, D(-1))
+        assert narrow.generators == single_run(-2, 2, D(-1))
 
     def test_positive_slope_uses_the_curve_decoration(self):
         curve = GradedCurve.rational(1, 4, -6, 2)  # asymmetric m
         out = pair_rational_pos_half("+", 2, 2, curve)
-        assert out.generators == GeneratorMultiset.interval(-5, 3, D(1))
+        assert out.generators == single_run(-5, 3, D(1))
         deep = pair_rational_pos_half("-", 3, 2, curve)  # n <= c
-        assert deep.generators == GeneratorMultiset.interval(-2, 0, D(3))
+        assert deep.generators == single_run(-2, 0, D(3))
 
 
 class TestGeneralSlopePairing:
@@ -188,7 +188,7 @@ class TestGeneralSlopePairing:
 
 class TestDispatch:
     def test_routes_by_kind_and_slope(self):
-        assert pair_curve("-", 1, GradedCurve.special14(1, 0, 4)).total_rank == 2
+        assert pair_curve("-", 1, GradedCurve(SPECIAL14, 0, 4, None, 1)).total_rank == 2
         assert pair_curve("-", 1, GradedCurve.rational(-1, 2, -2, 2)).total_rank == 5
         assert pair_curve("-", 1, GradedCurve.rational(1, 2, -2, 2)).total_rank == 1
 
@@ -202,9 +202,34 @@ class TestDispatch:
                             runs = pair_curve(sign, c, curve).generators.runs
                             assert runs == GeneratorMultiset.of_runs(runs).runs, (a, b, c, sign, str(curve))
 
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            # r(1/2n) needs M - m = 4n: this one would give 8 generators where det_pair_count says 5
+            (GradedCurve.rational(1, 2, -2, 8), r"r\(1/2\) needs M - m = 4"),
+            (GradedCurve.rational(1, 4, -2, 4), r"r\(1/4\) needs M - m = 8"),
+            # r(-1/2n) needs t^-2n t^2n
+            (GradedCurve.rational(-1, 4, -6, 2), r"r\(-1/4\) needs the grading t\^-4 t\^4"),
+            (GradedCurve.rational(-1, 2, -2, 4), r"r\(-1/2\) needs the grading t\^-2 t\^2"),
+            # the general r(-A/B) formula reads only M and needs m = -M
+            (GradedCurve.rational(-3, 10, -2, 4), r"r\(-3/10\) needs m = -M"),
+        ],
+    )
+    def test_a_curve_outside_its_formula_is_rejected(self, curve, message):
+        for closure in ("+", "-"):
+            for c in (1, 2, 5):
+                with pytest.raises(PairingError, match=message):
+                    pair_curve(closure, c, curve)
+
+    def test_the_half_slope_pairings_check_the_grading_themselves(self):
+        with pytest.raises(PairingError, match="needs M - m = 4"):
+            pair_rational_pos_half("+", 1, 1, GradedCurve.rational(1, 2, -2, 8))
+        with pytest.raises(PairingError, match="needs the grading"):
+            pair_rational_neg_half("-", 1, 2, GradedCurve.rational(-1, 4, -6, 2))
+
     def test_bad_inputs(self):
         with pytest.raises(PairingError):
-            pair_curve("x", 1, GradedCurve.special14(1, 0, 4))
+            pair_curve("x", 1, GradedCurve(SPECIAL14, 0, 4, None, 1))
         with pytest.raises(PairingError):
             pair_curve("+", 1, GradedCurve.rational(3, 5, -2, 2))
 
@@ -252,7 +277,7 @@ class TestReducedPairingRecord:
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_a_generator_multiset_pickles(self, protocol):
-        for gens in [self.pairing().generators, GeneratorMultiset(), GeneratorMultiset.interval(-2, 3, D(-1))]:
+        for gens in [self.pairing().generators, GeneratorMultiset(), single_run(-2, 3, D(-1))]:
             back = pickle.loads(pickle.dumps(gens, protocol))
             assert type(back) is GeneratorMultiset and back.runs == gens.runs and back == gens
         assert back.entries == {(s, D(-1)): 1 for s in range(-2, 4)}

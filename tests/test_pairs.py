@@ -65,6 +65,20 @@ def test_the_table_prints_whether_a_claim_holds(monkeypatch, capsys):
     assert row.split()[-3:] == ["5/5", "yes", "yes"]
 
 
+@pytest.mark.parametrize("option", [["--pairs", "0"], ["--pairs", "-3"], ["--seconds", "0"],
+                                    ["--seconds", "-1"], ["--seconds", "nan"]])
+def test_a_run_count_or_length_that_is_not_positive_exits_2_before_exporting(monkeypatch, capsys, option):
+    def export(rev, into):
+        raise AssertionError("exported before the options were checked")
+
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "copy_worktree", export)
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main(["--workload", "grid-sweep", "--seed", "1", *option])
+    assert exit_.value.code == 2
+    assert f"{option[0]} must be" in capsys.readouterr().err
+
+
 def test_worse_is_a_median_past_the_bound_in_the_better_direction():
     parent = [10, 10, 10, 10, 10]
     assert pairs.summarize(parent, [12.6] * 5, "lower", 0.25)["worse"] is True

@@ -112,6 +112,10 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, help="write every run's result line here as JSON")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not args.seconds > 0:
+        parser.error(f"--seconds must be positive, got {args.seconds:g}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}  # per-layer metrics have none
