@@ -224,6 +224,13 @@ class TestGeneratorMultisetRuns:
         assert ms.entries == ref.entries
         assert ms.total_rank == ref.total_rank
 
+    @given(st.integers(-40, 40), st.integers(-40, 40), deltas)
+    def test_single_run_is_the_interval_multiset(self, lo, hi, d):
+        ms = single_run(lo, hi, d)
+        interval = GeneratorMultiset({(s, d): 1 for s in range(lo, hi + 1)})
+        assert type(ms) is GeneratorMultiset and ms == interval
+        assert ms.runs == GeneratorMultiset.of_runs([(lo, hi, d, 1)]).runs
+
     @given(runs, runs)
     def test_add_sums_overlapping_runs_per_cell(self, first, second):
         total = GeneratorMultiset.of_runs(first).add(GeneratorMultiset.of_runs(second))
