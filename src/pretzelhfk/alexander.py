@@ -33,7 +33,8 @@ one of t^-lo, t^-lo S_n and t^-lo S_{n+1}, polynomials in t, from each band
 with coefficient +-1, so the value's L1 norm is at most the product over the
 bands of 1 + n + (n + 1).  K >= bit_length(that bound) + 2 puts each
 coefficient in (-X/2, X/2): the value's balanced base-X digits, packed and
-decoded by one `struct` call each (K is 8, 16, 32 or 64m), are its coefficients.
+decoded by one `struct` call each, are its coefficients.  Each n >= 1 makes
+the bound at least 4^3 = 64, so K >= 9: K is 16, 32 or 64m.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import accumulate, cycle, repeat
 from operator import add, and_, lshift, or_, rshift, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .algebra import normalize_alexander
+from .algebra import normalize_alexander, same_type_eq, same_type_ne
 
 
 class DiagramError(ValueError):
@@ -62,20 +63,13 @@ class Crossing(NamedTuple):
     outgoing: int
     exponent: int
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Crossing and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return type(other) is not Crossing or tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
+    __eq__, __ne__ = same_type_eq, same_type_ne
 
 
 @dataclass(frozen=True)
 class PretzelDiagram:
     twists: Tuple[int, int, int]
     crossings: Tuple[Crossing, ...]
-    arc_count: int
 
 
 # Each band's exponents (e_0, e_1) for a positive twist, by which band is even:
@@ -149,21 +143,21 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
             y[j] = x - bisect_left(merged, x)
         crossings.extend(map(new_crossing, zip(y[1:], y, y[2:], cycle((e0, e1)))))
 
-    return PretzelDiagram(twists=twists, crossings=tuple(crossings), arc_count=base - len(merged))
+    return PretzelDiagram(twists=twists, crossings=tuple(crossings))
 
 
 def _digit_bits(bound: int) -> int:
-    """The smallest K in {8, 16, 32} or 64m (m >= 1) with K >= bit_length(bound) + 2,
+    """The smallest K in {16, 32} or 64m (m >= 1) with K >= bit_length(bound) + 2,
     so that coefficients at most `bound` in absolute value are base-2^K digits."""
     need = bound.bit_length() + 2
-    return next((k for k in (8, 16, 32) if k >= need), -(-need // 64) * 64)
+    return next((k for k in (16, 32) if k >= need), -(-need // 64) * 64)
 
 
 def _layout(bits: int) -> Tuple[int, str]:
     """(m, code): a base-2^bits digit is m little-endian struct words of `code`."""
-    if bits in (8, 16, 32) or (bits > 0 and bits % 64 == 0):
-        return max(bits // 64, 1), {8: "B", 16: "H", 32: "I"}.get(bits, "Q")
-    raise ValueError(f"{bits}-bit digits: K must be 8, 16, 32 or a multiple of 64")
+    if bits in (16, 32) or (bits > 0 and bits % 64 == 0):
+        return max(bits // 64, 1), {16: "H", 32: "I"}.get(bits, "Q")
+    raise ValueError(f"{bits}-bit digits: K must be 16, 32 or a multiple of 64")
 
 
 def _evaluate(cs: Sequence[int], bits: int) -> int:

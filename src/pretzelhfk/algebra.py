@@ -20,6 +20,8 @@ from itertools import compress, count
 from operator import itemgetter, neg
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
+from .curves import TangleParams
+
 
 # the two parts of an (s, delta) cell key, read in C
 cell_alexander = itemgetter(0)
@@ -28,6 +30,16 @@ cell_delta = itemgetter(1)
 
 class AlgebraError(ValueError):
     """Raised when an algebraic precondition fails (bad normalization, etc.)."""
+
+
+# __eq__ and __ne__ of each NamedTuple here: equal only to one of its own type, never
+# to a plain tuple; typing.NamedTuple keeps tuple.__hash__ when they are set
+def same_type_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def same_type_ne(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
 
 
 def _among_half_integers(op: str, compare):
@@ -60,17 +72,11 @@ class HalfInteger(NamedTuple):
             return str(self.twice // 2)
         return f"{self.twice}/2"
 
-    def __eq__(self, other) -> bool:
-        return type(other) is HalfInteger and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return type(other) is not HalfInteger or tuple.__ne__(self, other)
-
+    __eq__, __ne__ = same_type_eq, same_type_ne  # hash stays hash((twice,)): sets of deltas keep their order
     __lt__ = _among_half_integers("<", tuple.__lt__)
     __le__ = _among_half_integers("<=", tuple.__le__)
     __gt__ = _among_half_integers(">", tuple.__gt__)
     __ge__ = _among_half_integers(">=", tuple.__ge__)
-    __hash__ = tuple.__hash__  # hash((twice,)), so sets of deltas keep their order
 
 
 def normalize_alexander(cs: Sequence[int]) -> Tuple[int, ...]:
@@ -218,7 +224,7 @@ class HfkTable:
     is outside this contract, and the checks may count it as support.
     """
 
-    params: "object"  # TangleParams; kept loose to avoid an import cycle
+    params: TangleParams
     entries: Mapping[Tuple[int, HalfInteger], int]
 
     @property

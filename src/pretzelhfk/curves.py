@@ -119,6 +119,9 @@ class TangleParams:
     sign: str  # "+" or "-"
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if type(value) is not int:  # a bool is an int subclass, and is refused too
+                raise CurveError(f"{name} must be an int, not {value!r}")
         if self.a < 1 or self.b < 1 or self.c < 1:
             raise CurveError("a, b, c must all be at least 1")
         if self.sign not in ("+", "-"):

@@ -11,7 +11,7 @@ blue curve from y to the point, the red curve from the point to x, and an arc
 of the grid, traversed clockwise; the Alexander grading is the blue label at
 y minus the red label at x plus the signs of the punctures the disk covers.
 The cell's four boundary crossings, two per curve, are computed from its
-edges and labelled before the rule runs; only `CurveLabels` walks the grid.
+edges and labelled before the rule runs; only `_curve_labels` walks the grid.
 The sector a crossing leads runs from it along the counterclockwise boundary
 walk to the next crossing and back through the point, so it winds
 counterclockwise: the cell is convex and holds the point.  A disk runs
@@ -108,42 +108,40 @@ def _grid_crossings(line: Line, x_lo: int, x_hi: int, n: int):
     return pts
 
 
-class CurveLabels:
-    """Alexander and delta labels of one lifted curve's grid crossings.
+def _curve_labels(line: Line, m: int, M: int, n: int) -> Dict[int, int]:
+    """Alexander labels of one lifted curve's grid crossings over one x-period 2qN.
 
-    Labels are periodic with x-period 2qN and anchored so the minimum over a
+    The steps between crossings repeat with that period, so the labels are
+    periodic exactly when the walk, closed by the crossing at X = period,
+    comes back to its first label.  They are anchored so the minimum over the
     period is the curve's m; construction fails if the realized span differs
     from M - m (which would mean the line does not lift the decorated curve).
-    The table is keyed by the scaled X of a crossing modulo the period.
+    The table is keyed by the scaled X of a crossing in [0, period).
     """
+    p, q, c = line
+    period = 2 * q * n
+    pts = _grid_crossings(line, 0, period, n)
+    pts.append((period, _exact(p * period + c, q), "V"))
+    labs = [0]
+    for (x1, y1, k1), (x2, y2, k2) in zip(pts, pts[1:]):
+        row = (y1 + y2) // (2 * n)
+        mag = 2 if (k1 == "V" and k2 == "V") else 1
+        labs.append(labs[-1] + mag * _eps(row))
+    if labs.pop():
+        raise GeometryError("grid labels are not periodic; bad line offset")
+    if max(labs) - min(labs) != M - m:
+        raise GeometryError(
+            f"label span {max(labs) - min(labs)} does not match "
+            f"decoration span {M - m}"
+        )
+    shift = m - min(labs)
+    return {x: lab + shift for (x, _, _), lab in zip(pts, labs)}
 
-    def __init__(self, line: Line, m: int, M: int, n: int):
-        self.p, self.q = line[0], line[1]
-        self.period = 2 * self.q * n
-        pts = _grid_crossings(line, 0, 2 * self.period, n)
-        labs = [0]
-        for (x1, y1, k1), (x2, y2, k2) in zip(pts, pts[1:]):
-            row = (y1 + y2) // (2 * n)
-            mag = 2 if (k1 == "V" and k2 == "V") else 1
-            labs.append(labs[-1] + mag * _eps(row))
-        by_x = {x: lab for (x, _, _), lab in zip(pts, labs)}
-        base = [(x, lab) for (x, _, _), lab in zip(pts, labs) if x < self.period]
-        if not all(by_x.get(x + self.period) == lab for x, lab in base):
-            raise GeometryError("grid labels are not periodic; bad line offset")
-        values = [lab for _, lab in base]
-        if max(values) - min(values) != M - m:
-            raise GeometryError(
-                f"label span {max(values) - min(values)} does not match "
-                f"decoration span {M - m}"
-            )
-        shift = m - min(values)
-        self.table: Dict[int, int] = {x: lab + shift for x, lab in base}
 
-    def delta_halves(self, kind: str) -> int:
-        sgn = 1 if self.p > 0 else -1
-        if self.q % 2:
-            return -sgn if kind == "V" else 0
-        return 0 if kind == "V" else sgn
+def _delta_halves(p: int, q: int) -> Tuple[int, int]:
+    """Delta labels, in halves, of a curve of slope p/q on its (V, H) grid crossings."""
+    sgn = 1 if p > 0 else -1
+    return (-sgn, 0) if q % 2 else (0, sgn)
 
 
 def _cell_crossings(line: Line, x0: int, y0: int, n: int):
@@ -231,22 +229,20 @@ def enumerate_geometric_pairing(
     for curve in (red, blue):
         if curve.kind is not RATIONAL:
             raise GeometryError("geometric pairing is defined for rational curves only")
+        if curve.slope.numerator == 0:
+            raise GeometryError(f"slope {curve.slope} is zero: the oracle divides by each numerator")
     pr, qr = red.slope.numerator, red.slope.denominator
     pb, qb = blue.slope.numerator, blue.slope.denominator
     expected = 2 * det_pair_count(red.slope, blue.slope)  # raises on parallel slopes
     det = pr * qb - pb * qr
-    n = math.lcm(2 * qr, 2 * pr or 1, 4 * qb, 4 * pb or 1, 4 * det)
+    n = math.lcm(2 * qr, 2 * pr, 4 * qb, 4 * pb, 4 * det)
 
     # the red lift has intercept 1/(2 qr), the blue translates sigma/(4 qb) + 2k/qb
     red_line = (pr, qr, _exact(n, 2))
-    red_labels = CurveLabels(red_line, red.m, red.M, n)
-    blue_labels = CurveLabels((pb, qb, _exact(n, 4)), blue.m, blue.M, n)
+    red_table, red_period = _curve_labels(red_line, red.m, red.M, n), 2 * qr * n
+    blue_table, blue_period = _curve_labels((pb, qb, _exact(n, 4)), blue.m, blue.M, n), 2 * qb * n
     pb_inv = pow(pb % qb, -1, qb)
-
-    red_table, red_period = red_labels.table, red_labels.period
-    blue_table, blue_period = blue_labels.table, blue_labels.period
-    red_v, red_h = red_labels.delta_halves("V"), red_labels.delta_halves("H")
-    blue_v, blue_h = blue_labels.delta_halves("V"), blue_labels.delta_halves("H")
+    (red_v, red_h), (blue_v, blue_h) = _delta_halves(pr, qr), _delta_halves(pb, qb)
     cell_crossings = _cell_crossings  # read once per call: a patched attribute still counts
     counts: Counter = Counter()  # (alexander, delta_halves) -> points
     for sigma in (1, -1):

@@ -126,10 +126,9 @@ def classification_from_table(table: HfkTable) -> Classification:
 class VerificationReport:
     """Outcome of the per-knot consistency checks; values pass/fail/skip.
 
-    predicted is classify(params), which check (iii) compares with the table.
+    predicted is classify(table.params), which check (iii) compares with the table.
     """
 
-    params: TangleParams
     table: HfkTable
     predicted: Classification
     checks: Dict[str, str] = field(default_factory=dict)
@@ -151,7 +150,7 @@ def verify(params: TangleParams) -> VerificationReport:
     """
     table = compute_hfk(params)
     predicted = classify(params)
-    report = VerificationReport(params=params, table=table, predicted=predicted)
+    report = VerificationReport(table=table, predicted=predicted)
     checks = report.checks
 
     # (i) graded Euler characteristic against the Fox-calculus oracle

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from .algebra import GeneratorMultiset, HalfInteger, single_run
+from .algebra import GeneratorMultiset, HalfInteger, same_type_eq, same_type_ne, single_run
 from .curves import SPECIAL14, SPECIAL23, GradedCurve, ReducedSlope
 
 DELTA_MINUS_HALF = HalfInteger(-1)
@@ -44,12 +44,7 @@ class ReducedPairing(NamedTuple):
     def total_rank(self) -> int:
         return self.generators.total_rank
 
-    def __eq__(self, other) -> bool:
-        return type(other) is ReducedPairing and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return type(other) is not ReducedPairing or tuple.__ne__(self, other)
-
+    __eq__, __ne__ = same_type_eq, same_type_ne
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
@@ -106,14 +101,10 @@ def pair_special23(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
 
 
 def pair_rational_neg_half(closure: str, c: int, n: int, curve: GradedCurve) -> ReducedPairing:
-    """Pairing with r(-1/2n) t^-2n t^2n; any other grading raises PairingError."""
+    """Pairing with r(-1/2n) t^-2n t^2n by the Case III formula at A = 1; any other grading raises PairingError."""
     if (curve.m, curve.M) != (-2 * n, 2 * n):
         raise PairingError(f"r(-1/{2 * n}) needs the grading t^{-2 * n} t^{2 * n}, got {curve}")
-    if closure == "-":
-        return _tuple_new(ReducedPairing, (single_run(-n - c, n + c, DELTA_HALF),))
-    if n > c:
-        return _tuple_new(ReducedPairing, (single_run(-n + c + 1, n - c - 1, DELTA_HALF),))
-    return _tuple_new(ReducedPairing, (single_run(n - c, c - n, DELTA_MINUS_HALF),))
+    return pair_rational_general(closure, c, curve.slope, 2 * n)
 
 
 def pair_rational_pos_half(closure: str, c: int, n: int, curve: GradedCurve) -> ReducedPairing:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pretzelhfk.algebra import (
     HalfInteger,
+    HfkTable,
     euler_characteristic,
     normalize_alexander,
     single_run,
@@ -313,3 +314,56 @@ def test_criterion_10_up_to_40(a, b, c):
     table = compute_hfk(TangleParams(a, b, c, "-"))
     swapped = compute_hfk(TangleParams(a, c, b, "-"))
     assert delta_normalized(table.entries) == delta_normalized(swapped.entries)
+
+
+def is_quasi_alternating(params):
+    """Quasi-alternating by Champanerkar-Kofman (arXiv:0712.2250) and
+    Manolescu-Ozsvath (arXiv:0708.3249): for the - closure a > b or a > c,
+    for the + closure b >= a or b > c."""
+    a, b, c = params.a, params.b, params.c
+    if params.sign == "-":
+        return a > b or a > c
+    return b >= a or b > c
+
+
+def qa_thinness_failures(tables):
+    """Quasi-alternating knots whose table is not thin: one delta line, rank
+    |Delta_s| at each s with Delta from the Fox oracle, and total rank
+    |pq + qr + rp|.  tables maps params to HfkTable; other knots are skipped."""
+    bad = []
+    for params, table in tables.items():
+        if not is_quasi_alternating(params):
+            continue
+        alex = fox_alexander(build_pretzel_diagram(*params.pretzel_triple()))
+        ranks = {s: abs(alex[abs(s)]) for s in range(1 - len(alex), len(alex)) if alex[abs(s)]}
+        thin = (
+            len({d for _, d in table.entries}) == 1
+            and table.rank_by_alexander() == ranks
+            and table.total_rank == pretzel_determinant(*params.pretzel_triple())
+        )
+        if not thin:
+            bad.append(params)
+    return bad
+
+
+def test_criterion_11_quasi_alternating_knots_are_thin(wide_tables):
+    bad = qa_thinness_failures(wide_tables)
+    qa = [p for p in wide_tables if is_quasi_alternating(p)]
+    # the fault: a pair of generators one delta apart at s = 0, which cancels in chi
+    params = TangleParams(3, 1, 2, "-")
+    entries = dict(wide_tables[params].entries)
+    (d,) = {d for _, d in entries}
+    for delta in (d, HalfInteger(d.twice + 2)):
+        entries[(0, delta)] = entries.get((0, delta), 0) + 1
+    faulty = HfkTable(params=params, entries=entries)
+    caught = euler_characteristic(faulty) == euler_characteristic(wide_tables[params])
+    caught = caught and qa_thinness_failures({params: faulty}) == [params]
+    ok = not bad and len(qa) == 1285 and caught
+    assert report(11, "quasi-alternating knots are thin, 1285 knots", ok), bad
+
+
+@given(BAND, BAND, BAND, st.sampled_from(["+", "-"]))
+@settings(max_examples=100, deadline=None)
+def test_criterion_11_up_to_40(a, b, c, sign):
+    params = TangleParams(a, b, c, sign)
+    assert qa_thinness_failures({params: compute_hfk(params)}) == []

@@ -4,6 +4,7 @@ import hashlib
 import math
 import pickle
 import random
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -281,6 +282,13 @@ class TestTangleParams:
             TangleParams(0, 1, 1, "+")
         with pytest.raises(CurveError):
             TangleParams(1, 1, 1, "x")
+
+    def test_a_parameter_that_is_not_an_int_is_rejected_by_name(self):
+        # unchecked, True would pass as 1 and a float fail later, in the curve list
+        for value in (1.5, 2.0, True, "3", None):
+            for field in ("a", "b", "c"):
+                with pytest.raises(CurveError, match="^" + re.escape(f"{field} must be an int, not {value!r}") + "$"):
+                    TangleParams(**{"a": 1, "b": 1, "c": 1, field: value}, sign="+")
 
     def test_pretzel_triple(self):
         assert TangleParams(3, 1, 2, "+").pretzel_triple() == (6, -3, 5)

@@ -56,6 +56,12 @@ class TestGeometricPairing:
                 closure_curve(1, "-"), GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1)
             )
 
+    def test_a_zero_slope_is_rejected_by_name(self):
+        zero = GradedCurve.rational(0, 1, -2, 2)
+        for red, blue in ((closure_curve(1, "-"), zero), (zero, GradedCurve.rational(-1, 2, -2, 2))):
+            with pytest.raises(GeometryError, match=r"^slope 0/1 is zero"):
+                enumerate_geometric_pairing(red, blue)
+
     def test_unreduced_count_is_twice_the_determinant(self):
         red = closure_curve(2, "-")
         blue = GradedCurve.rational(-1, 4, -4, 4)
@@ -259,10 +265,8 @@ class TestCalibration:
         assert disagreements(rational_pairings(3)) == 102
 
     def test_negated_delta_labels_disagree_everywhere(self, monkeypatch):
-        delta_halves = geometry.CurveLabels.delta_halves
-        monkeypatch.setattr(
-            geometry.CurveLabels, "delta_halves", lambda self, kind: -delta_halves(self, kind)
-        )
+        delta_halves = geometry._delta_halves
+        monkeypatch.setattr(geometry, "_delta_halves", lambda p, q: tuple(-h for h in delta_halves(p, q)))
         assert disagreements(rational_pairings(3)) == 102
 
     def test_the_row_sign_is_a_gauge_choice(self, monkeypatch):
