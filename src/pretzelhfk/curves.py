@@ -177,12 +177,13 @@ def pretzel_tangle_curves(a: int, b: int) -> Tuple[GradedCurve, ...]:
     The list depends on (a, b) alone; c enters only when each curve is paired
     with the closure curve.  verify and a sweep over c ask for the same (a, b)
     again, so the last result is kept.  It is a tuple of frozen curves, so a
-    caller cannot change what the next one gets.  typed=True keeps (3.0, 1)
-    raising TypeError after (3, 1) was cached.  The rational curves of an
-    a <= b list share one frozen ReducedSlope(1, 2a).
+    caller cannot change what the next one gets.  typed=True keeps (True, 1)
+    and (3.0, 1) raising after (1, 1) and (3, 1) were cached.  The rational
+    curves of an a <= b list share one frozen ReducedSlope(1, 2a).
     """
-    if a < 1 or b < 1:
-        raise CurveError("a and b must be positive")
+    for name, value in (("a", a), ("b", b)):
+        if type(value) is not int or value < 1:  # TangleParams' rule: a bool is refused too
+            raise CurveError(f"{name} must be an int of at least 1, not {value!r}")
     specials: List[GradedCurve] = []
     for j in range(1, min(a - 1, b) + 1):
         specials.append(GradedCurve(SPECIAL14, -2 * b - 2, 4 * j - 2 * b - 2, None, j))

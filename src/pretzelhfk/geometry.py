@@ -10,8 +10,10 @@ the local disk rule: a disk in the cell containing the point, bounded by the
 blue curve from y to the point, the red curve from the point to x, and an arc
 of the grid, traversed clockwise; the Alexander grading is the blue label at
 y minus the red label at x plus the signs of the punctures the disk covers.
-The cell's four boundary crossings, two per curve, are computed from its
-edges and labelled before the rule runs; only `_curve_labels` walks the grid.
+The cell's four boundary crossings are read, labelled, from each curve's
+one crossing walk, made by `_curve_labels`: the entries on either side of
+the point z, or of its preimage w under v -> sigma v + 2(s, t) on the base
+blue lift, a blue crossing c mapping back to the cell as z + sigma (c - w).
 The sector a crossing leads runs from it along the counterclockwise boundary
 walk to the next crossing and back through the point, so it winds
 counterclockwise: the cell is convex and holds the point.  A disk runs
@@ -53,8 +55,9 @@ cell indices and the window of translates are floors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
-from typing import Dict, Tuple
+from typing import List, Tuple
 
 from .algebra import GeneratorMultiset, HalfInteger
 from .curves import RATIONAL, GradedCurve, ReducedSlope
@@ -108,15 +111,16 @@ def _grid_crossings(line: Line, x_lo: int, x_hi: int, n: int):
     return pts
 
 
-def _curve_labels(line: Line, m: int, M: int, n: int) -> Dict[int, int]:
-    """Alexander labels of one lifted curve's grid crossings over one x-period 2qN.
+def _curve_labels(line: Line, m: int, M: int, n: int) -> List[Tuple[int, int, str, int]]:
+    """Labelled grid crossings (X, Y, kind, label) of one lifted curve over one x-period 2qN.
 
     The steps between crossings repeat with that period, so the labels are
     periodic exactly when the walk, closed by the crossing at X = period,
     comes back to its first label.  They are anchored so the minimum over the
     period is the curve's m; construction fails if the realized span differs
     from M - m (which would mean the line does not lift the decorated curve).
-    The table is keyed by the scaled X of a crossing in [0, period).
+    The list is sorted by X in [0, period]: the closing crossing, with the
+    first label, is kept, so every X of the period lies between two entries.
     """
     p, q, c = line
     period = 2 * q * n
@@ -127,7 +131,7 @@ def _curve_labels(line: Line, m: int, M: int, n: int) -> Dict[int, int]:
         row = (y1 + y2) // (2 * n)
         mag = 2 if (k1 == "V" and k2 == "V") else 1
         labs.append(labs[-1] + mag * _eps(row))
-    if labs.pop():
+    if labs[-1]:
         raise GeometryError("grid labels are not periodic; bad line offset")
     if max(labs) - min(labs) != M - m:
         raise GeometryError(
@@ -135,7 +139,7 @@ def _curve_labels(line: Line, m: int, M: int, n: int) -> Dict[int, int]:
             f"decoration span {M - m}"
         )
     shift = m - min(labs)
-    return {x: lab + shift for (x, _, _), lab in zip(pts, labs)}
+    return [(x, y, kind, lab + shift) for (x, y, kind), lab in zip(pts, labs)]
 
 
 def _delta_halves(p: int, q: int) -> Tuple[int, int]:
@@ -144,34 +148,13 @@ def _delta_halves(p: int, q: int) -> Tuple[int, int]:
     return (-sgn, 0) if q % 2 else (0, sgn)
 
 
-def _cell_crossings(line: Line, x0: int, y0: int, n: int):
-    """Crossings of the line with the boundary of the cell with corner (x0, y0).
-
-    Returns (t, point, kind) for each hit strictly inside an edge, where t in
-    [0, 4n) is the position on the counterclockwise walk from (x0, y0):
-    bottom, right, top, left edges in order.  kind is "V" on a vertical edge
-    and "H" on a horizontal one.  A line through the cell crosses its boundary
-    twice; a crossing at a corner lies inside no edge and is dropped.  The
-    divisions are `_exact`'s, inlined: this runs twice per point.
-    """
-    p, q, c = line
-    x1, y1 = x0 + n, y0 + n
-    out = []
-    for x, t0, sgn in ((x1, n, 1), (x0, 4 * n, -1)):
-        num = p * x + c
-        y, rem = divmod(num, q)
-        if rem:
-            raise GeometryError(f"{num}/{q} is not on the lattice")
-        if y0 < y < y1:
-            out.append((t0 + sgn * (y - y0), (x, y), "V"))
-    for y, t0, sgn in ((y0, 0, 1), (y1, 3 * n, -1)):
-        num = q * y - c
-        x, rem = divmod(num, p)
-        if rem:
-            raise GeometryError(f"{num}/{p} is not on the lattice")
-        if x0 < x < x1:
-            out.append((t0 + sgn * (x - x0), (x, y), "H"))
-    return out
+def _walk_position(dx: int, dy: int, kind: str, n: int) -> int:
+    """Position in [0, 4n) of a boundary crossing at (dx, dy) from the cell's lower
+    left corner on the counterclockwise walk from it: bottom, right, top, left
+    edges in order.  kind is "V" on a vertical edge and "H" on a horizontal one."""
+    if kind == "V":
+        return n + dy if dx else 4 * n - dy
+    return 3 * n - dx if dy else dx
 
 
 def _grade_point(z, n, marked):
@@ -179,7 +162,7 @@ def _grade_point(z, n, marked):
 
     marked holds the two cell-boundary crossings of each curve, already
     labelled: (t, alexander, delta_halves, color), with t as in
-    `_cell_crossings`.  Sorted by t the colors must alternate; the disks
+    `_walk_position`.  Sorted by t the colors must alternate; the disks
     are then the two opposite sectors (see the module docstring) led by the
     color CW_SIGN names, and both are graded and must agree.
     """
@@ -238,12 +221,11 @@ def enumerate_geometric_pairing(
     n = math.lcm(2 * qr, 2 * pr, 4 * qb, 4 * pb, 4 * det)
 
     # the red lift has intercept 1/(2 qr), the blue translates sigma/(4 qb) + 2k/qb
-    red_line = (pr, qr, _exact(n, 2))
-    red_table, red_period = _curve_labels(red_line, red.m, red.M, n), 2 * qr * n
-    blue_table, blue_period = _curve_labels((pb, qb, _exact(n, 4)), blue.m, blue.M, n), 2 * qb * n
+    red_line, blue_line = (pr, qr, _exact(n, 2)), (pb, qb, _exact(n, 4))
+    red_walk, red_period = _curve_labels(red_line, red.m, red.M, n), 2 * qr * n
+    blue_walk, blue_period = _curve_labels(blue_line, blue.m, blue.M, n), 2 * qb * n
     pb_inv = pow(pb % qb, -1, qb)
-    (red_v, red_h), (blue_v, blue_h) = _delta_halves(pr, qr), _delta_halves(pb, qb)
-    cell_crossings = _cell_crossings  # read once per call: a patched attribute still counts
+    red_delta, blue_delta = _delta_halves(pr, qr), _delta_halves(pb, qb)
     counts: Counter = Counter()  # (alexander, delta_halves) -> points
     for sigma in (1, -1):
         # k window: the unscaled x* = (sigma qr + 8k qr - 2qb) / (4 det) lies
@@ -257,27 +239,22 @@ def enumerate_geometric_pairing(
             z = (x_star, _exact(n * (sigma * pr + 8 * k * pr - 2 * pb), 4 * det))
             if z[0] % n == 0 or z[1] % n == 0:
                 raise GeometryError("intersection point lies on the grid")
-            blue_line = (pb, qb, _exact(n * (sigma + 8 * k), 4))
 
-            # transport to the base blue lift by the translation (2s, 2t) with
-            # t*qb - s*pb = k: x -> x - 2 s0 for sigma=+1, 2 s0 - x for -1
+            # z is on the base red lift; v -> sigma v + 2N(s0, t0) with t0 qb - s0 pb = k
+            # maps the base blue lift onto z's translate, and w is z's preimage there
             s0 = (-k) * pb_inv % qb
-            shift = 2 * s0 * n
-            x0, y0 = z[0] // n * n, z[1] // n * n
-            red_pts = cell_crossings(red_line, x0, y0, n)
-            blue_pts = cell_crossings(blue_line, x0, y0, n)
-            if len(red_pts) != 2 or len(blue_pts) != 2:
-                raise GeometryError("expected exactly two boundary crossings per curve")
-            (t1, pt1, kind1), (t2, pt2, kind2) = red_pts
-            (t3, pt3, kind3), (t4, pt4, kind4) = blue_pts
-            marked = [
-                (t1, red_table[pt1[0] % red_period], red_v if kind1 == "V" else red_h, "red"),
-                (t2, red_table[pt2[0] % red_period], red_v if kind2 == "V" else red_h, "red"),
-                (t3, blue_table[sigma * (pt3[0] - shift) % blue_period],
-                 blue_v if kind3 == "V" else blue_h, "blue"),
-                (t4, blue_table[sigma * (pt4[0] - shift) % blue_period],
-                 blue_v if kind4 == "V" else blue_h, "blue"),
-            ]
+            wx = sigma * (z[0] - 2 * s0 * n) % blue_period
+            w = (wx, _exact(pb * wx + blue_line[2], qb))
+            dx, dy = z[0] % n, z[1] % n
+            marked = []
+            for walk, (ux, uy), sgn, (dv, dh), color in (
+                (red_walk, z, 1, red_delta, "red"),
+                (blue_walk, w, sigma, blue_delta, "blue"),
+            ):
+                i = bisect_left(walk, (ux,))
+                for x, y, kind, lab in walk[i - 1:i + 1]:
+                    t = _walk_position(dx + sgn * (x - ux), dy + sgn * (y - uy), kind, n)
+                    marked.append((t, lab, dv if kind == "V" else dh, color))
             counts[_grade_point(z, n, marked)] += 1
 
     points = sum(counts.values())

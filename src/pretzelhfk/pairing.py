@@ -157,6 +157,8 @@ def pair_curve(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
     """Dispatch a tangle curve to the matching closed-form pairing."""
     if closure not in ("+", "-"):
         raise PairingError("closure sign must be '+' or '-'")
+    if type(c) is not int or c < 1:  # TangleParams' rule: a bool is refused too
+        raise PairingError(f"c must be an int of at least 1, not {c!r}")
     kind = curve.kind
     if kind is SPECIAL14:
         return pair_special14(closure, c, curve)

@@ -272,8 +272,18 @@ class TestTangleCurveMemo:
 
     def test_a_float_is_not_served_the_cached_int_result(self):
         pretzel_tangle_curves(3, 1)
-        with pytest.raises(TypeError):
+        with pytest.raises(CurveError):
             pretzel_tangle_curves(3.0, 1)
+        pretzel_tangle_curves(1, 1)
+        with pytest.raises(CurveError):
+            pretzel_tangle_curves(True, 1)
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, 0, -1, "2", None])
+    def test_a_parameter_that_is_not_a_positive_int_is_rejected_by_name(self, value):
+        # unchecked, (True, 1) gave the a = 1 list
+        for name, args in (("a", (value, 1)), ("b", (1, value))):
+            with pytest.raises(CurveError, match="^" + re.escape(f"{name} must be an int of at least 1, not {value!r}") + "$"):
+                pretzel_tangle_curves(*args)
 
 
 class TestTangleParams:

@@ -138,7 +138,7 @@ def test_unreduced_pairings_of_criterion_6_are_pinned():
     assert unreduced_digest(rational_pairings(6)) == CRITERION_6_DIGEST
 
 
-# -- cell crossings: direct edges against the window walk ----------------------
+# -- cell crossings: the curves' walks against the window walk -----------------
 
 
 def boundary_param(pt, x0, y0, n):
@@ -169,27 +169,24 @@ def window_cell_crossings(line, x0, y0, n):
 
 
 def test_cell_crossings_match_the_window_walk(monkeypatch):
-    calls = []
-    cell_crossings = geometry._cell_crossings
-
-    def recorded(line, x0, y0, n):
-        out = cell_crossings(line, x0, y0, n)
-        calls.append(((line, x0, y0, n), out))
-        return out
-
-    monkeypatch.setattr(geometry, "_cell_crossings", recorded)
+    # the crossings each point reads from its curves' walks are where the red
+    # lift and the blue translate through the point cross the cell's edges
     points = 0
     for sign, c, blue in rational_pairings(3):
-        points += enumerate_geometric_pairing(closure_curve(c, sign), blue).total_rank
-    assert len(calls) == 2 * points  # the red and the blue line at every point
-    for args, out in calls:
-        assert len(out) == 2
-        assert sorted(out) == sorted(window_cell_crossings(*args))
-
-
-def test_a_line_through_a_cell_corner_meets_fewer_than_two_edges():
-    args = ((1, 1, 0), 0, 0, 1)  # Y = X through the corners (0, 0) and (1, 1)
-    assert geometry._cell_crossings(*args) == window_cell_crossings(*args) == []
+        red = closure_curve(c, sign)
+        calls = graded_calls(monkeypatch, red, blue)
+        assert len(calls) == 2 * det_pair_count(red.slope, blue.slope)
+        points += len(calls)
+        for (z, n, marked), _ in calls:
+            x0, y0 = z[0] // n * n, z[1] // n * n
+            for color, curve in (("red", red), ("blue", blue)):
+                p, q = curve.slope.numerator, curve.slope.denominator
+                dv, dh = geometry._delta_halves(p, q)
+                window = window_cell_crossings((p, q, q * z[1] - p * z[0]), x0, y0, n)
+                walked = sorted((t, delta) for t, _, delta, col in marked if col == color)
+                assert len(walked) == 2
+                assert walked == sorted((t, dv if kind == "V" else dh) for t, _, kind in window)
+    assert points == 1196  # over the 102 rational pairings of the 3x3x3 grid
 
 
 # -- the kernel's error paths ---------------------------------------------------
@@ -235,10 +232,21 @@ def test_one_perturbed_label_makes_the_disk_configurations_disagree(monkeypatch)
 
 
 def test_a_dropped_boundary_crossing_is_rejected(monkeypatch):
-    cell_crossings = geometry._cell_crossings
-    monkeypatch.setattr(geometry, "_cell_crossings", lambda *args: cell_crossings(*args)[1:])
-    with pytest.raises(GeometryError, match="expected exactly two boundary crossings per curve"):
+    (z, n, marked), _ = graded_calls(monkeypatch, closure_curve(1, "-"), GradedCurve.rational(-1, 2, -2, 2))[0]
+    for i in range(4):
+        with pytest.raises(GeometryError, match="do not alternate colors"):
+            geometry._grade_point(z, n, marked[:i] + marked[i + 1:])
+
+
+def test_a_constant_row_sign_breaks_the_label_period(monkeypatch):
+    monkeypatch.setattr(geometry, "_eps", lambda row: 1)
+    with pytest.raises(GeometryError, match="grid labels are not periodic"):
         enumerate_geometric_pairing(closure_curve(1, "-"), GradedCurve.rational(-1, 2, -2, 2))
+
+
+def test_a_decoration_the_line_does_not_lift_is_rejected():
+    with pytest.raises(GeometryError, match="label span 4 does not match decoration span 8"):
+        enumerate_geometric_pairing(closure_curve(1, "-"), GradedCurve.rational(-1, 2, -4, 4))
 
 
 # -- calibration: the conventions are pinned, not fitted ----------------------
@@ -313,27 +321,19 @@ def test_large_case_iii_pairings_match_the_closed_form():
 
 
 def cell_records(monkeypatch, pairings):
-    """(z, n, red crossings, blue crossings) at every point of each distinct pairing."""
-    crossings, records = [], []
-    cell_crossings, grade_point = geometry._cell_crossings, geometry._grade_point
-
-    def recorded_crossings(line, x0, y0, n):
-        out = cell_crossings(line, x0, y0, n)
-        crossings.append(out)
-        return out
-
-    def recorded_grade(z, n, marked):
-        red, blue = crossings  # the red line's crossings are taken first
-        records.append((z, n, red, blue))
-        crossings.clear()
-        return grade_point(z, n, marked)
-
-    monkeypatch.setattr(geometry, "_cell_crossings", recorded_crossings)
-    monkeypatch.setattr(geometry, "_grade_point", recorded_grade)
+    """(z, n, red crossings, blue crossings) at every point of each distinct pairing;
+    each crossing is (t, point, kind), its point rebuilt from the walk position t."""
+    records = []
     unique = {(sign, c, blue.slope, blue.m, blue.M): blue for sign, c, blue in pairings}
     for (sign, c, *_), blue in unique.items():
-        enumerate_geometric_pairing(closure_curve(c, sign), blue)
-    monkeypatch.undo()
+        for (z, n, marked), _ in graded_calls(monkeypatch, closure_curve(c, sign), blue):
+            x0, y0 = z[0] // n * n, z[1] // n * n
+            crossings = {"red": [], "blue": []}
+            for t, _, _, color in marked:
+                edge, off = divmod(t, n)
+                point = [(x0 + off, y0), (x0 + n, y0 + off), (x0 + n - off, y0 + n), (x0, y0 + n - off)][edge]
+                crossings[color].append((t, point, "HV"[edge % 2]))
+            records.append((z, n, crossings["red"], crossings["blue"]))
     return records
 
 

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from collections import Counter
 
 import pytest
@@ -232,6 +233,14 @@ class TestDispatch:
             pair_curve("x", 1, GradedCurve(SPECIAL14, 0, 4, None, 1))
         with pytest.raises(PairingError):
             pair_curve("+", 1, GradedCurve.rational(3, 5, -2, 2))
+
+    @pytest.mark.parametrize("c", [2.0, True, 0, -1, "2", None])
+    def test_a_closure_parameter_that_is_not_a_positive_int_is_rejected_by_name(self, c):
+        # unchecked, 2.0 gave float gradings and True, 0 and -1 a table
+        for curve in (GradedCurve(SPECIAL14, 0, 4, None, 1), GradedCurve.rational(1, 2, -2, 2),
+                      GradedCurve.rational(-1, 2, -2, 2), GradedCurve.rational(-3, 10, -8, 8)):
+            with pytest.raises(PairingError, match="^" + re.escape(f"c must be an int of at least 1, not {c!r}") + "$"):
+                pair_curve("+", c, curve)
 
 
 class TestReducedPairingRecord:
