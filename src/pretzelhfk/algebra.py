@@ -131,9 +131,10 @@ class GeneratorMultiset:
         self._set_runs((s, s, d, rk) for (s, d), rk in (entries or {}).items())
 
     def _set_runs(self, runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> None:
-        self.runs = tuple(run for run in runs if run[3] and run[0] <= run[1])
-        if any(rk < 0 for _, _, _, rk in self.runs):
-            raise AlgebraError("negative rank in generator multiset")
+        self.runs = tuple([run for run in runs if run[3] and run[0] <= run[1]])
+        for run in self.runs:  # a plain loop, like total_rank: no generator frame
+            if run[3] < 0:
+                raise AlgebraError("negative rank in generator multiset")
         self._entries: Dict[Tuple[int, HalfInteger], int] | None = None
 
     @staticmethod

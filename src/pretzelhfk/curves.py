@@ -7,6 +7,7 @@ length and the middle depend on how a compares to b: when a <= b the middle is
 slope -A/B.  Each curve carries the minimal and maximal Alexander grading
 (m, M) of its intersections with the parametrizing square, and is checked once,
 by `GradedCurve.__init__`, however it is made (`dataclasses.replace` included).
+TangleParams checks a knot's parameters; the functions here take checked values.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class TangleParams:
         if self.a < 1 or self.b < 1 or self.c < 1:
             raise CurveError("a, b, c must all be at least 1")
         if self.sign not in ("+", "-"):
-            raise CurveError("sign must be '+' or '-'")
+            raise CurveError(f"sign must be '+' or '-', not {self.sign!r}")
 
     @property
     def positive_closure(self) -> bool:
@@ -138,8 +139,6 @@ class TangleParams:
 
 
 def case_of(a: int, b: int) -> CaseLabel:
-    if a < 1 or b < 1:
-        raise CurveError("a and b must be positive")
     if a <= b:
         return CaseLabel.CASE_I
     if a == b + 1:
@@ -153,7 +152,7 @@ def slope_AB(a: int, b: int) -> Tuple[int, int, int]:
     A = 2(a-b)-1, B = 4b(a-b-1)+2a = A(2b+1)+1, M = 2b+2, so (1, 2a, 2a) at
     a = b+1.  B = A(2b+1)+1 makes gcd(A, B) = 1; ReducedSlope rechecks it.
     """
-    if case_of(a, b) is CaseLabel.CASE_I:
+    if a <= b:
         raise CurveError(f"slope_AB requires a > b, got a={a}, b={b}")
     A = 2 * (a - b) - 1
     B = 4 * b * (a - b - 1) + 2 * a
@@ -161,7 +160,7 @@ def slope_AB(a: int, b: int) -> Tuple[int, int, int]:
     return A, B, M
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def pretzel_tangle_curves(a: int, b: int) -> Tuple[GradedCurve, ...]:
     """The full graded curve list for the (2a,-2b-1)-pretzel tangle, as a tuple.
 
@@ -177,13 +176,9 @@ def pretzel_tangle_curves(a: int, b: int) -> Tuple[GradedCurve, ...]:
     The list depends on (a, b) alone; c enters only when each curve is paired
     with the closure curve.  verify and a sweep over c ask for the same (a, b)
     again, so the last result is kept.  It is a tuple of frozen curves, so a
-    caller cannot change what the next one gets.  typed=True keeps (True, 1)
-    and (3.0, 1) raising after (1, 1) and (3, 1) were cached.  The rational
-    curves of an a <= b list share one frozen ReducedSlope(1, 2a).
+    caller cannot change what the next one gets.  The rational curves of an
+    a <= b list share one frozen ReducedSlope(1, 2a).
     """
-    for name, value in (("a", a), ("b", b)):
-        if type(value) is not int or value < 1:  # TangleParams' rule: a bool is refused too
-            raise CurveError(f"{name} must be an int of at least 1, not {value!r}")
     specials: List[GradedCurve] = []
     for j in range(1, min(a - 1, b) + 1):
         specials.append(GradedCurve(SPECIAL14, -2 * b - 2, 4 * j - 2 * b - 2, None, j))

@@ -49,7 +49,8 @@ det = pr*qb - pb*qr, the scale N = lcm(2qr, 2|pr|, 4qb, 4|pb|, 4|det|) puts
 every grid crossing and every intersection point on (1/N) Z^2, so a point
 is stored as (N x, N y) and a line as (p, q, C) with q Y = p X + C.  Every
 division that yields a coordinate is exact (`_exact` raises otherwise); only
-cell indices and the window of translates are floors.
+cell indices and the window of translates are floors.  A closure sign and c
+come checked by TangleParams; only the curves' slopes are checked here.
 """
 
 from __future__ import annotations
@@ -194,8 +195,6 @@ def closure_curve(c: int, closure: str) -> GradedCurve:
     Negative closure uses r(1/(2c+1)), positive closure r(-1/(2c+1)); both
     carry the symmetric grading t^(-2c-1) t^(2c+1).
     """
-    if closure not in ("+", "-"):
-        raise GeometryError(f"closure sign must be '+' or '-', not {closure!r}")
     num = -1 if closure == "+" else 1
     return GradedCurve.rational(num, 2 * c + 1, -2 * c - 1, 2 * c + 1)
 

@@ -6,6 +6,7 @@ differ by 2 are merged into a single generator at half the averaged label.
 Every pairing is given as at most four constant-rank runs: an interval, or
 blocks alternating between neighbouring gradings, truncated at the
 intersection count L given by the rational-curve determinant law.
+TangleParams checks the closure sign and c; here only curve shapes are checked.
 
 A pairing comes back as a `ReducedPairing`, a NamedTuple made in C (no
 Python-level constructor runs), equal only to another ReducedPairing.
@@ -155,10 +156,6 @@ def pair_rational_general(closure: str, c: int, slope: ReducedSlope, M: int) -> 
 
 def pair_curve(closure: str, c: int, curve: GradedCurve) -> ReducedPairing:
     """Dispatch a tangle curve to the matching closed-form pairing."""
-    if closure not in ("+", "-"):
-        raise PairingError("closure sign must be '+' or '-'")
-    if type(c) is not int or c < 1:  # TangleParams' rule: a bool is refused too
-        raise PairingError(f"c must be an int of at least 1, not {c!r}")
     kind = curve.kind
     if kind is SPECIAL14:
         return pair_special14(closure, c, curve)

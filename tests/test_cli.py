@@ -509,6 +509,20 @@ def test_every_module_reads_every_name_it_imports():
     assert unused_imports("from typing import Dict\nx: Dict[int, int] = {}\n") == []
 
 
+def test_the_package_exports_only_the_public_api():
+    # the entry points, the Fox oracle, the result types and the errors; the
+    # helpers stay in their modules and take values TangleParams has checked
+    assert set(pretzelhfk.__all__) == {
+        "TangleParams", "compute_hfk", "verify", "classify",
+        "build_pretzel_diagram", "fox_alexander", "pretzel_determinant",
+        "HfkTable", "HalfInteger", "VerificationReport", "Classification", "Shape",
+        "AlgebraError", "CurveError", "DiagramError", "PairingError",
+    }
+    assert len(pretzelhfk.__all__) == 16
+    for name in pretzelhfk.__all__:
+        assert getattr(pretzelhfk, name, None) is not None, name
+
+
 def test_every_benchmark_tracer_binding_resolves():
     # benchmarks/tracing.py replaces these attributes by name, so a dropped
     # import (such as cli's unused compute_hfk) would break only the benchmark;

@@ -265,37 +265,22 @@ class TestTangleCurveMemo:
         finally:
             pretzel_tangle_curves.cache_clear()
 
-    def test_invalid_parameters_still_raise(self):
-        for a, b in ((0, 1), (1, 0), (-2, 3)):
-            with pytest.raises(CurveError):
-                pretzel_tangle_curves(a, b)
-
-    def test_a_float_is_not_served_the_cached_int_result(self):
-        pretzel_tangle_curves(3, 1)
-        with pytest.raises(CurveError):
-            pretzel_tangle_curves(3.0, 1)
-        pretzel_tangle_curves(1, 1)
-        with pytest.raises(CurveError):
-            pretzel_tangle_curves(True, 1)
-
-    @pytest.mark.parametrize("value", [True, False, 2.0, 0, -1, "2", None])
-    def test_a_parameter_that_is_not_a_positive_int_is_rejected_by_name(self, value):
-        # unchecked, (True, 1) gave the a = 1 list
-        for name, args in (("a", (value, 1)), ("b", (1, value))):
-            with pytest.raises(CurveError, match="^" + re.escape(f"{name} must be an int of at least 1, not {value!r}") + "$"):
-                pretzel_tangle_curves(*args)
-
 
 class TestTangleParams:
     def test_validation(self):
-        with pytest.raises(CurveError):
-            TangleParams(0, 1, 1, "+")
-        with pytest.raises(CurveError):
-            TangleParams(1, 1, 1, "x")
+        # the one check of a knot's parameters: the curve list, the pairings
+        # and the closure curve take these values checked
+        for value in (0, -1, -2):
+            for field in ("a", "b", "c"):
+                with pytest.raises(CurveError, match="^a, b, c must all be at least 1$"):
+                    TangleParams(**{"a": 1, "b": 1, "c": 1, field: value}, sign="+")
+        for sign in ("x", "", "+-", " +", "plus", None, 1, -1):
+            with pytest.raises(CurveError, match="^" + re.escape(f"sign must be '+' or '-', not {sign!r}") + "$"):
+                TangleParams(1, 1, 1, sign)
 
     def test_a_parameter_that_is_not_an_int_is_rejected_by_name(self):
         # unchecked, True would pass as 1 and a float fail later, in the curve list
-        for value in (1.5, 2.0, True, "3", None):
+        for value in (True, False, 1.5, 2.0, "2", "3", None):
             for field in ("a", "b", "c"):
                 with pytest.raises(CurveError, match="^" + re.escape(f"{field} must be an int, not {value!r}") + "$"):
                     TangleParams(**{"a": 1, "b": 1, "c": 1, field: value}, sign="+")
