@@ -265,6 +265,31 @@ class TestTangleCurveMemo:
         finally:
             pretzel_tangle_curves.cache_clear()
 
+    # pretzel_tangle_curves takes a and b checked by TangleParams, so a bad
+    # value never reaches the curve list or its memo
+
+    def test_invalid_parameters_still_raise(self):
+        pretzel_tangle_curves.cache_clear()
+        for a, b in ((0, 1), (1, 0), (-2, 3)):
+            with pytest.raises(CurveError):
+                verify(TangleParams(a, b, 1, "+"))
+        assert pretzel_tangle_curves.cache_info().currsize == 0
+
+    def test_a_float_is_not_served_the_cached_int_result(self):
+        for cached, bad in (((3, 1), (3.0, 1)), ((1, 1), (True, 1))):
+            pretzel_tangle_curves.cache_clear()
+            pretzel_tangle_curves(*cached)
+            with pytest.raises(CurveError):
+                verify(TangleParams(*bad, 1, "+"))
+            assert pretzel_tangle_curves.cache_info().hits == 0
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, 0, -1, "2", None])
+    def test_a_parameter_that_is_not_a_positive_int_is_rejected_by_name(self, value):
+        # unchecked, (True, 1) gave the a = 1 list
+        for name, args in (("a", (value, 1)), ("b", (1, value))):
+            with pytest.raises(CurveError, match="^" + re.escape(f"{name} must be an int of at least 1, not {value!r}") + "$"):
+                verify(TangleParams(*args, 1, "+"))
+
 
 class TestTangleParams:
     def test_validation(self):
@@ -272,17 +297,16 @@ class TestTangleParams:
         # and the closure curve take these values checked
         for value in (0, -1, -2):
             for field in ("a", "b", "c"):
-                with pytest.raises(CurveError, match="^a, b, c must all be at least 1$"):
+                with pytest.raises(CurveError, match="^" + re.escape(f"{field} must be an int of at least 1, not {value}") + "$"):
                     TangleParams(**{"a": 1, "b": 1, "c": 1, field: value}, sign="+")
-        for sign in ("x", "", "+-", " +", "plus", None, 1, -1):
-            with pytest.raises(CurveError, match="^" + re.escape(f"sign must be '+' or '-', not {sign!r}") + "$"):
-                TangleParams(1, 1, 1, sign)
+        with pytest.raises(CurveError, match="^sign must be '\\+' or '-', not 'x'$"):
+            TangleParams(1, 1, 1, "x")
 
     def test_a_parameter_that_is_not_an_int_is_rejected_by_name(self):
         # unchecked, True would pass as 1 and a float fail later, in the curve list
         for value in (True, False, 1.5, 2.0, "2", "3", None):
             for field in ("a", "b", "c"):
-                with pytest.raises(CurveError, match="^" + re.escape(f"{field} must be an int, not {value!r}") + "$"):
+                with pytest.raises(CurveError, match="^" + re.escape(f"{field} must be an int of at least 1, not {value!r}") + "$"):
                     TangleParams(**{"a": 1, "b": 1, "c": 1, field: value}, sign="+")
 
     def test_pretzel_triple(self):

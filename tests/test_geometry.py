@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretzelhfk import geometry
-from pretzelhfk.curves import CurveKind, GradedCurve, ReducedSlope, pretzel_tangle_curves
+from pretzelhfk.curves import CurveError, CurveKind, GradedCurve, ReducedSlope, TangleParams, pretzel_tangle_curves
 from pretzelhfk.geometry import (
     GeometryError,
     _exact,
@@ -16,6 +16,7 @@ from pretzelhfk.geometry import (
     det_pair_count,
     enumerate_geometric_pairing,
 )
+from pretzelhfk.hfk import verify
 from pretzelhfk.pairing import pair_curve, reduce_generator_pairs
 
 
@@ -41,6 +42,13 @@ class TestClosureCurve:
         assert (pos.m, pos.M) == (-5, 5)
         neg = closure_curve(2, "-")
         assert (neg.slope.numerator, neg.slope.denominator) == (1, 5)
+
+    @pytest.mark.parametrize("closure", ["x", "", "+-", " +", "plus", None, 1, -1])
+    def test_a_bad_sign_is_rejected_by_name(self, closure):
+        # closure_curve takes the sign checked: verify reaches it only through TangleParams
+        with pytest.raises(CurveError, match="sign must be") as err:
+            verify(TangleParams(1, 1, 2, closure))
+        assert str(err.value).endswith(f"not {closure!r}")
 
 
 class TestGeometricPairing:

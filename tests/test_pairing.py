@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from collections import Counter
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pretzelhfk.algebra import GeneratorMultiset, HalfInteger, single_run
-from pretzelhfk.curves import SPECIAL14, SPECIAL23, GradedCurve, ReducedSlope, pretzel_tangle_curves
+from pretzelhfk.curves import SPECIAL14, SPECIAL23, CurveError, GradedCurve, ReducedSlope, TangleParams, pretzel_tangle_curves
+from pretzelhfk.hfk import compute_hfk
 from pretzelhfk.pairing import (
     PairingError,
     ReducedPairing,
@@ -230,6 +232,13 @@ class TestDispatch:
     def test_bad_inputs(self):
         with pytest.raises(PairingError):
             pair_curve("+", 1, GradedCurve.rational(3, 5, -2, 2))
+
+    @pytest.mark.parametrize("c", [2.0, True, 0, -1, "2", None])
+    def test_a_closure_parameter_that_is_not_a_positive_int_is_rejected_by_name(self, c):
+        # pair_curve takes c checked by TangleParams; unchecked, 2.0 gave float
+        # gradings and True, 0 and -1 a table
+        with pytest.raises(CurveError, match="^" + re.escape(f"c must be an int of at least 1, not {c!r}") + "$"):
+            compute_hfk(TangleParams(1, 1, c, "+"))
 
 
 class TestReducedPairingRecord:
