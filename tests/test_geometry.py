@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,13 @@ def test_unreduced_pairings_of_criterion_6_are_pinned():
     assert unreduced_digest(rational_pairings(6)) == CRITERION_6_DIGEST
 
 
+def test_unreduced_pairings_past_the_6x6x6_grid_are_pinned():
+    # the 2106 distinct pairings of the 9x9x9 grid, from the kernel that
+    # divided out every point; a change to the per-point loop must keep them
+    assert unreduced_digest(rational_pairings(9)) == (
+        2106, "1230419f6a95f02027dfedbc937e2cc1c9b68d3b56729af1f8e20bf3d94336f2")
+
+
 # -- cell crossings: the curves' walks against the window walk -----------------
 
 
@@ -208,6 +216,28 @@ def graded_calls(monkeypatch, red, blue):
     enumerate_geometric_pairing(red, blue)
     monkeypatch.setattr(geometry, "_grade_point", grade_point)
     return calls
+
+
+def test_every_point_lies_on_its_lifts(monkeypatch):
+    # each point, however the loop reaches it, is where the base red lift
+    # meets a blue translate: one red period, one translate class per sigma
+    points = 0
+    for sign, c, blue in rational_pairings(3):
+        red = closure_curve(c, sign)
+        (pr, qr), (pb, qb) = ((cv.slope.numerator, cv.slope.denominator) for cv in (red, blue))
+        calls = graded_calls(monkeypatch, red, blue)
+        n = calls[0][0][1]
+        zs = [z for (z, _, _), _ in calls]
+        assert len(set(zs)) == len(zs)
+        families = Counter()
+        for zx, zy in zs:
+            assert qr * zy - pr * zx == n // 2
+            assert 0 <= zx < 2 * qr * n
+            families[(qb * zy - pb * zx) % (2 * n)] += 1
+        det = det_pair_count(red.slope, blue.slope)
+        assert families == {n // 4: det, -(n // 4) % (2 * n): det}
+        points += len(zs)
+    assert points == 1196
 
 
 def test_boundary_colors_that_do_not_alternate_are_rejected(monkeypatch):
