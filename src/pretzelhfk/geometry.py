@@ -11,9 +11,10 @@ blue curve from y to the point, the red curve from the point to x, and an arc
 of the grid, traversed clockwise; the Alexander grading is the blue label at
 y minus the red label at x plus the signs of the punctures the disk covers.
 The cell's four boundary crossings are read, labelled, from each curve's
-one crossing walk, made by `_curve_labels`: the entries on either side of
-the point z, or of its preimage w under v -> sigma v + 2(s, t) on the base
-blue lift, a blue crossing c mapping back to the cell as z + sigma (c - w).
+one crossing walk, made by `_curve_labels`: the entries either side of the
+point z, or of its preimage w under v -> sigma v + 2(s, t) on the base blue
+lift, found by one bisect of the walk's X values; a blue crossing c maps
+back to the cell as z + sigma (c - w).
 The sector a crossing leads runs from it along the counterclockwise boundary
 walk to the next crossing and back through the point, so it winds
 counterclockwise: the cell is convex and holds the point.  A disk runs
@@ -47,10 +48,14 @@ same unreduced multisets, so punctures on even rows are positive.
 All coordinates are integers on one lattice per pairing.  With
 det = pr*qb - pb*qr, the scale N = lcm(2qr, 2|pr|, 4qb, 4|pb|, 4|det|) puts
 every grid crossing and every intersection point on (1/N) Z^2, so a point
-is stored as (N x, N y) and a line as (p, q, C) with q Y = p X + C.  Every
-division that yields a coordinate is exact (`_exact` raises otherwise); only
-cell indices and the window of translates are floors.  A closure sign and c
-come checked by TangleParams; only the curves' slopes are checked here.
+is stored as (N x, N y) and a line as (p, q, C) with q Y = p X + C.  For
+each sigma the points form an arithmetic progression in the translate k:
+the family's first point and its steps are divided exactly (`_exact` raises
+otherwise), and every other point follows from them by addition.  Grid
+crossings and each point's preimage on the base blue lift are divided
+exactly too; only cell indices and the window of translates are floors.  A
+closure sign and c come checked by TangleParams; only the curves' slopes are
+checked here.
 """
 
 from __future__ import annotations
@@ -149,41 +154,52 @@ def _delta_halves(p: int, q: int) -> Tuple[int, int]:
     return (-sgn, 0) if q % 2 else (0, sgn)
 
 
-def _walk_position(dx: int, dy: int, kind: str, n: int) -> int:
-    """Position in [0, 4n) of a boundary crossing at (dx, dy) from the cell's lower
-    left corner on the counterclockwise walk from it: bottom, right, top, left
-    edges in order.  kind is "V" on a vertical edge and "H" on a horizontal one."""
-    if kind == "V":
-        return n + dy if dx else 4 * n - dy
-    return 3 * n - dx if dy else dx
+def _walk_entries(line: Line, curve: GradedCurve, n: int, color: str):
+    """The curve's labelled walk as (X, Y, on a vertical edge, alexander, delta_halves, color)."""
+    dv, dh = _delta_halves(line[0], line[1])
+    return [(x, y, kind == "V", lab, dv if kind == "V" else dh, color)
+            for x, y, kind, lab in _curve_labels(line, curve.m, curve.M, n)]
+
+
+# the two walk orders of alternating colors, and the message when neither holds
+_ALTERNATING = (("red", "blue", "red", "blue"), ("blue", "red", "blue", "red"))
+_NOT_ALTERNATING = "cell boundary points do not alternate colors"
 
 
 def _grade_point(z, n, marked):
     """Alexander label and delta label (in halves) of one intersection point.
 
     marked holds the two cell-boundary crossings of each curve, already
-    labelled: (t, alexander, delta_halves, color), with t as in
-    `_walk_position`.  Sorted by t the colors must alternate; the disks
-    are then the two opposite sectors (see the module docstring) led by the
-    color CW_SIGN names, and both are graded and must agree.
+    labelled: (t, alexander, delta_halves, color), with t the crossing's
+    position in [0, 4n) on the counterclockwise walk of z's cell from its
+    lower left corner (bottom, right, top, left edges in order).  Sorted by t
+    the colors must alternate; the disks are then the two opposite sectors
+    (see the module docstring) led by the color CW_SIGN names, and both are
+    graded and must agree.
     """
-    marked = sorted(marked)
-    colors = [entry[3] for entry in marked]
-    if colors not in (["red", "blue"] * 2, ["blue", "red"] * 2):
-        raise GeometryError("cell boundary points do not alternate colors")
-    lo, hi = _eps(z[1] // n), _eps(z[1] // n + 1)
-    signs = (lo, lo, hi, hi) * 2  # corner puncture signs in walk order, twice round
-    lead = "red" if CW_SIGN > 0 else "blue"
-    results = []
-    for i in (0, 2) if colors[0] == lead else (1, 3):
-        t1, a1, d1, _ = marked[i]
-        t2, a2, d2, _ = marked[(i + 1) % 4]
-        # corners passed walking from t1 to t2 (never a full turn: each line meets two edges)
-        first = t1 // n + 1
-        passed = (t2 // n - first + 1) % 4
-        # y minus x: a red lead is x, so t2 minus t1; a blue lead is y, so t1 minus t2
-        results.append((CW_SIGN * (a2 - a1) + sum(signs[first:first + passed]),
-                        CW_SIGN * (d2 - d1) + passed))
+    if len(marked) != 4:
+        raise GeometryError(_NOT_ALTERNATING)
+    e0, e1, e2, e3 = sorted(marked)
+    colors = (e0[3], e1[3], e2[3], e3[3])
+    if colors != _ALTERNATING[0] and colors != _ALTERNATING[1]:
+        raise GeometryError(_NOT_ALTERNATING)
+    row = z[1] // n
+    lo, hi = _eps(row), _eps(row + 1)
+    # prefix[j] sums the signs of corners 0 .. j - 1 round the walk, where
+    # corner j ends edge j - 1: lower left, lower right, upper right, upper left, ...
+    prefix = (0, lo, 2 * lo, 2 * lo + hi, 2 * (lo + hi), 3 * lo + 2 * hi, 4 * lo + 2 * hi, 4 * lo + 3 * hi)
+    sign = CW_SIGN
+    if colors[0] == ("red" if sign > 0 else "blue"):
+        (t1, a1, d1, _), (t2, a2, d2, _), (t3, a3, d3, _), (t4, a4, d4, _) = e0, e1, e2, e3
+    else:
+        (t1, a1, d1, _), (t2, a2, d2, _), (t3, a3, d3, _), (t4, a4, d4, _) = e1, e2, e3, e0
+    # each disk runs from a leading crossing to the next, passing the corners
+    # between them (never a full turn: each line meets two edges); y minus x:
+    # a red lead is x, so t2 minus t1; a blue lead is y, so t1 minus t2
+    f1, f3 = t1 // n + 1, t3 // n + 1
+    p1, p3 = (t2 // n - f1 + 1) % 4, (t4 // n - f3 + 1) % 4
+    results = [(sign * (a2 - a1) + prefix[f1 + p1] - prefix[f1], sign * (d2 - d1) + p1),
+               (sign * (a4 - a3) + prefix[f3 + p3] - prefix[f3], sign * (d4 - d3) + p3)]
     if results[0] != results[1]:
         raise GeometryError(f"disk configurations disagree: {results}")
     return results[0]
@@ -221,40 +237,49 @@ def enumerate_geometric_pairing(
 
     # the red lift has intercept 1/(2 qr), the blue translates sigma/(4 qb) + 2k/qb
     red_line, blue_line = (pr, qr, _exact(n, 2)), (pb, qb, _exact(n, 4))
-    red_walk, red_period = _curve_labels(red_line, red.m, red.M, n), 2 * qr * n
-    blue_walk, blue_period = _curve_labels(blue_line, blue.m, blue.M, n), 2 * qb * n
-    pb_inv = pow(pb % qb, -1, qb)
-    red_delta, blue_delta = _delta_halves(pr, qr), _delta_halves(pb, qb)
+    red_period, blue_period = 2 * qr * n, 2 * qb * n
+    red_walk = _walk_entries(red_line, red, n, "red")
+    blue_walk = _walk_entries(blue_line, blue, n, "blue")
+    red_xs, blue_xs = [e[0] for e in red_walk], [e[0] for e in blue_walk]
+    pb_inv, blue_c = pow(pb % qb, -1, qb), blue_line[2]
+    grade_point = _grade_point
     counts: Counter = Counter()  # (alexander, delta_halves) -> points
     for sigma in (1, -1):
         # k window: the unscaled x* = (sigma qr + 8k qr - 2qb) / (4 det) lies
         # in [0, 2qr) only for 8k qr between 2qb - sigma qr and that plus 8 det qr
         ends = sorted((2 * qb - sigma * qr, 2 * qb - sigma * qr + 8 * det * qr))
         k_lo, k_hi = (-(-e // (8 * qr)) for e in ends)
-        for k in range(k_lo, k_hi):
-            x_star = _exact(n * (sigma * qr + 8 * k * qr - 2 * qb), 4 * det)
-            if not (0 <= x_star < red_period):
-                continue
-            z = (x_star, _exact(n * (sigma * pr + 8 * k * pr - 2 * pb), 4 * det))
-            if z[0] % n == 0 or z[1] % n == 0:
-                raise GeometryError("intersection point lies on the grid")
-
-            # z is on the base red lift; v -> sigma v + 2N(s0, t0) with t0 qb - s0 pb = k
-            # maps the base blue lift onto z's translate, and w is z's preimage there
-            s0 = (-k) * pb_inv % qb
-            wx = sigma * (z[0] - 2 * s0 * n) % blue_period
-            w = (wx, _exact(pb * wx + blue_line[2], qb))
-            dx, dy = z[0] % n, z[1] % n
-            marked = []
-            for walk, (ux, uy), sgn, (dv, dh), color in (
-                (red_walk, z, 1, red_delta, "red"),
-                (blue_walk, w, sigma, blue_delta, "blue"),
-            ):
-                i = bisect_left(walk, (ux,))
-                for x, y, kind, lab in walk[i - 1:i + 1]:
-                    t = _walk_position(dx + sgn * (x - ux), dy + sgn * (y - uy), kind, n)
-                    marked.append((t, lab, dv if kind == "V" else dh, color))
-            counts[_grade_point(z, n, marked)] += 1
+        # z = (x*, y) is on the base red lift; v -> sigma v + 2N(s0, t0) with
+        # t0 qb - s0 pb = k maps the base blue lift onto z's translate, and w is
+        # z's preimage there.  With s0 = -k pb^-1 mod qb, x*, y and w's x all
+        # step by a fixed amount per k: the first point and the steps are exact
+        zx = _exact(n * (sigma * qr + 8 * k_lo * qr - 2 * qb), 4 * det)
+        zy = _exact(n * (sigma * pr + 8 * k_lo * pr - 2 * pb), 4 * det)
+        wx = sigma * (zx - 2 * n * ((-k_lo) * pb_inv % qb)) % blue_period
+        step_x, step_y = _exact(2 * n * qr, det), _exact(2 * n * pr, det)
+        step_w = sigma * (step_x + 2 * n * pb_inv) % blue_period
+        for _ in range(k_lo, k_hi):
+            if 0 <= zx < red_period:
+                ox, oy = zx % n, zy % n
+                if not (ox and oy):
+                    raise GeometryError("intersection point lies on the grid")
+                wy = _exact(pb * wx + blue_c, qb)
+                i, j = bisect_left(red_xs, zx), bisect_left(blue_xs, wx)
+                # the crossings either side of z on the red lift and of w on the
+                # base blue lift: a crossing c lies at z's cell offset plus sgn (c - u),
+                # at walk position t along the bottom, right, top, then left edge
+                marked = []
+                for (x, y, vertical, lab, delta, color), ux, uy, sgn in (
+                    (red_walk[i - 1], zx, zy, 1), (red_walk[i], zx, zy, 1),
+                    (blue_walk[j - 1], wx, wy, sigma), (blue_walk[j], wx, wy, sigma),
+                ):
+                    ex, ey = ox + sgn * (x - ux), oy + sgn * (y - uy)
+                    t = (n + ey if ex else 4 * n - ey) if vertical else (3 * n - ex if ey else ex)
+                    marked.append((t, lab, delta, color))
+                counts[grade_point((zx, zy), n, marked)] += 1
+            zx += step_x
+            zy += step_y
+            wx = (wx + step_w) % blue_period
 
     points = sum(counts.values())
     if points != expected:

@@ -270,6 +270,19 @@ def test_a_dropped_boundary_crossing_is_rejected(monkeypatch):
             geometry._grade_point(z, n, marked[:i] + marked[i + 1:])
 
 
+def test_a_point_on_the_grid_is_rejected():
+    # these lifts meet where the red one crosses a grid line
+    with pytest.raises(GeometryError, match="lies on the grid"):
+        enumerate_geometric_pairing(GradedCurve.rational(-3, 4, -2, 2), GradedCurve.rational(-1, 2, -2, 2))
+
+
+def test_a_point_count_off_twice_the_determinant_is_rejected(monkeypatch):
+    det_pair_count = geometry.det_pair_count
+    monkeypatch.setattr(geometry, "det_pair_count", lambda s1, s2: det_pair_count(s1, s2) + 1)
+    with pytest.raises(GeometryError, match="enumerated 10 points, expected 12"):
+        enumerate_geometric_pairing(closure_curve(1, "-"), GradedCurve.rational(-1, 2, -2, 2))
+
+
 def test_a_constant_row_sign_breaks_the_label_period(monkeypatch):
     monkeypatch.setattr(geometry, "_eps", lambda row: 1)
     with pytest.raises(GeometryError, match="grid labels are not periodic"):
