@@ -11,10 +11,15 @@ blue curve from y to the point, the red curve from the point to x, and an arc
 of the grid, traversed clockwise; the Alexander grading is the blue label at
 y minus the red label at x plus the signs of the punctures the disk covers.
 The cell's four boundary crossings are read, labelled, from each curve's
-one crossing walk, made by `_curve_labels`: the entries either side of the
-point z, or of its preimage w under v -> sigma v + 2(s, t) on the base blue
-lift, found by one bisect of the walk's X values; a blue crossing c maps
-back to the cell as z + sigma (c - w).
+one crossing walk, made by `_curve_labels`, by one bisect of the walk's X
+values.  Two consecutive entries bound a segment that lies in one grid cell,
+so every point on a red segment has the same two red crossings: they are
+placed on that cell's boundary once per segment, by `_segment_marks`.  The
+blue crossings are the entries either side of z's preimage w under
+v -> sigma v + 2(s, t) on the base blue lift, and a blue crossing c maps back
+to the cell as z + sigma (c - w); they are placed per point, since the blue
+walk has about as many segments, once per sigma, as the pairing has points,
+while about a dozen points share each red segment.
 The sector a crossing leads runs from it along the counterclockwise boundary
 walk to the next crossing and back through the point, so it winds
 counterclockwise: the cell is convex and holds the point.  A disk runs
@@ -161,9 +166,39 @@ def _walk_entries(line: Line, curve: GradedCurve, n: int, color: str):
             for x, y, kind, lab in _curve_labels(line, curve.m, curve.M, n)]
 
 
+def _walk_position(ex: int, ey: int, vertical: bool, n: int) -> int:
+    """Position in [0, 4n) of a crossing at offset (ex, ey) from its cell's lower
+    left corner, on the counterclockwise walk of the bottom, right, top, then left edge."""
+    return (n + ey if ex else 4 * n - ey) if vertical else (3 * n - ex if ey else ex)
+
+
+def _cell_corner(first, second, n: int) -> Tuple[int, int]:
+    """Lower left corner of the one grid cell that holds the walk segment between
+    two consecutive entries: both lie on its boundary, so their midpoint lies inside."""
+    return (first[0] + second[0]) // (2 * n) * n, (first[1] + second[1]) // (2 * n) * n
+
+
+def _segment_marks(walk, n: int):
+    """For each i >= 1, the marks (t, alexander, delta_halves, color) of walk[i - 1] and
+    walk[i] on the walk of the cell holding the segment between them; index 0 is None."""
+    marks = [None]
+    for first, second in zip(walk, walk[1:]):
+        x0, y0 = _cell_corner(first, second, n)
+        marks.append(tuple((_walk_position(x - x0, y - y0, vertical, n), lab, delta, color)
+                           for x, y, vertical, lab, delta, color in (first, second)))
+    return marks
+
+
 # the two walk orders of alternating colors, and the message when neither holds
 _ALTERNATING = (("red", "blue", "red", "blue"), ("blue", "red", "blue", "red"))
 _NOT_ALTERNATING = "cell boundary points do not alternate colors"
+# prefix[j] sums the signs of corners 0 .. j - 1 round a cell's walk, where
+# corner j ends edge j - 1: lower left, lower right, upper right, upper left,
+# and round again; keyed by the signs (lo, hi) of the cell's bottom and top rows
+_CORNER_PREFIX = {
+    (lo, hi): (0, lo, 2 * lo, 2 * lo + hi, 2 * (lo + hi), 3 * lo + 2 * hi, 4 * lo + 2 * hi, 4 * lo + 3 * hi)
+    for lo in (1, -1) for hi in (1, -1)
+}
 
 
 def _grade_point(z, n, marked):
@@ -184,10 +219,7 @@ def _grade_point(z, n, marked):
     if colors != _ALTERNATING[0] and colors != _ALTERNATING[1]:
         raise GeometryError(_NOT_ALTERNATING)
     row = z[1] // n
-    lo, hi = _eps(row), _eps(row + 1)
-    # prefix[j] sums the signs of corners 0 .. j - 1 round the walk, where
-    # corner j ends edge j - 1: lower left, lower right, upper right, upper left, ...
-    prefix = (0, lo, 2 * lo, 2 * lo + hi, 2 * (lo + hi), 3 * lo + 2 * hi, 4 * lo + 2 * hi, 4 * lo + 3 * hi)
+    prefix = _CORNER_PREFIX[_eps(row), _eps(row + 1)]
     sign = CW_SIGN
     if colors[0] == ("red" if sign > 0 else "blue"):
         (t1, a1, d1, _), (t2, a2, d2, _), (t3, a3, d3, _), (t4, a4, d4, _) = e0, e1, e2, e3
@@ -198,11 +230,11 @@ def _grade_point(z, n, marked):
     # a red lead is x, so t2 minus t1; a blue lead is y, so t1 minus t2
     f1, f3 = t1 // n + 1, t3 // n + 1
     p1, p3 = (t2 // n - f1 + 1) % 4, (t4 // n - f3 + 1) % 4
-    results = [(sign * (a2 - a1) + prefix[f1 + p1] - prefix[f1], sign * (d2 - d1) + p1),
-               (sign * (a4 - a3) + prefix[f3 + p3] - prefix[f3], sign * (d4 - d3) + p3)]
-    if results[0] != results[1]:
-        raise GeometryError(f"disk configurations disagree: {results}")
-    return results[0]
+    first = (sign * (a2 - a1) + prefix[f1 + p1] - prefix[f1], sign * (d2 - d1) + p1)
+    second = (sign * (a4 - a3) + prefix[f3 + p3] - prefix[f3], sign * (d4 - d3) + p3)
+    if first != second:
+        raise GeometryError(f"disk configurations disagree: {[first, second]}")
+    return first
 
 
 def closure_curve(c: int, closure: str) -> GradedCurve:
@@ -241,6 +273,7 @@ def enumerate_geometric_pairing(
     red_walk = _walk_entries(red_line, red, n, "red")
     blue_walk = _walk_entries(blue_line, blue, n, "blue")
     red_xs, blue_xs = [e[0] for e in red_walk], [e[0] for e in blue_walk]
+    red_marks = _segment_marks(red_walk, n)
     pb_inv, blue_c = pow(pb % qb, -1, qb), blue_line[2]
     grade_point = _grade_point
     counts: Counter = Counter()  # (alexander, delta_halves) -> points
@@ -264,18 +297,14 @@ def enumerate_geometric_pairing(
                 if not (ox and oy):
                     raise GeometryError("intersection point lies on the grid")
                 wy = _exact(pb * wx + blue_c, qb)
-                i, j = bisect_left(red_xs, zx), bisect_left(blue_xs, wx)
-                # the crossings either side of z on the red lift and of w on the
-                # base blue lift: a crossing c lies at z's cell offset plus sgn (c - u),
-                # at walk position t along the bottom, right, top, then left edge
-                marked = []
-                for (x, y, vertical, lab, delta, color), ux, uy, sgn in (
-                    (red_walk[i - 1], zx, zy, 1), (red_walk[i], zx, zy, 1),
-                    (blue_walk[j - 1], wx, wy, sigma), (blue_walk[j], wx, wy, sigma),
-                ):
-                    ex, ey = ox + sgn * (x - ux), oy + sgn * (y - uy)
-                    t = (n + ey if ex else 4 * n - ey) if vertical else (3 * n - ex if ey else ex)
-                    marked.append((t, lab, delta, color))
+                j = bisect_left(blue_xs, wx)
+                # z's red crossings are those of its red segment's cell; a blue
+                # crossing c either side of w on the base blue lift lies at z's
+                # cell offset plus sigma (c - w)
+                marked = [*red_marks[bisect_left(red_xs, zx)]]
+                for x, y, vertical, lab, delta, color in (blue_walk[j - 1], blue_walk[j]):
+                    marked.append((_walk_position(ox + sigma * (x - wx), oy + sigma * (y - wy), vertical, n),
+                                   lab, delta, color))
                 counts[grade_point((zx, zy), n, marked)] += 1
             zx += step_x
             zy += step_y

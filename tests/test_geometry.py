@@ -199,6 +199,34 @@ def test_cell_crossings_match_the_window_walk(monkeypatch):
     assert points == 1196  # over the 102 rational pairings of the 3x3x3 grid
 
 
+def test_each_red_segment_lies_in_the_cell_its_marks_use(monkeypatch):
+    # the red crossings are marked once per walk segment, from one cell corner;
+    # that is every point's cell only if both ends of the segment bound it
+    walks = []
+    segment_marks = geometry._segment_marks
+
+    def recorded(walk, n):
+        walks.append((walk, n))
+        return segment_marks(walk, n)
+
+    monkeypatch.setattr(geometry, "_segment_marks", recorded)
+    unique = {(sign, c, blue.slope, blue.m, blue.M): blue for sign, c, blue in rational_pairings(6)}
+    for (sign, c, *_), blue in unique.items():
+        enumerate_geometric_pairing(closure_curve(c, sign), blue)
+    assert len(walks) == len(unique) == 612
+    segments = 0
+    for walk, n in walks:
+        marks = segment_marks(walk, n)
+        assert len(marks) == len(walk) and marks[0] is None
+        for i, (first, second) in enumerate(zip(walk, walk[1:]), 1):
+            x0, y0 = geometry._cell_corner(first, second, n)
+            ts = [boundary_param(entry[:2], x0, y0, n) for entry in (first, second)]
+            assert ts[0] // n != ts[1] // n and all(t % n for t in ts)  # two edges, no corner
+            assert marks[i] == tuple((t, *entry[3:]) for t, entry in zip(ts, (first, second)))
+            segments += 1
+    assert segments > 10000
+
+
 # -- the kernel's error paths ---------------------------------------------------
 
 

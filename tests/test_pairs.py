@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import warnings
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,17 @@ def test_a_claim_holds_on_nine_wins_in_ten_and_a_resolved_median():
     close = pairs.summarize(parent, [p - 1 for p in parent], "lower")
     assert (close["wins"], close["resolved"], close["holds"]) == (10, False, False)
     assert pairs.summarize([5], [4], "lower")["holds"] is True
+
+
+def test_a_wide_change_spread_leaves_the_medians_unresolved():
+    # the medians lie 2 apart: outside the parent's IQR of 1, inside the change's of 4
+    parent = [10, 10, 10.5, 11, 11]
+    change = [6, 7, 8.5, 11, 12]
+    s = pairs.summarize(parent, change, "lower")
+    assert (s["parent_q3"] - s["parent_q1"], s["change_q3"] - s["change_q1"]) == (1, 4)
+    assert s["parent_median"] - s["change_median"] == 2
+    assert (s["resolved"], s["holds"]) == (False, False)
+    assert pairs.summarize(change, parent, "higher")["resolved"] is False  # either side's spread counts
 
 
 def test_the_table_prints_whether_a_claim_holds(monkeypatch, capsys):
@@ -173,3 +185,15 @@ def test_a_failed_run_keeps_the_finished_runs(monkeypatch, tmp_path, capsys):
     assert code == 1 and len(calls) == 3
     assert json.loads(out.read_text()) == {"parent": [{"failed": 0, "run": 1}], "change": [{"failed": 0, "run": 2}]}
     assert "pair 2/10 change: exit code 3" in capsys.readouterr().err
+
+
+def test_export_writes_the_revision_without_a_warning(tmp_path):
+    inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=pairs.ROOT,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    if inside.returncode or inside.stdout.strip() != "true":
+        pytest.skip("not a git work tree")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # extractall without a filter warns on 3.12 and 3.13
+        pairs.export("HEAD", tmp_path)
+    assert (tmp_path / "benchmarks" / "run.py").is_file()
+    assert (tmp_path / "src" / "pretzelhfk" / "geometry.py").is_file()

@@ -2,8 +2,9 @@
 
     python3 tools/pairs.py --rev HEAD --workload grid-sweep --seed 101 --pairs 10 --seconds 30
 
-Exports the parent revision with `git archive` into one temporary directory,
-copies this work tree into another (the files `git ls-files -co
+Exports the parent revision with `git archive` into one temporary directory
+(extracted through tarfile's "data" filter, which refuses links and paths
+that leave it), copies this work tree into another (the files `git ls-files -co
 --exclude-standard` lists, as they are on disk, so an uncommitted edit goes
 with them and no `__pycache__` does), and runs `benchmarks/run.py` in each,
 one process at a time: pair i runs the parent first when i is even and the
@@ -12,8 +13,8 @@ PYTHONDONTWRITEBYTECODE=1, so each compiles its source on every run and
 neither reads bytecode an earlier run or test left behind.  For every
 metric it prints each side's median and quartiles, the median's relative
 change, the pairs the change wins (by the metric's `better` in
-BENCHMARK.json), whether the medians lie further apart than the parent's
-interquartile range, whether a claimed gain holds
+BENCHMARK.json), whether the medians lie further apart than the wider of the
+two sides' interquartile ranges, whether a claimed gain holds
 (at least 9 in 10 pairs won and the medians that far apart), and whether the
 change is worse: its median worse than the parent's by more than the metric's
 `bound` (a fraction of the parent's median; `-` for per-layer metrics, which
@@ -53,7 +54,8 @@ def summarize(parent: Sequence[float], change: Sequence[float], better: str,
     """One metric over paired runs: parent[i] and change[i] come from pair i.
 
     `wins` counts the pairs where the change is strictly better; `resolved`
-    is whether the medians differ by more than the parent's IQR.  `holds` is
+    is whether the medians differ by more than the wider of the two IQRs, so a
+    narrow parent spread cannot resolve a change whose runs scatter.  `holds` is
     the claim rule: the change wins at least 9 in 10 of the pairs (a tie
     counts for neither side) and the result is resolved.  `worse` is the
     no-regression rule: the change's median is worse than the parent's by
@@ -65,7 +67,7 @@ def summarize(parent: Sequence[float], change: Sequence[float], better: str,
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    resolved = abs(cm - pm) > p3 - p1
+    resolved = abs(cm - pm) > max(p3 - p1, c3 - c1)
     return {
         "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
         "change_median": cm, "change_q1": c1, "change_q3": c3,
@@ -81,7 +83,7 @@ def export(rev: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              stdout=subprocess.PIPE).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into)
+        tar.extractall(into, filter="data")
 
 
 def copy_worktree(into: Path, root: Path = ROOT) -> None:
