@@ -199,13 +199,12 @@ def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int]]:
     and y_m = (1 - S_m) y_0 + S_m y_1 with S_m = u_0 + ... + u_{m-1}.  The
     product maps (y_1, y_0) to (y_{n+1}, y_n), so its rows are
     (S_{n+1}, 1 - S_{n+1}) and (S_n, 1 - S_n), for any exponent sequence,
-    with S_{n+1} = S_n + u_n.  Returns (lo, S_n): S_n as the coefficient list
-    of t^lo, t^(lo+1), ..., where lo <= 0 is the least prefix sum, long enough
-    to hold u_n too.
+    with S_{n+1} = S_n + u_n; the empty band gives S_0 = 0 and S_1 = 1, the
+    identity.  Returns (lo, S_n): S_n as the coefficient list of t^lo,
+    t^(lo+1), ..., where lo <= 0 is the least prefix sum, long enough to hold
+    u_n too.
     """
     n = len(exponents)
-    if n == 0:
-        raise DiagramError("empty twist band")
     sums = list(accumulate(exponents, initial=0))  # u_i = (-1)^i t^sums[i]
     lo = min(sums)
     cs = [0] * (max(sums) - lo + 1)

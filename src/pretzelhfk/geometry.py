@@ -11,15 +11,17 @@ blue curve from y to the point, the red curve from the point to x, and an arc
 of the grid, traversed clockwise; the Alexander grading is the blue label at
 y minus the red label at x plus the signs of the punctures the disk covers.
 The cell's four boundary crossings are read, labelled, from each curve's
-one crossing walk, made by `_curve_labels`, by one bisect of the walk's X
-values.  Two consecutive entries bound a segment that lies in one grid cell,
-so every point on a red segment has the same two red crossings: they are
-placed on that cell's boundary once per segment, by `_segment_marks`.  The
-blue crossings are the entries either side of z's preimage w under
-v -> sigma v + 2(s, t) on the base blue lift, and a blue crossing c maps back
-to the cell as z + sigma (c - w); they are placed per point, since the blue
-walk has about as many segments, once per sigma, as the pairing has points,
-while about a dozen points share each red segment.
+one crossing walk by one bisect of the walk's X values.  `_curve_walk`
+builds that walk in its one entry form, (X, Y, on a vertical edge,
+alexander, delta_halves, color).  Two consecutive entries bound a segment
+that lies in one grid cell, so every point on a red segment has the same two
+red crossings: they are placed on that cell's boundary once per segment, by
+`_segment_marks`.  The blue crossings are the entries either side of z's
+preimage w under v -> sigma v + 2(s, t) on the base blue lift, and a blue
+crossing c maps back to the cell as z + sigma (c - w); they are placed per
+point, since the blue walk has about as many segments, once per sigma, as
+the pairing has points, while on the geo-oracle benchmark's pairings about a
+dozen points share each red segment.
 The sector a crossing leads runs from it along the counterclockwise boundary
 walk to the next crossing and back through the point, so it winds
 counterclockwise: the cell is convex and holds the point.  A disk runs
@@ -68,7 +70,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from typing import List, Tuple
+from typing import Tuple
 
 from .algebra import GeneratorMultiset, HalfInteger
 from .curves import RATIONAL, GradedCurve, ReducedSlope
@@ -105,65 +107,46 @@ def _eps(row: int) -> int:
     return 1 if row % 2 == 0 else -1
 
 
-def _grid_crossings(line: Line, x_lo: int, x_hi: int, n: int):
-    """Crossings of the line with the grid for x_lo <= X < x_hi, sorted by X.
-
-    Returns triples (X, Y, kind) with kind "V" (X on a vertical grid line) or
-    "H" (Y on a horizontal one).  x_lo and x_hi are multiples of n.
-    """
-    p, q, c = line
-    pts = [(x, _exact(p * x + c, q), "V") for x in range(x_lo, x_hi, n)]
-    y_ends = sorted((_exact(p * x_lo + c, q), _exact(p * x_hi + c, q)))
-    for y in range(-(-y_ends[0] // n) * n, y_ends[1], n):
-        x = _exact(q * y - c, p)
-        if x_lo <= x < x_hi:
-            pts.append((x, y, "H"))
-    pts.sort()
-    return pts
-
-
-def _curve_labels(line: Line, m: int, M: int, n: int) -> List[Tuple[int, int, str, int]]:
-    """Labelled grid crossings (X, Y, kind, label) of one lifted curve over one x-period 2qN.
-
-    The steps between crossings repeat with that period, so the labels are
-    periodic exactly when the walk, closed by the crossing at X = period,
-    comes back to its first label.  They are anchored so the minimum over the
-    period is the curve's m; construction fails if the realized span differs
-    from M - m (which would mean the line does not lift the decorated curve).
-    The list is sorted by X in [0, period]: the closing crossing, with the
-    first label, is kept, so every X of the period lies between two entries.
-    """
-    p, q, c = line
-    period = 2 * q * n
-    pts = _grid_crossings(line, 0, period, n)
-    pts.append((period, _exact(p * period + c, q), "V"))
-    labs = [0]
-    for (x1, y1, k1), (x2, y2, k2) in zip(pts, pts[1:]):
-        row = (y1 + y2) // (2 * n)
-        mag = 2 if (k1 == "V" and k2 == "V") else 1
-        labs.append(labs[-1] + mag * _eps(row))
-    if labs[-1]:
-        raise GeometryError("grid labels are not periodic; bad line offset")
-    if max(labs) - min(labs) != M - m:
-        raise GeometryError(
-            f"label span {max(labs) - min(labs)} does not match "
-            f"decoration span {M - m}"
-        )
-    shift = m - min(labs)
-    return [(x, y, kind, lab + shift) for (x, y, kind), lab in zip(pts, labs)]
-
-
 def _delta_halves(p: int, q: int) -> Tuple[int, int]:
     """Delta labels, in halves, of a curve of slope p/q on its (V, H) grid crossings."""
     sgn = 1 if p > 0 else -1
     return (-sgn, 0) if q % 2 else (0, sgn)
 
 
-def _walk_entries(line: Line, curve: GradedCurve, n: int, color: str):
-    """The curve's labelled walk as (X, Y, on a vertical edge, alexander, delta_halves, color)."""
-    dv, dh = _delta_halves(line[0], line[1])
-    return [(x, y, kind == "V", lab, dv if kind == "V" else dh, color)
-            for x, y, kind, lab in _curve_labels(line, curve.m, curve.M, n)]
+def _curve_walk(line: Line, curve: GradedCurve, n: int, color: str):
+    """One lifted curve's grid crossings over one x-period 2qN, sorted by X in
+    [0, period], as (X, Y, on a vertical edge, alexander, delta_halves, color).
+
+    The steps between crossings repeat with that period, so the labels are
+    periodic exactly when the walk, closed by the crossing at X = period,
+    comes back to its first label; that closing crossing is kept, so every X
+    of the period lies between two entries.  The labels are anchored so the
+    minimum over the period is the curve's m; construction fails if the
+    realized span differs from M - m (the line would not lift the curve).
+    """
+    p, q, c = line
+    period = 2 * q * n
+    walk = [(x, _exact(p * x + c, q), True) for x in range(0, period + 1, n)]
+    y_lo, y_hi = sorted((walk[0][1], walk[-1][1]))
+    for y in range(-(-y_lo // n) * n, y_hi, n):
+        x = _exact(q * y - c, p)
+        if 0 <= x < period:
+            walk.append((x, y, False))
+    walk.sort()
+    labs = [0]
+    for (_, y1, v1), (_, y2, v2) in zip(walk, walk[1:]):
+        labs.append(labs[-1] + (2 if v1 and v2 else 1) * _eps((y1 + y2) // (2 * n)))
+    if labs[-1]:
+        raise GeometryError("grid labels are not periodic; bad line offset")
+    if max(labs) - min(labs) != curve.M - curve.m:
+        raise GeometryError(
+            f"label span {max(labs) - min(labs)} does not match "
+            f"decoration span {curve.M - curve.m}"
+        )
+    shift = curve.m - min(labs)
+    dv, dh = _delta_halves(p, q)
+    return [(x, y, vertical, lab + shift, dv if vertical else dh, color)
+            for (x, y, vertical), lab in zip(walk, labs)]
 
 
 def _walk_position(ex: int, ey: int, vertical: bool, n: int) -> int:
@@ -172,18 +155,14 @@ def _walk_position(ex: int, ey: int, vertical: bool, n: int) -> int:
     return (n + ey if ex else 4 * n - ey) if vertical else (3 * n - ex if ey else ex)
 
 
-def _cell_corner(first, second, n: int) -> Tuple[int, int]:
-    """Lower left corner of the one grid cell that holds the walk segment between
-    two consecutive entries: both lie on its boundary, so their midpoint lies inside."""
-    return (first[0] + second[0]) // (2 * n) * n, (first[1] + second[1]) // (2 * n) * n
-
-
 def _segment_marks(walk, n: int):
     """For each i >= 1, the marks (t, alexander, delta_halves, color) of walk[i - 1] and
     walk[i] on the walk of the cell holding the segment between them; index 0 is None."""
     marks = [None]
     for first, second in zip(walk, walk[1:]):
-        x0, y0 = _cell_corner(first, second, n)
+        # both entries lie on that cell's boundary, so their midpoint lies inside
+        x0 = (first[0] + second[0]) // (2 * n) * n
+        y0 = (first[1] + second[1]) // (2 * n) * n
         marks.append(tuple((_walk_position(x - x0, y - y0, vertical, n), lab, delta, color)
                            for x, y, vertical, lab, delta, color in (first, second)))
     return marks
@@ -270,8 +249,8 @@ def enumerate_geometric_pairing(
     # the red lift has intercept 1/(2 qr), the blue translates sigma/(4 qb) + 2k/qb
     red_line, blue_line = (pr, qr, _exact(n, 2)), (pb, qb, _exact(n, 4))
     red_period, blue_period = 2 * qr * n, 2 * qb * n
-    red_walk = _walk_entries(red_line, red, n, "red")
-    blue_walk = _walk_entries(blue_line, blue, n, "blue")
+    red_walk = _curve_walk(red_line, red, n, "red")
+    blue_walk = _curve_walk(blue_line, blue, n, "blue")
     red_xs, blue_xs = [e[0] for e in red_walk], [e[0] for e in blue_walk]
     red_marks = _segment_marks(red_walk, n)
     pb_inv, blue_c = pow(pb % qb, -1, qb), blue_line[2]

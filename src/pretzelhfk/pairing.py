@@ -142,9 +142,7 @@ def pair_rational_general(closure: str, c: int, slope: ReducedSlope, M: int) -> 
     B = slope.denominator
     if A <= 0 or A % 2 == 0 or B % 2:
         raise PairingError(f"slope {slope} is not of the -A/B Case III shape")
-    Ac = A * (2 * c + 1)
-    if Ac == B:
-        raise PairingError("slope tie: closure slope equals curve slope")
+    Ac = A * (2 * c + 1)  # odd, and B is even: the slopes never tie
     if closure == "-":
         gens = _blocks(-M // 2 - c, +1, A, B + Ac, DELTA_HALF)
     elif Ac > B:

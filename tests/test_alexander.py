@@ -374,8 +374,9 @@ def matmul(x, y):
     return [[plus(product(x[i][0], y[0][j]), product(x[i][1], y[1][j])) for j in range(2)] for i in range(2)]
 
 
-@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=60))
+@given(st.lists(st.sampled_from([1, -1]), min_size=0, max_size=60))
 @settings(max_examples=120, deadline=None)
+@example([])
 @example([1])
 @example([1, -1])
 @example([-1, 1, -1])

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -167,15 +168,20 @@ def boundary_param(pt, x0, y0, n):
 
 
 def window_cell_crossings(line, x0, y0, n):
-    """Reference: walk the grid crossings of a 3-cell window around the cell,
-    keep those strictly inside an edge of the cell and place them on the walk."""
+    """Reference: meet the line (p, q, C), q Y = p X + C, with each of the cell's
+    four edges, keep the meetings strictly inside an edge and place them on the walk."""
+    p, q, c = line
     out = []
-    for x, y, kind in geometry._grid_crossings(line, x0 - n, x0 + 2 * n, n):
-        on_v = kind == "V" and x in (x0, x0 + n) and y0 < y < y0 + n
-        on_h = kind == "H" and y in (y0, y0 + n) and x0 < x < x0 + n
-        if on_v or on_h:
-            out.append((boundary_param((x, y), x0, y0, n), (x, y), kind))
-    return out
+    for x in (x0, x0 + n):
+        y = Fraction(p * x + c, q)
+        if y0 < y < y0 + n:
+            out.append((x, y, "V"))
+    for y in (y0, y0 + n):
+        x = Fraction(q * y - c, p)
+        if x0 < x < x0 + n:
+            out.append((x, y, "H"))
+    assert all(x.denominator == y.denominator == 1 for x, y, _ in out)  # on the lattice
+    return [(boundary_param((int(x), int(y)), x0, y0, n), (int(x), int(y)), kind) for x, y, kind in out]
 
 
 def test_cell_crossings_match_the_window_walk(monkeypatch):
@@ -219,7 +225,9 @@ def test_each_red_segment_lies_in_the_cell_its_marks_use(monkeypatch):
         marks = segment_marks(walk, n)
         assert len(marks) == len(walk) and marks[0] is None
         for i, (first, second) in enumerate(zip(walk, walk[1:]), 1):
-            x0, y0 = geometry._cell_corner(first, second, n)
+            # the segment's lower end in each coordinate, floored to the grid
+            x0 = min(first[0], second[0]) // n * n
+            y0 = min(first[1], second[1]) // n * n
             ts = [boundary_param(entry[:2], x0, y0, n) for entry in (first, second)]
             assert ts[0] // n != ts[1] // n and all(t % n for t in ts)  # two edges, no corner
             assert marks[i] == tuple((t, *entry[3:]) for t, entry in zip(ts, (first, second)))

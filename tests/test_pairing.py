@@ -80,6 +80,11 @@ class TestReduction:
         with pytest.raises(PairingError):
             reduce_generator_pairs(GeneratorMultiset({(0, D(1)): 1, (4, D(1)): 1}))
 
+    def test_more_pairs_pending_than_generators_is_an_error(self):
+        # both generators at 0 must pair upward, but only one waits at 2
+        with pytest.raises(PairingError, match="^unpairable multiset at alexander grading 2$"):
+            reduce_generator_pairs(GeneratorMultiset({(0, D(1)): 2, (2, D(1)): 1}))
+
     def test_even_midpoint_is_an_error(self):
         with pytest.raises(PairingError):
             reduce_generator_pairs(GeneratorMultiset({(0, D(1)): 1, (2, D(1)): 1}))
@@ -113,6 +118,8 @@ class TestSpecialPairings:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(PairingError):
             pair_special14("+", 1, GradedCurve(SPECIAL23, 0, 4, None, 1))
+        with pytest.raises(PairingError, match=r"^curve is not special of \(2,3\) type$"):
+            pair_special23("+", 1, GradedCurve(SPECIAL14, 0, 4, None, 1))
 
 
 class TestRationalHalfSlopePairings:

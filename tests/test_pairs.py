@@ -187,13 +187,32 @@ def test_a_failed_run_keeps_the_finished_runs(monkeypatch, tmp_path, capsys):
     assert "pair 2/10 change: exit code 3" in capsys.readouterr().err
 
 
-def test_export_writes_the_revision_without_a_warning(tmp_path):
+def skip_outside_a_git_work_tree():
     inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=pairs.ROOT,
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     if inside.returncode or inside.stdout.strip() != "true":
         pytest.skip("not a git work tree")
+
+
+def test_export_writes_the_revision_without_a_warning(tmp_path):
+    skip_outside_a_git_work_tree()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # extractall without a filter warns on 3.12 and 3.13
         pairs.export("HEAD", tmp_path)
     assert (tmp_path / "benchmarks" / "run.py").is_file()
     assert (tmp_path / "src" / "pretzelhfk" / "geometry.py").is_file()
+
+
+def test_a_revision_that_names_no_commit_exits_2_before_exporting(monkeypatch, capsys):
+    skip_outside_a_git_work_tree()
+
+    def refuse(*args):
+        raise AssertionError("ran past an unresolvable revision")
+
+    monkeypatch.setattr(pairs, "copy_worktree", refuse)
+    monkeypatch.setattr(pairs, "run_once", refuse)
+    monkeypatch.setattr(pairs.tarfile, "open", refuse)
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main(["--rev", "no-such-revision", "--workload", "grid-sweep", "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "--rev 'no-such-revision' names no commit" in capsys.readouterr().err

@@ -4,7 +4,8 @@
 
 Exports the parent revision with `git archive` into one temporary directory
 (extracted through tarfile's "data" filter, which refuses links and paths
-that leave it), copies this work tree into another (the files `git ls-files -co
+that leave it; a revision that names no commit exits 2 before anything is
+extracted), copies this work tree into another (the files `git ls-files -co
 --exclude-standard` lists, as they are on disk, so an uncommitted edit goes
 with them and no `__pycache__` does), and runs `benchmarks/run.py` in each,
 one process at a time: pair i runs the parent first when i is even and the
@@ -80,6 +81,12 @@ def summarize(parent: Sequence[float], change: Sequence[float], better: str,
 
 
 def export(rev: str, into: Path) -> None:
+    """Extract the commit rev names into `into`; a ValueError, before anything is
+    extracted, if rev names no commit."""
+    found = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"], cwd=ROOT,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    if found.returncode:
+        raise ValueError(f"--rev {rev!r} names no commit")
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              stdout=subprocess.PIPE).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -125,7 +132,10 @@ def main(argv: List[str] | None = None) -> int:
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        export(args.rev, sides["parent"])
+        try:
+            export(args.rev, sides["parent"])
+        except ValueError as exc:
+            parser.error(str(exc))
         copy_worktree(sides["change"])
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
