@@ -33,8 +33,8 @@ one of t^-lo, t^-lo S_n and t^-lo S_{n+1}, polynomials in t, from each band
 with coefficient +-1, so the value's L1 norm is at most the product over the
 bands of 1 + n + (n + 1).  K >= bit_length(that bound) + 2 puts each
 coefficient in (-X/2, X/2): the value's balanced base-X digits, packed and
-decoded by one `struct` call each, are its coefficients.  Each n >= 1 makes
-the bound at least 4^3 = 64, so K >= 9: K is 16, 32 or 64m.
+decoded by one `struct` call each, are its coefficients.  K is a multiple
+of 32, so a digit is K/32 little-endian 32-bit words.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from itertools import accumulate, cycle, repeat
 from operator import add, and_, lshift, or_, rshift, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .algebra import normalize_alexander, same_type_eq, same_type_ne
+from .algebra import normalize_alexander
 
 
 class DiagramError(ValueError):
@@ -56,14 +56,12 @@ class DiagramError(ValueError):
 
 class Crossing(NamedTuple):
     """One Wirtinger crossing: under-arc `incoming` passes under `over` and re-emerges
-    as `outgoing`, with exponent `exponent` (+-1); never equal to a plain tuple."""
+    as `outgoing`, with exponent `exponent` (+-1); it compares as the tuple it is."""
 
     over: int
     incoming: int
     outgoing: int
     exponent: int
-
-    __eq__, __ne__ = same_type_eq, same_type_ne
 
 
 @dataclass(frozen=True)
@@ -147,30 +145,22 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
 
 
 def _digit_bits(bound: int) -> int:
-    """The smallest K in {16, 32} or 64m (m >= 1) with K >= bit_length(bound) + 2,
-    so that coefficients at most `bound` in absolute value are base-2^K digits."""
-    need = bound.bit_length() + 2
-    return next((k for k in (16, 32) if k >= need), -(-need // 64) * 64)
-
-
-def _layout(bits: int) -> Tuple[int, str]:
-    """(m, code): a base-2^bits digit is m little-endian struct words of `code`."""
-    if bits in (16, 32) or (bits > 0 and bits % 64 == 0):
-        return max(bits // 64, 1), {16: "H", 32: "I"}.get(bits, "Q")
-    raise ValueError(f"{bits}-bit digits: K must be 16, 32 or a multiple of 64")
+    """The smallest multiple K of 32 with K >= bit_length(bound) + 2, so that
+    coefficients at most `bound` in absolute value are base-2^K digits."""
+    return -(-(bound.bit_length() + 2) // 32) * 32
 
 
 def _evaluate(cs: Sequence[int], bits: int) -> int:
     """sum cs[i] X^i at X = 2^bits, for |cs[i]| < X/2 and bits from `_digit_bits`:
     X/2 is added to every coefficient, the digits are packed (word j of each
     as one strided slice) by one struct.pack, and X/2 is subtracted again."""
-    m, code = _layout(bits)
+    m = bits // 32
     digits = words = list(map(add, cs, repeat(1 << (bits - 1))))
     if m > 1:
         words = digits * m
         for j in range(m):
-            words[j::m] = map(and_, map(rshift, digits, repeat(64 * j)), repeat((1 << 64) - 1))
-    raw = struct.pack(f"<{len(words)}{code}", *words)
+            words[j::m] = map(and_, map(rshift, digits, repeat(32 * j)), repeat((1 << 32) - 1))
+    raw = struct.pack(f"<{len(words)}I", *words)
     return int.from_bytes(raw, "little") - int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * len(cs), "little")
 
 
@@ -179,15 +169,15 @@ def _decode(value: int, bits: int) -> List[int]:
     value / X^low, where X^low is the largest power of X dividing `value`
     ([0] for 0); a top digit d_h makes |value| > X^h / 2, which bounds h.  The
     digits, X/2 high, come out of one struct.unpack, joined from their words."""
-    m, code = _layout(bits)
+    m = bits // 32
     low = ((value & -value).bit_length() - 1) // bits if value else 0  # zero digits below X^low
     value >>= bits * low
     n = abs(value).bit_length() // bits + 1
     raw = (value + int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * n, "little")).to_bytes(n * bits // 8, "little")
-    words = struct.unpack(f"<{n * m}{code}", raw)
+    words = struct.unpack(f"<{n * m}I", raw)
     digits = words[m - 1 :: m]
     for j in range(m - 2, -1, -1):  # high word first
-        digits = map(or_, map(lshift, digits, repeat(64)), words[j::m])
+        digits = map(or_, map(lshift, digits, repeat(32)), words[j::m])
     return list(map(sub, digits, repeat(1 << (bits - 1))))
 
 

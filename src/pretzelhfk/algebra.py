@@ -4,9 +4,8 @@ Everything downstream (pairing formulas, the Fox-calculus oracle, the
 verification predicates) is built on the types in this module.  All values are
 immutable after construction and all operations are pure.
 
-A delta grading is a `HalfInteger`, a NamedTuple made in C: it hashes as the
-1-tuple of its field, but it is equal only to another HalfInteger and ordered
-only against one.
+A delta grading is a `HalfInteger`, a NamedTuple made in C: it compares and
+hashes as the 1-tuple of its field, so it is ordered by value.
 
 An Alexander polynomial is kept Conway-normalized, hence symmetric, as one
 tuple (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i).
@@ -32,37 +31,11 @@ class AlgebraError(ValueError):
     """Raised when an algebraic precondition fails (bad normalization, etc.)."""
 
 
-# __eq__ and __ne__ of each NamedTuple here: equal only to one of its own type, never
-# to a plain tuple; typing.NamedTuple keeps tuple.__hash__ when they are set
-def same_type_eq(self, other) -> bool:
-    return type(other) is type(self) and tuple.__eq__(self, other)
-
-
-def same_type_ne(self, other) -> bool:
-    return type(other) is not type(self) or tuple.__ne__(self, other)
-
-
-def _among_half_integers(op: str, compare):
-    """A HalfInteger comparison that raises TypeError against any other type."""
-
-    def method(self, other) -> bool:
-        if type(other) is not HalfInteger:
-            raise TypeError(
-                f"'{op}' not supported between instances of "
-                f"{type(self).__name__!r} and {type(other).__name__!r}"
-            )
-        return compare(self, other)
-
-    return method
-
-
 class HalfInteger(NamedTuple):
     """An exact half-integer, stored as twice its value.
 
     Used for the (relative) delta gradings, which take values such as
-    -1/2, 1/2, 3/2.  Ordered by value.  Never equal to a plain tuple, and
-    ordering against any other type raises TypeError (tuple's own comparison
-    would otherwise answer for a reflected one).
+    -1/2, 1/2, 3/2.  It compares as the tuple (twice,), so by value.
     """
 
     twice: int
@@ -71,12 +44,6 @@ class HalfInteger(NamedTuple):
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
-
-    __eq__, __ne__ = same_type_eq, same_type_ne  # hash stays hash((twice,)): sets of deltas keep their order
-    __lt__ = _among_half_integers("<", tuple.__lt__)
-    __le__ = _among_half_integers("<=", tuple.__le__)
-    __gt__ = _among_half_integers(">", tuple.__gt__)
-    __ge__ = _among_half_integers(">=", tuple.__ge__)
 
 
 def normalize_alexander(cs: Sequence[int]) -> Tuple[int, ...]:
@@ -190,23 +157,20 @@ def cells_of_runs(runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> Dict[Tup
     """Rank per (alexander, delta) cell of runs, each nonempty with a rank >= 0.
 
     One sorted walk per delta over a sparse difference map {edge: rank change},
-    keyed by the int 2*delta, writes the cells between consecutive edges, so
-    time and memory go with the runs, not the span.  Cells come in first-seen
-    delta order, then ascending s, and keep the first-seen HalfInteger object;
-    zero-rank cells are left out.
+    keyed by the delta, writes the cells between consecutive edges, so time
+    and memory go with the runs, not the span.  Cells come in first-seen delta
+    order, then ascending s, and keep the first-seen HalfInteger object (a
+    dict keeps the first of equal keys); zero-rank cells are left out.
     """
-    diffs: Dict[int, Dict[int, int]] = {}
-    first: Dict[int, HalfInteger] = {}
+    diffs: Dict[HalfInteger, Dict[int, int]] = {}
     for lo, hi, d, rk in runs:
-        diff = diffs.get(d.twice)
+        diff = diffs.get(d)
         if diff is None:
-            diff = diffs[d.twice] = {}
-            first[d.twice] = d
+            diff = diffs[d] = {}
         diff[lo] = diff.get(lo, 0) + rk
         diff[hi + 1] = diff.get(hi + 1, 0) - rk
     out: Dict[Tuple[int, HalfInteger], int] = {}
-    for twice, diff in diffs.items():
-        d = first[twice]
+    for d, diff in diffs.items():
         rk = start = 0
         for edge in sorted(diff):
             if rk:

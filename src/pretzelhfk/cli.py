@@ -231,13 +231,13 @@ def cmd_sweep(args) -> int:
                     p, q, r = params.pretzel_triple()
                     print(f"P({p},{q},{r}) [{shape}]: {status}")
                     if not report.passed:
-                        failures.append((params, report.failures()))
+                        failures.append((f"P({p},{q},{r})", report.failures()))
     print(f"checked {knots} knots")
     for shape in sorted(census):
         print(f"  {shape}: {census[shape]}")
     if failures:
-        for params, names in failures:
-            print(f"FAILED {params.pretzel_triple()}: {', '.join(names)}")
+        for knot, names in failures:
+            print(f"FAILED {knot}: {', '.join(names)}")
         return 1
     print("all checks passed")
     return 0

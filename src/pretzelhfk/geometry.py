@@ -128,10 +128,9 @@ def _curve_walk(line: Line, curve: GradedCurve, n: int, color: str):
     period = 2 * q * n
     walk = [(x, _exact(p * x + c, q), True) for x in range(0, period + 1, n)]
     y_lo, y_hi = sorted((walk[0][1], walk[-1][1]))
+    # y_lo and y_hi are off the grid (no lift passes a lattice corner), so every x is in (0, period)
     for y in range(-(-y_lo // n) * n, y_hi, n):
-        x = _exact(q * y - c, p)
-        if 0 <= x < period:
-            walk.append((x, y, False))
+        walk.append((_exact(q * y - c, p), y, False))
     walk.sort()
     labs = [0]
     for (_, y1, v1), (_, y2, v2) in zip(walk, walk[1:]):
@@ -248,7 +247,7 @@ def enumerate_geometric_pairing(
 
     # the red lift has intercept 1/(2 qr), the blue translates sigma/(4 qb) + 2k/qb
     red_line, blue_line = (pr, qr, _exact(n, 2)), (pb, qb, _exact(n, 4))
-    red_period, blue_period = 2 * qr * n, 2 * qb * n
+    blue_period = 2 * qb * n
     red_walk = _curve_walk(red_line, red, n, "red")
     blue_walk = _curve_walk(blue_line, blue, n, "blue")
     red_xs, blue_xs = [e[0] for e in red_walk], [e[0] for e in blue_walk]
@@ -258,7 +257,8 @@ def enumerate_geometric_pairing(
     counts: Counter = Counter()  # (alexander, delta_halves) -> points
     for sigma in (1, -1):
         # k window: the unscaled x* = (sigma qr + 8k qr - 2qb) / (4 det) lies
-        # in [0, 2qr) only for 8k qr between 2qb - sigma qr and that plus 8 det qr
+        # in [0, 2qr) only for 8k qr between 2qb - sigma qr and that plus 8 det qr;
+        # for det < 0 the window gives (0, 2qr], and x* = 2qr lies on the grid
         ends = sorted((2 * qb - sigma * qr, 2 * qb - sigma * qr + 8 * det * qr))
         k_lo, k_hi = (-(-e // (8 * qr)) for e in ends)
         # z = (x*, y) is on the base red lift; v -> sigma v + 2N(s0, t0) with
@@ -271,20 +271,19 @@ def enumerate_geometric_pairing(
         step_x, step_y = _exact(2 * n * qr, det), _exact(2 * n * pr, det)
         step_w = sigma * (step_x + 2 * n * pb_inv) % blue_period
         for _ in range(k_lo, k_hi):
-            if 0 <= zx < red_period:
-                ox, oy = zx % n, zy % n
-                if not (ox and oy):
-                    raise GeometryError("intersection point lies on the grid")
-                wy = _exact(pb * wx + blue_c, qb)
-                j = bisect_left(blue_xs, wx)
-                # z's red crossings are those of its red segment's cell; a blue
-                # crossing c either side of w on the base blue lift lies at z's
-                # cell offset plus sigma (c - w)
-                marked = [*red_marks[bisect_left(red_xs, zx)]]
-                for x, y, vertical, lab, delta, color in (blue_walk[j - 1], blue_walk[j]):
-                    marked.append((_walk_position(ox + sigma * (x - wx), oy + sigma * (y - wy), vertical, n),
-                                   lab, delta, color))
-                counts[grade_point((zx, zy), n, marked)] += 1
+            ox, oy = zx % n, zy % n
+            if not (ox and oy):
+                raise GeometryError("intersection point lies on the grid")
+            wy = _exact(pb * wx + blue_c, qb)
+            j = bisect_left(blue_xs, wx)
+            # z's red crossings are those of its red segment's cell; a blue
+            # crossing c either side of w on the base blue lift lies at z's
+            # cell offset plus sigma (c - w)
+            marked = [*red_marks[bisect_left(red_xs, zx)]]
+            for x, y, vertical, lab, delta, color in (blue_walk[j - 1], blue_walk[j]):
+                marked.append((_walk_position(ox + sigma * (x - wx), oy + sigma * (y - wy), vertical, n),
+                               lab, delta, color))
+            counts[grade_point((zx, zy), n, marked)] += 1
             zx += step_x
             zy += step_y
             wx = (wx + step_w) % blue_period

@@ -9,14 +9,14 @@ intersection count L given by the rational-curve determinant law.
 TangleParams checks the closure sign and c; here only curve shapes are checked.
 
 A pairing comes back as a `ReducedPairing`, a NamedTuple made in C (no
-Python-level constructor runs), equal only to another ReducedPairing.
+Python-level constructor runs) that compares as the tuple it is.
 """
 
 from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from .algebra import GeneratorMultiset, HalfInteger, same_type_eq, same_type_ne, single_run
+from .algebra import GeneratorMultiset, HalfInteger, single_run
 from .curves import SPECIAL14, SPECIAL23, GradedCurve, ReducedSlope
 
 DELTA_MINUS_HALF = HalfInteger(-1)
@@ -28,15 +28,12 @@ class PairingError(ValueError):
     """Raised on unpairable multisets or unsupported curve shapes."""
 
 
-def _unordered(self, other) -> bool:
-    raise TypeError(f"{type(self).__name__} is not ordered")
-
-
 class ReducedPairing(NamedTuple):
     """Reduced Floer generators of one curve pairing, final gradings.
 
-    A NamedTuple made in C, equal only to another ReducedPairing with equal
-    generators; it is never ordered, and not hashable.
+    A NamedTuple made in C that compares as the 1-tuple of its generators.
+    Their multiset has no hash and no order, so hashing a pairing, or sorting
+    two unequal ones, raises TypeError.
     """
 
     generators: GeneratorMultiset
@@ -44,9 +41,6 @@ class ReducedPairing(NamedTuple):
     @property
     def total_rank(self) -> int:
         return self.generators.total_rank
-
-    __eq__, __ne__ = same_type_eq, same_type_ne
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 # _tuple_new(ReducedPairing, (gens,)) makes a ReducedPairing in C, no Python-level __new__

@@ -29,19 +29,22 @@ class TestHalfInteger:
 
 
 class TestHalfIntegerRecord:
-    """Equal only to another HalfInteger, ordered only against one."""
+    """Compares and hashes as the 1-tuple (twice,); never equal to an int."""
 
-    def test_never_equal_to_a_plain_tuple_or_int(self):
+    def test_equal_to_its_one_tuple_never_to_an_int(self):
         h = HalfInteger(3)
-        for other in [(3,), 3, [3]]:
+        assert h == (3,) and (3,) == h and not h != (3,) and not (3,) != h
+        assert h != (1,) and hash(h) == hash((3,)) and len({h, (3,)}) == 1
+        for other in [3, [3]]:
             assert not h == other and not other == h
             assert h != other and other != h
         assert h == HalfInteger(3) and not h != HalfInteger(3)
         assert h != HalfInteger(1) and not h == HalfInteger(1)
 
-    @pytest.mark.parametrize("other", [(3,), 3])
-    def test_ordering_against_another_type_raises(self, other):
+    @pytest.mark.parametrize("other", [3, [3]])
+    def test_ordering_against_a_non_tuple_raises(self, other):
         h = HalfInteger(3)
+        assert (1,) < h <= (3,) and h < (5,) and (3,) >= h > (1,)
         for compare in [
             lambda: h < other, lambda: h <= other, lambda: h > other, lambda: h >= other,
             lambda: other < h, lambda: other <= h, lambda: other > h, lambda: other >= h,

@@ -153,6 +153,24 @@ class TestSweep:
         code = main(["sweep", "--max-a", "0", "--max-b", "1", "--max-c", "1"])
         assert code == 2
 
+    def test_a_failing_knot_is_listed_and_exits_1(self, capsys, monkeypatch):
+        def verify_failing_on_c_2(params):
+            report = hfk.verify(params)
+            if params.c == 2:
+                report.checks["rank_symmetry"] = "fail"
+            return report
+
+        monkeypatch.setattr(cli, "verify", verify_failing_on_c_2)
+        code, out = run(capsys, "sweep", "--max-a", "1", "--max-b", "1", "--max-c", "2", "--sign", "+")
+        assert code == 1
+        assert out == (
+            "P(2,-3,3) [thin]: pass\n"
+            "P(2,-3,5) [thin]: fail\n"
+            "checked 2 knots\n"
+            "  thin: 2\n"
+            "FAILED P(2,-3,5): rank_symmetry\n"
+        )
+
 
 class TestAlex:
     def test_prints_polynomial_and_determinant(self, capsys):
@@ -551,6 +569,11 @@ def test_the_benchmarks_other_reach_ins_resolve():
     cell = (0, HalfInteger(2))
     gens = GeneratorMultiset({cell: 1}).add(GeneratorMultiset({cell: 2}))
     assert ReducedPairing(gens).generators.entries == {cell: 3}
+    # workloads.py labels each knot by curves.case_of, which src/ never calls,
+    # and harness checks a table's symmetry through HfkTable.rank
+    assert {curves.case_of(a, b).value for a, b in [(1, 1), (2, 1), (3, 1)]} == {"I", "II", "III"}
+    assert all(table.rank(-s, d) == rk for (s, d), rk in table.entries.items())
+    assert table.rank(10**6, HalfInteger(1)) == 0
 
     # each tracer count function, applied to a real result of the function it
     # is bound to, so that a record losing .total_rank or .crossings fails here
