@@ -242,6 +242,16 @@ class TestEvaluation:
         cs, bits = case
         assert _evaluate(cs, bits) == sum(c << bits * i for i, c in enumerate(cs))
 
+    @pytest.mark.parametrize("bits", ALLOWED_BITS)
+    def test_the_extreme_digits_of_each_width_round_trip(self, bits):
+        # digits +-(X/2 - 1) set or clear every bit of every word of a digit
+        top = (1 << (bits - 1)) - 1
+        cs = [top, -top, -top, top, 1, -1]
+        value = _evaluate(cs, bits)
+        assert value == sum(c << bits * i for i, c in enumerate(cs))
+        assert _decode(value, bits) == cs
+        assert _decode(value << bits * 3, bits) == cs  # three zero digits below are stripped
+
     def test_digit_bits_is_the_smallest_allowed_width(self):
         allowed = [32 * m for m in range(1, 15)]
         bounds = {0, 1, 60000} | {2**e + d for e in range(1, 400) for d in (-1, 0, 1)}
