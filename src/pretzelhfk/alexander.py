@@ -1,12 +1,12 @@
 """Independent Alexander-polynomial oracle via Wirtinger presentations and Fox calculus.
 
 The pretzel diagram (three vertical twist bands, closed cyclically at top
-and bottom) is written band by band in closed form, each crossing once as a
-`Crossing` NamedTuple made in C (`_replace` changes a field: it is not a
-dataclass) with its exponent from one constant table keyed by the even band,
-and the closure glues each band's right ends to the next band's left ends
-through one six-entry map; the Alexander polynomial is a minor of its Fox
-matrix over Z[t, 1/t].
+and bottom), a `PretzelDiagram` NamedTuple, is written band by band in
+closed form, each crossing once as a `Crossing` NamedTuple made in C
+(`_replace` changes a field of either) with its exponent from one constant
+table keyed by the even band, and the closure glues each band's right ends
+to the next band's left ends through one six-entry map; the Alexander
+polynomial is a minor of its Fox matrix over Z[t, 1/t].
 
 That matrix is never built.  Inside a band the crossings chain:
 crossing j takes its over-arc y_{j+1} and its incoming arc y_j and emits
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, cycle, repeat
 from operator import add, and_, lshift, or_, rshift, sub
@@ -64,8 +63,7 @@ class Crossing(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class PretzelDiagram:
+class PretzelDiagram(NamedTuple):
     twists: Tuple[int, int, int]
     crossings: Tuple[Crossing, ...]
 

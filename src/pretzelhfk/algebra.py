@@ -13,7 +13,6 @@ tuple (a_0, a_1, ..., a_g) with Delta = a_0 + sum a_i (t^i + t^-i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count
 from operator import itemgetter, neg
@@ -86,13 +85,13 @@ class GeneratorMultiset:
     """Multiset of bigraded generators (alexander, delta) with multiplicities.
 
     Stored as constant-rank runs (lo, hi, delta, rank), which may overlap; the
-    per-cell `entries` are summed once, on first access, in time and memory
+    per-cell `entries` are summed from them on each access, in time and memory
     that grow with the number of runs and cells, never with the span of the
     gradings.  Alexander gradings are plain integers: unhalved labels before
     the pair reduction, final gradings after it.  Ranks are never negative.
     """
 
-    __slots__ = ("runs", "_entries")
+    __slots__ = ("runs",)
 
     def __init__(self, entries: Mapping[Tuple[int, HalfInteger], int] | None = None):
         self._set_runs((s, s, d, rk) for (s, d), rk in (entries or {}).items())
@@ -102,7 +101,6 @@ class GeneratorMultiset:
         for run in self.runs:  # a plain loop, like total_rank: no generator frame
             if run[3] < 0:
                 raise AlgebraError("negative rank in generator multiset")
-        self._entries: Dict[Tuple[int, HalfInteger], int] | None = None
 
     @staticmethod
     def of_runs(runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> "GeneratorMultiset":
@@ -112,10 +110,8 @@ class GeneratorMultiset:
 
     @property
     def entries(self) -> Dict[Tuple[int, HalfInteger], int]:
-        """Rank per (alexander, delta) cell, summed by cells_of_runs on first access."""
-        if self._entries is None:
-            self._entries = cells_of_runs(self.runs)
-        return self._entries
+        """Rank per (alexander, delta) cell, summed by cells_of_runs."""
+        return cells_of_runs(self.runs)
 
     def add(self, other: "GeneratorMultiset") -> "GeneratorMultiset":
         return GeneratorMultiset.of_runs(self.runs + other.runs)
@@ -149,7 +145,6 @@ def single_run(lo: int, hi: int, delta: HalfInteger) -> GeneratorMultiset:
     """One generator at each Alexander grading lo..hi (none if lo > hi), with no class lookup."""
     out = _new_multiset()
     out.runs = ((lo, hi, delta, 1),) if lo <= hi else ()
-    out._entries = None
     return out
 
 
@@ -181,8 +176,7 @@ def cells_of_runs(runs: Iterable[Tuple[int, int, HalfInteger, int]]) -> Dict[Tup
     return out
 
 
-@dataclass(frozen=True)
-class HfkTable:
+class HfkTable(NamedTuple):
     """The assembled knot Floer homology: rank per (Alexander, relative delta).
 
     Every cell's rank is positive, as compute_hfk writes it; a zero-rank cell

@@ -6,7 +6,8 @@ length and the middle depend on how a compares to b: when a <= b the middle is
 2(b-a)+1 parallel curves of slope 1/2a, and when a > b it is one curve of
 slope -A/B.  Each curve carries the minimal and maximal Alexander grading
 (m, M) of its intersections with the parametrizing square, and is checked once,
-by `GradedCurve.__init__`, however it is made (`dataclasses.replace` included).
+by `GradedCurve.__new__`, however it is made (`_replace` and unpickling included).
+The three records here are tuples, each checked in its one `__new__`.
 TangleParams checks a knot's parameters; the functions here take checked values.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -23,18 +24,35 @@ class CurveError(ValueError):
     """Raised on invalid tangle parameters or malformed curves."""
 
 
-@dataclass(frozen=True)
-class ReducedSlope:
+# tuple.__new__(cls, fields) stores a checked record's fields without a second check
+_tuple_new = tuple.__new__
+
+
+class _Checked:
+    """Sends namedtuple's _make (so _replace) and unpickling, at every pickle
+    protocol, through the record's checking __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class ReducedSlope(_Checked, namedtuple("ReducedSlope", "numerator denominator")):
     """A finite slope numerator/denominator in lowest terms, denominator >= 1."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.denominator < 1:
+    def __new__(cls, numerator: int, denominator: int):
+        if denominator < 1:
             raise CurveError("denominator must be positive")
-        if math.gcd(abs(self.numerator), self.denominator) != 1:
+        if math.gcd(abs(numerator), denominator) != 1:
             raise CurveError("slope must be in lowest terms")
+        return _tuple_new(cls, (numerator, denominator))
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -51,23 +69,17 @@ class CurveKind(Enum):
 RATIONAL, SPECIAL14, SPECIAL23 = CurveKind.RATIONAL, CurveKind.SPECIAL14, CurveKind.SPECIAL23
 
 
-@dataclass(frozen=True, init=False)
-class GradedCurve:
+class GradedCurve(_Checked, namedtuple("GradedCurve", "kind m M slope k")):
     """One component of the tangle invariant with its Alexander decoration.
 
     m and M are the minimal/maximal Alexander labels (always even here).
-    Special curves of index k span M - m = 4k.  __init__ is the only check
-    (no __post_init__) and stores the five fields in one step.
+    Special curves of index k span M - m = 4k.  __new__ is the only check.
     """
 
-    kind: CurveKind
-    m: int
-    M: int
-    slope: Optional[ReducedSlope] = None
-    k: Optional[int] = None
+    __slots__ = ()
 
-    def __init__(self, kind: CurveKind, m: int, M: int,
-                 slope: Optional[ReducedSlope] = None, k: Optional[int] = None):
+    def __new__(cls, kind: CurveKind, m: int, M: int,
+                slope: Optional[ReducedSlope] = None, k: Optional[int] = None):
         if kind is RATIONAL:
             # closure curves of odd slope carry odd gradings, so only the
             # parity agreement of m and M is required here
@@ -84,7 +96,7 @@ class GradedCurve:
                 raise CurveError(f"special curve span must be 4k, got {M - m}")
         else:
             raise CurveError(f"curve kind must be a CurveKind member, not {kind!r}")
-        object.__setattr__(self, "__dict__", {"kind": kind, "m": m, "M": M, "slope": slope, "k": k})
+        return _tuple_new(cls, (kind, m, M, slope, k))
 
     @staticmethod
     def rational(num: int, den: int, m: int, M: int) -> "GradedCurve":
@@ -105,8 +117,7 @@ class CaseLabel(Enum):
     CASE_III = "III"   # a > b + 1
 
 
-@dataclass(frozen=True)
-class TangleParams:
+class TangleParams(_Checked, namedtuple("TangleParams", "a b c sign")):
     """The pretzel parameters (a, b, c) plus the sign of the third band.
 
     Positive closure means the third strand carries +(2c+1) twists and the
@@ -114,17 +125,15 @@ class TangleParams:
     r(+1/(2c+1)).
     """
 
-    a: int
-    b: int
-    c: int
-    sign: str  # "+" or "-"
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+    def __new__(cls, a: int, b: int, c: int, sign: str):  # sign is "+" or "-"
+        for name, value in (("a", a), ("b", b), ("c", c)):
             if type(value) is not int or value < 1:  # a bool is an int subclass, and is refused too
                 raise CurveError(f"{name} must be an int of at least 1, not {value!r}")
-        if self.sign not in ("+", "-"):
-            raise CurveError(f"sign must be '+' or '-', not {self.sign!r}")
+        if sign not in ("+", "-"):
+            raise CurveError(f"sign must be '+' or '-', not {sign!r}")
+        return _tuple_new(cls, (a, b, c, sign))
 
     @property
     def positive_closure(self) -> bool:

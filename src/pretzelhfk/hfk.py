@@ -9,11 +9,10 @@ and the symmetry laws.  Disagreement anywhere is a reported failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby, repeat
 from operator import eq, neg
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .alexander import build_pretzel_diagram, fox_alexander, pretzel_determinant
 from .algebra import (
@@ -41,8 +40,7 @@ class Shape(Enum):
 THIN, TWO_DELTA_DISJOINT, OVERLAP = Shape.THIN, Shape.TWO_DELTA_DISJOINT, Shape.OVERLAP
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Predicted table shape; overlap data only in the overlap case.
 
     overlap_ranks is (rank at the higher delta, rank at the lower delta) at
@@ -122,8 +120,7 @@ def classification_from_table(table: HfkTable) -> Classification:
     )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of the per-knot consistency checks; values pass/fail/skip.
 
     predicted is classify(table.params), which check (iii) compares with the table.
@@ -131,7 +128,7 @@ class VerificationReport:
 
     table: HfkTable
     predicted: Classification
-    checks: Dict[str, str] = field(default_factory=dict)
+    checks: Dict[str, str]
 
     @property
     def passed(self) -> bool:
@@ -150,7 +147,7 @@ def verify(params: TangleParams) -> VerificationReport:
     """
     table = compute_hfk(params)
     predicted = classify(params)
-    report = VerificationReport(table=table, predicted=predicted)
+    report = VerificationReport(table=table, predicted=predicted, checks={})
     checks = report.checks
 
     # (i) graded Euler characteristic against the Fox-calculus oracle

@@ -5,12 +5,12 @@ asserts, so a red run always names the criterion that failed.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pretzelhfk import pairing
 from pretzelhfk.algebra import (
     HalfInteger,
     HfkTable,
@@ -34,7 +34,7 @@ from pretzelhfk.geometry import (
     det_pair_count,
     enumerate_geometric_pairing,
 )
-from pretzelhfk.hfk import Shape, classification_from_table, classify, compute_hfk
+from pretzelhfk.hfk import Shape, classification_from_table, classify, compute_hfk, verify
 from pretzelhfk.pairing import (
     pair_curve,
     pair_rational_general,
@@ -89,7 +89,7 @@ def eftekhary_sized(entries):
 def grading_reversed(curve):
     """The involution (kind, m, M) -> (swapped kind, -M, -m) on graded curves."""
     swapped = {CurveKind.SPECIAL14: CurveKind.SPECIAL23, CurveKind.SPECIAL23: CurveKind.SPECIAL14}
-    return replace(curve, kind=swapped.get(curve.kind, curve.kind), m=-curve.M, M=-curve.m)
+    return curve._replace(kind=swapped.get(curve.kind, curve.kind), m=-curve.M, M=-curve.m)
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +296,7 @@ def test_criterion_10_swapping_the_odd_bands_of_a_negative_closure(wide_tables):
     bad = []
     for params, table in wide_tables.items():
         if params.sign == "-" and params.b < params.c:
-            swapped = wide_tables[replace(params, b=params.c, c=params.b)]
+            swapped = wide_tables[params._replace(b=params.c, c=params.b)]
             if delta_normalized(table.entries) != delta_normalized(swapped.entries):
                 bad.append(params)
     # the fault: the top cell of P(6,-3,-5) moved up one delta line
@@ -367,3 +367,92 @@ def test_criterion_11_quasi_alternating_knots_are_thin(wide_tables):
 def test_criterion_11_up_to_40(a, b, c, sign):
     params = TangleParams(a, b, c, sign)
     assert qa_thinness_failures({params: compute_hfk(params)}) == []
+
+
+def state_circles(twists, across):
+    """Circles of a state of the standard diagram of P(twists): each crossing
+    of band i is smoothed across the band (joining its two strands) when
+    across[i], else along it.  Band i's left and right strand meet level
+    j = 0..|t_i| at the nodes (i, j, 0) and (i, j, 1), crossing j lies between
+    levels j - 1 and j, and the closure joins each band's right ends to the
+    next band's left ends.  Every node lies on two arcs, so each connected
+    component is one circle."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    def join(x, y):
+        parent[find(x)] = find(y)
+
+    for i, t in enumerate(twists):
+        n = abs(t)
+        for j in range(1, n + 1):
+            if across[i]:
+                join((i, j - 1, 0), (i, j - 1, 1))
+                join((i, j, 0), (i, j, 1))
+            else:
+                join((i, j - 1, 0), (i, j, 0))
+                join((i, j - 1, 1), (i, j, 1))
+        k = (i + 1) % 3
+        join((i, 0, 1), (k, 0, 0))
+        join((i, n, 1), (k, abs(twists[k]), 0))
+    return len({find(x) for x in list(parent)})
+
+
+def turaev_genus(twists):
+    """g_T(D) = (2 + c(D) - s_A(D) - s_B(D)) / 2 of the standard diagram D
+    (Dasbach-Futer-Kalfagianni-Lin-Stoltzfus, arXiv:math/0605571).  All
+    crossings of a band have one sign, so the A-state smooths a band across
+    it exactly when the B-state does not, and which of the two is A does not
+    change the sum s_A + s_B."""
+    crossings = sum(map(abs, twists))
+    circles = state_circles(twists, [t > 0 for t in twists]) + state_circles(twists, [t < 0 for t in twists])
+    return (2 + crossings - circles) // 2
+
+
+def delta_width_failures(tables):
+    """Knots whose table has support on delta gradings more than 1 apart."""
+    bad = []
+    for params, table in tables.items():
+        twice = {d.twice for _, d in table.entries}
+        if max(twice) - min(twice) > 2:
+            bad.append(params)
+    return bad
+
+
+# (constant of pairing, its shifted twice-delta): (grid tables too wide, verify passes every knot)
+DELTA_SHIFT_CONTROLS = {
+    ("DELTA_THREE_HALVES", 7): (91, True),
+    ("DELTA_THREE_HALVES", -5): (91, True),
+    ("DELTA_MINUS_HALF", -5): (55, True),
+}
+
+
+def test_criterion_12_delta_width_is_within_the_turaev_genus_bound(wide_tables, monkeypatch):
+    # Lowrance (arXiv:0709.0720): HFK-hat lies on at most g_T(K) + 1 adjacent
+    # delta gradings, and g_T(K) <= g_T(D) = 1 for the standard diagram D of
+    # every knot here, so every table's delta width is at most 1
+    genera = {turaev_genus(params.pretzel_triple()) for params in wide_tables}
+    bad = delta_width_failures(wide_tables)
+    # the controls: shifting a closed form's delta by an even amount keeps chi,
+    # which sees delta only mod 2, so verify passes every knot; the width does not
+    controls = {}
+    for name, twice in DELTA_SHIFT_CONTROLS:
+        with monkeypatch.context() as patch:
+            patch.setattr(pairing, name, HalfInteger(twice))
+            shifted = {params: compute_hfk(params) for params in GRID}
+            controls[name, twice] = (len(delta_width_failures(shifted)), all(verify(p).passed for p in GRID))
+    alternating = turaev_genus((2, 3, 3))  # an alternating diagram has g_T(D) = 0
+    ok = genera == {1} and alternating == 0 and not bad and controls == DELTA_SHIFT_CONTROLS
+    assert report(12, "delta width at most the Turaev genus bound 1, 2000 knots", ok), (genera, bad, controls)
+
+
+@given(BAND, BAND, BAND, st.sampled_from(["+", "-"]))
+@settings(max_examples=100, deadline=None)
+def test_criterion_12_up_to_40(a, b, c, sign):
+    params = TangleParams(a, b, c, sign)
+    assert turaev_genus(params.pretzel_triple()) == 1
+    assert delta_width_failures({params: compute_hfk(params)}) == []

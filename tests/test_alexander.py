@@ -5,7 +5,6 @@ import hashlib
 import io
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import accumulate, permutations
 from math import prod
 
@@ -417,7 +416,7 @@ class TestCrossingRecords:
 def with_crossing(diagram, index, **changes):
     crossings = list(diagram.crossings)
     crossings[index] = crossings[index]._replace(**changes)
-    return replace(diagram, crossings=tuple(crossings))
+    return diagram._replace(crossings=tuple(crossings))
 
 
 def outcome(oracle, diagram):
@@ -445,7 +444,7 @@ def chain_breaks(diagram, index):
 def relabelled(diagram, old, new):
     """The diagram with arc `old` renamed `new` in every crossing."""
     crossings = [Crossing(*(new if arc == old else arc for arc in c[:3]), c.exponent) for c in diagram.crossings]
-    return replace(diagram, crossings=tuple(crossings))
+    return diagram._replace(crossings=tuple(crossings))
 
 
 def closure_arcs(diagram):
@@ -516,9 +515,9 @@ class TestBandPreconditions:
 
     def test_missing_crossings_are_rejected(self):
         with pytest.raises(DiagramError):
-            fox_alexander(replace(self.diagram, crossings=self.diagram.crossings[:-1]))
+            fox_alexander(self.diagram._replace(crossings=self.diagram.crossings[:-1]))
         with pytest.raises(DiagramError):
-            fox_alexander(replace(self.diagram, twists=(6, 0, 5), crossings=self.diagram.crossings[:-3]))
+            fox_alexander(self.diagram._replace(twists=(6, 0, 5), crossings=self.diagram.crossings[:-3]))
 
 
 # -- reference: the band minor that each form was expanded from -------------
@@ -579,7 +578,7 @@ def sign_class_id(signs):
 
 def with_exponents_flipped(diagram, indices):
     crossings = [c._replace(exponent=-c.exponent) if i in indices else c for i, c in enumerate(diagram.crossings)]
-    return replace(diagram, crossings=tuple(crossings))
+    return diagram._replace(crossings=tuple(crossings))
 
 
 @pytest.mark.parametrize("signs", SIGN_CLASSES, ids=sign_class_id)

@@ -11,7 +11,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -216,7 +215,7 @@ class TestAlex:
             d = build_pretzel_diagram(p, q, r)
             c = d.crossings[1]
             swapped = c._replace(over=c.incoming, incoming=c.over)
-            return replace(d, crossings=(d.crossings[0], swapped, *d.crossings[2:]))
+            return d._replace(crossings=(d.crossings[0], swapped, *d.crossings[2:]))
 
         monkeypatch.setattr(cli, "build_pretzel_diagram", broken_chain)
         assert main(["alex", "--p", "6", "--q", "-3", "--r", "5"]) == 2
@@ -436,7 +435,7 @@ def test_the_package_has_no_assert_statements():
 # for a module name (timeit), 2-4 reads per curve per pass.  These functions
 # run once per curve or knot and read the members bound in curves and hfk.
 PER_CURVE_FUNCTIONS = {
-    "curves.py": ["GradedCurve.__init__", "pretzel_tangle_curves"],
+    "curves.py": ["GradedCurve.__new__", "pretzel_tangle_curves"],
     "pairing.py": ["pair_curve", "pair_special14", "pair_special23"],
     "hfk.py": ["compute_hfk", "classify", "classification_from_table", "verify"],
 }
@@ -471,17 +470,33 @@ def test_the_per_curve_functions_read_no_enum_member_through_its_class():
     assert [hfk.THIN, hfk.TWO_DELTA_DISJOINT, hfk.OVERLAP] == list(hfk.Shape)
 
 
-def imports_fractions(node):
+def imports_module(node, module):
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "fractions" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions"
+        return any(alias.name.split(".")[0] == module for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
 
 
-def test_the_package_never_imports_fractions():
-    # every number stays an exact Python int; no step may fall back to Fraction
-    assert nodes_in_the_package(imports_fractions) == []
-    assert imports_fractions(ast.parse("from fractions import Fraction").body[0])
-    assert imports_fractions(ast.parse("import fractions as f").body[0])
+@pytest.mark.parametrize("module", ["fractions", "dataclasses"])
+def test_the_package_never_imports(module):
+    # every number stays an exact Python int, with no fallback to Fraction, and
+    # every record is a tuple: dataclasses would bring inspect into each CLI run
+    assert nodes_in_the_package(lambda node: imports_module(node, module)) == []
+    assert imports_module(ast.parse(f"from {module} import name").body[0], module)
+    assert imports_module(ast.parse(f"import {module} as f").body[0], module)
+    assert not imports_module(ast.parse("from .algebra import HalfInteger").body[0], module)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a one-shot `compute` pays for every module the CLI imports; the modules
+    # loaded before the import (by site, say) are not counted
+    src = str(Path(pretzelhfk.__file__).resolve().parent.parent)
+    code = ("import sys; before = set(sys.modules); import pretzelhfk.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    added = run.stdout.split()
+    assert run.returncode == 0 and "pretzelhfk.cli" in added, run.stderr
+    assert {"dataclasses", "inspect"} & set(added) == set()
 
 
 def imports_outside_the_stdlib(node):

@@ -5,7 +5,6 @@ import math
 import pickle
 import random
 import re
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given
@@ -30,7 +29,7 @@ small = st.integers(min_value=1, max_value=8)
 def grading_reversed(curve):
     """The involution (kind, m, M) -> (swapped kind, -M, -m) on graded curves."""
     swapped = {CurveKind.SPECIAL14: CurveKind.SPECIAL23, CurveKind.SPECIAL23: CurveKind.SPECIAL14}
-    return replace(curve, kind=swapped.get(curve.kind, curve.kind), m=-curve.M, M=-curve.m)
+    return curve._replace(kind=swapped.get(curve.kind, curve.kind), m=-curve.M, M=-curve.m)
 
 
 class TestReducedSlope:
@@ -101,15 +100,30 @@ class TestGradedCurve:
     )
     def test_replace_revalidates(self, curve, changes, message):
         with pytest.raises(CurveError, match=message):
-            replace(curve, **changes)
+            curve._replace(**changes)
 
     def test_fields_cannot_be_assigned(self):
         curve = GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             curve.m = 2
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             curve.slope = ReducedSlope(1, 2)
         assert curve == GradedCurve(CurveKind.SPECIAL14, 0, 4, None, 1)
+
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            (tuple.__new__(ReducedSlope, (2, 4)), "slope must be in lowest terms"),
+            (tuple.__new__(GradedCurve, (CurveKind.SPECIAL14, 0, 8, None, 1)), "special curve span must be 4k, got 8"),
+            (tuple.__new__(TangleParams, (0, 1, 1, "+")), "a must be an int of at least 1, not 0"),
+        ],
+    )
+    def test_unpickling_rechecks_at_every_protocol(self, forged, message):
+        # a record made past its __new__ pickles as its fields, and loading runs __new__
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(forged, protocol)
+            with pytest.raises(CurveError, match=re.escape(message)):
+                pickle.loads(data)
 
     def test_grading_reversal_swaps_special_types(self):
         c = GradedCurve(CurveKind.SPECIAL14, -2, 6, None, 2)
@@ -169,12 +183,12 @@ class TestTangleCurveLists:
             assert len(specials) == 4 * b
 
     def test_every_curve_survives_revalidation(self):
-        """replace() reruns __init__ and pickle bypasses it; both give the same curve."""
+        """_replace() and unpickling both rerun __new__; both give the same curve."""
         assert {case_of(a, b) for a in range(1, 13) for b in range(1, 13)} == set(CaseLabel)
         for a in range(1, 13):
             for b in range(1, 13):
                 for curve in pretzel_tangle_curves(a, b):
-                    for copy in (replace(curve), pickle.loads(pickle.dumps(curve))):
+                    for copy in (curve._replace(), pickle.loads(pickle.dumps(curve))):
                         assert copy == curve and hash(copy) == hash(curve), (a, b, curve)
                         assert str(copy) == str(curve)
 
@@ -246,20 +260,21 @@ class TestTangleCurveMemo:
 
     def test_a_cold_build_checks_each_curve_once(self, monkeypatch):
         checked = []
-        init = GradedCurve.__init__
+        new = GradedCurve.__new__
 
-        def counted(self, *args):
-            checked.append(self)
-            init(self, *args)
+        def counted(cls, *args):
+            curve = new(cls, *args)
+            checked.append(curve)
+            return curve
 
-        monkeypatch.setattr(GradedCurve, "__init__", counted)
+        monkeypatch.setattr(GradedCurve, "__new__", counted)
         pretzel_tangle_curves.cache_clear()
         try:
             for a, b in ((3, 5), (5, 5), (6, 5), (9, 5)):  # a < b, a = b, a = b + 1, a > b + 1
                 pretzel_tangle_curves.cache_clear()
                 checked.clear()
                 curves = pretzel_tangle_curves(a, b)
-                # one __init__ per returned curve, on that very curve, and no other curve built
+                # one __new__ per returned curve, on that very curve, and no other curve built
                 assert len(checked) == len(curves), (a, b)
                 assert set(map(id, checked)) == set(map(id, curves)), (a, b)
         finally:
