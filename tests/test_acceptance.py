@@ -286,26 +286,22 @@ def test_criterion_9_up_to_40(a, b, c, sign):
     assert headline_mismatches({params: compute_hfk(params).total_rank}) == []
 
 
-def delta_normalized(entries):
-    """The cells with 2*delta shifted so that its minimum is 0."""
-    low = min(d.twice for _, d in entries)
-    return {(s, d.twice - low): rk for (s, d), rk in entries.items()}
-
-
 def test_criterion_10_swapping_the_odd_bands_of_a_negative_closure(wide_tables):
     bad = []
     for params, table in wide_tables.items():
         if params.sign == "-" and params.b < params.c:
-            swapped = wide_tables[params._replace(b=params.c, c=params.b)]
-            if delta_normalized(table.entries) != delta_normalized(swapped.entries):
+            if table.entries != wide_tables[params._replace(b=params.c, c=params.b)].entries:
                 bad.append(params)
-    # the fault: the top cell of P(6,-3,-5) moved up one delta line
+    # the faults: the top cell of P(6,-3,-5) moved up one delta line, and the
+    # whole table moved up one, which keeps the shape, so only an exact comparison sees it
     entries = dict(wide_tables[TangleParams(3, 1, 2, "-")].entries)
+    swapped = wide_tables[TangleParams(3, 2, 1, "-")].entries
     s, d = max(entries, key=lambda cell: (cell[0], cell[1].twice))
-    entries[(s, HalfInteger(d.twice + 2))] = entries.pop((s, d))
-    caught = delta_normalized(entries) != delta_normalized(wide_tables[TangleParams(3, 2, 1, "-")].entries)
-    ok = not bad and caught
-    assert report(10, "(a,b,c,-) and (a,c,b,-) tables agree up to a delta shift, 1000 knots", ok), bad
+    moved = dict(entries)
+    moved[(s, HalfInteger(d.twice + 2))] = moved.pop((s, d))
+    shifted = {(alex, HalfInteger(delta.twice + 2)): rk for (alex, delta), rk in entries.items()}
+    ok = not bad and entries == swapped and moved != swapped and shifted != swapped
+    assert report(10, "(a,b,c,-) and (a,c,b,-) tables are equal, 1000 knots", ok), bad
 
 
 @given(BAND, BAND, BAND)
@@ -313,7 +309,7 @@ def test_criterion_10_swapping_the_odd_bands_of_a_negative_closure(wide_tables):
 def test_criterion_10_up_to_40(a, b, c):
     table = compute_hfk(TangleParams(a, b, c, "-"))
     swapped = compute_hfk(TangleParams(a, c, b, "-"))
-    assert delta_normalized(table.entries) == delta_normalized(swapped.entries)
+    assert table.entries == swapped.entries
 
 
 def is_quasi_alternating(params):
@@ -456,3 +452,78 @@ def test_criterion_12_up_to_40(a, b, c, sign):
     params = TangleParams(a, b, c, sign)
     assert turaev_genus(params.pretzel_triple()) == 1
     assert delta_width_failures({params: compute_hfk(params)}) == []
+
+
+# the L-space lines: (1, 1, c, -) is P(2, -3, -(2c+1)), the mirror of the
+# L-space knot P(-2, 3, 2c+1) (Lidman-Moore, arXiv:1306.6707), and by the band
+# swap (1, b, 1, -) is the same knot as (1, 1, b, -); (1, 1, 1, -) lies on both
+L_SPACE_LINES = [TangleParams(1, 1, c, "-") for c in range(1, 41)] + [TangleParams(1, b, 1, "-") for b in range(2, 41)]
+
+
+def mirrored_staircase(alex):
+    """The table of the mirror of an L-space knot with Alexander polynomial alex
+    (Ozsvath-Szabo, arXiv:math/0303017), in the library's delta convention.
+
+    Delta = sum (-1)^i t^(n_i) with n_0 > ... > n_2n has one generator at each
+    A = n_i, with Maslov grading m_0 = 0, m_i = m_(i-1) - 2(n_(i-1) - n_i) + 1
+    for odd i and m_i = m_(i-1) - 1 for even i.  The mirror negates (A, M), so
+    2 delta = 2(A - M) = 2(m_i - n_i), which the library prints 2g + 1 higher,
+    g = deg Delta.  None unless alex's nonzero coefficients are +1, -1, +1, ...
+    from the top, as every L-space knot's are.
+    """
+    g = len(alex) - 1
+    terms = [(e, alex[abs(e)]) for e in range(g, -g - 1, -1) if alex[abs(e)]]
+    if [c for _, c in terms] != [(-1) ** i for i in range(len(terms))]:
+        return None
+    cells, m = {}, 0
+    for i, (n, _) in enumerate(terms):
+        if i:
+            m -= 2 * (terms[i - 1][0] - n) - 1 if i % 2 else 1
+        cells[(-n, HalfInteger(2 * (m - n) + 2 * g + 1))] = 1
+    return cells
+
+
+def staircase_failures(tables):
+    """Knots whose table is not the mirrored staircase of their Fox-oracle Delta;
+    tables maps params on the L-space lines to HfkTable."""
+    bad = []
+    for params, table in tables.items():
+        alex = fox_alexander(build_pretzel_diagram(*params.pretzel_triple()))
+        if table.entries != mirrored_staircase(alex):
+            bad.append(params)
+    return bad
+
+
+def test_criterion_13_l_space_knots_are_mirrored_staircases():
+    tables = {params: compute_hfk(params) for params in L_SPACE_LINES}
+    bad = staircase_failures(tables)
+    # the fault: the top cell of P(2,-3,-9) moved up one delta line
+    params = TangleParams(1, 1, 4, "-")
+    entries = dict(tables[params].entries)
+    s, d = max(entries, key=lambda cell: (cell[0], cell[1].twice))
+    entries[(s, HalfInteger(d.twice + 2))] = entries.pop((s, d))
+    caught = staircase_failures({params: HfkTable(params=params, entries=entries)}) == [params]
+    ok = len(tables) == 79 and not bad and caught
+    assert report(13, "L-space knots are mirrored staircases of Delta, 79 knots", ok), bad
+
+
+# (shifted twice-delta of DELTA_THREE_HALVES): (staircase failures on (1, 1, c, -), verify passes every knot)
+STAIRCASE_CONTROLS = {7: (40, True), -1: (40, True)}
+
+
+def test_criterion_13_sees_a_shifted_delta_that_verify_passes(monkeypatch):
+    line = L_SPACE_LINES[:40]
+    controls = {}
+    for twice in STAIRCASE_CONTROLS:
+        with monkeypatch.context() as patch:
+            patch.setattr(pairing, "DELTA_THREE_HALVES", HalfInteger(twice))
+            failures = staircase_failures({params: compute_hfk(params) for params in line})
+            controls[twice] = (len(failures), all(verify(params).passed for params in line))
+    assert controls == STAIRCASE_CONTROLS
+
+
+@given(st.integers(1, 200), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_criterion_13_up_to_200(n, swapped):
+    params = TangleParams(1, n, 1, "-") if swapped else TangleParams(1, 1, n, "-")
+    assert staircase_failures({params: compute_hfk(params)}) == []

@@ -6,7 +6,6 @@ import io
 import random
 from collections import Counter
 from itertools import accumulate, permutations
-from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -100,26 +99,13 @@ def test_pretzel_determinant_formula():
     assert pretzel_determinant(6, -3, 5) == 3
 
 
-# -- the integer kernel: evaluation at t = 2^K and balanced digits -----------
-
-
-# The tests' own Laurent polynomials: {exponent: coefficient} dicts without zeros.
+# -- the Laurent reference: {exponent: coefficient} dicts, Laplace expansion --
 
 
 def laurent(entry):
     """The Laurent polynomial of a (lowest exponent, coefficient list) pair."""
     lo, cs = entry
     return {lo + i: c for i, c in enumerate(cs) if c}
-
-
-def coefficient_lists(coeff, max_size, min_size=1):
-    """(lowest exponent, coefficients) pairs with both ends nonzero."""
-
-    def build(lo, cs):
-        cs[0], cs[-1] = cs[0] or 1, cs[-1] or 1
-        return (lo, cs)
-
-    return st.builds(build, st.integers(-5, 5), st.lists(coeff, min_size=min_size, max_size=max_size))
 
 
 def plus(p, q):
@@ -165,40 +151,29 @@ class Laurent(dict):
         return Laurent(product(self, other))
 
 
-def expand(mat):
-    """Determinant of a square integer block by cofactor expansion along its
-    first row: division-free, with n! products for an n x n block; 1 if empty."""
-    if len(mat) == 2:  # the expansion's last step, written out
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+def laplace(mat):
+    """Determinant over Z[t, 1/t] of square dense rows of Laurent polynomials
+    (ZERO where empty), expanded along the first row; ONE if empty."""
     if not mat:
-        return 1
-    total = 0
+        return ONE
+    total = ZERO
     for j, entry in enumerate(mat[0]):
         if entry:
-            term = entry * expand([row[:j] + row[j + 1 :] for row in mat[1:]])
-            total += -term if j % 2 else term
+            minor = laplace([row[:j] + row[j + 1 :] for row in mat[1:]])
+            term = product(entry, minor)
+            total = plus(total, term if j % 2 == 0 else negated(term))
     return total
 
 
-def laurent_determinant(rows):
-    """Determinant over Z[t, 1/t], up to a unit, of square dense rows of
-    Laurent polynomials (ZERO where empty), through the oracle's integer kernel.
+def equal_up_to_unit(p, q):
+    """p = +-t^k q in Z[t, 1/t]."""
+    if not p or not q:
+        return not p and not q
+    shifted = {e + min(q) - min(p): c for e, c in p.items()}
+    return shifted == q or negated(shifted) == q
 
-    Each row is multiplied by the power of t that makes its lowest exponent
-    0, the matrix is evaluated at t = 2^K with K from the product over the
-    columns of their summed L1 norms, and the integer determinant, expanded
-    by cofactors, is decoded from its balanced base-2^K digits.
-    """
-    norm = Counter()
-    for row in rows:
-        for col, e in enumerate(row):
-            norm[col] += sum(map(abs, e.values()))
-    bits = _digit_bits(prod(norm.values()))
-    ints = []
-    for row in rows:
-        low = min((min(e) for e in row if e), default=0)
-        ints.append([_evaluate(coefficients(e), bits) << bits * (min(e) - low) if e else 0 for e in row])
-    return laurent((0, _decode(expand(ints), bits)))
+
+# -- the integer kernel: evaluation at t = 2^K and balanced digits -----------
 
 
 def trimmed(cs):
@@ -261,75 +236,10 @@ class TestEvaluation:
         assert [_digit_bits(b) for b in (2**29, 2**30 - 1, 2**30, 2**31 - 1, 2**31)] == [32, 32, 64, 64, 64]
 
     def test_a_coefficient_equal_to_the_bound_decodes(self):
-        # diag(3 * 2^15 t, 2^15): the column bound 3 * 2^30 is the determinant's coefficient
+        # a coefficient as large as its bound 3 * 2^30, beside a -1 that borrows from it
         assert _digit_bits(3 << 30) == 64  # 32 bits, 2 more than 3 * 2^30 has: two words
-        assert equal_up_to_unit(laurent_determinant([[{1: 3 << 15}, ZERO], [ZERO, {0: 1 << 15}]]), {1: 3 << 30})
+        assert _decode(_evaluate([3 << 30, -1], 64), 64) == [3 << 30, -1]
         assert _decode(3 << 30, 32) != [3 << 30]  # one word short
-
-
-# -- the determinant against a Laplace expansion ----------------------------
-
-
-def laplace(mat):
-    if not mat:
-        return ONE
-    total = ZERO
-    for j, entry in enumerate(mat[0]):
-        if entry:
-            minor = laplace([row[:j] + row[j + 1 :] for row in mat[1:]])
-            term = product(entry, minor)
-            total = plus(total, term if j % 2 == 0 else negated(term))
-    return total
-
-
-def equal_up_to_unit(p, q):
-    """p = +-t^k q in Z[t, 1/t]."""
-    if not p or not q:
-        return not p and not q
-    shifted = {e + min(q) - min(p): c for e, c in p.items()}
-    return shifted == q or negated(shifted) == q
-
-
-small_entry = st.one_of(st.none(), st.none(), coefficient_lists(st.integers(-3, 3), 3))
-
-
-@st.composite
-def sparse_matrices(draw):
-    n = draw(st.integers(1, 5))
-    mat = [[draw(small_entry) for _ in range(n)] for _ in range(n)]
-    if not draw(st.booleans()):
-        # few units: each unit entry times (1 + t), so more products have several terms
-        mat = [[(e[0], e[1] * 2) if e and len(e[1]) == 1 and abs(e[1][0]) == 1 else e
-                for e in row] for row in mat]
-    return mat
-
-
-class TestDeterminant:
-    @given(sparse_matrices())
-    @settings(max_examples=300, deadline=None)
-    @example([[None, (0, [2]), None], [(0, [2]), None, None], [None, None, (1, [2, 1])]])
-    @example([[(0, [1, 1]), (0, [2])], [(0, [2]), (0, [1, -1])]])
-    @example([[(0, [1]), None], [(0, [2]), None]])  # a zero column
-    def test_equals_laplace_expansion_up_to_a_unit(self, mat):
-        rows = [[laurent(e) if e else ZERO for e in row] for row in mat]
-        assert equal_up_to_unit(laurent_determinant(rows), laplace(rows))
-
-    def test_a_3x3_residual_block_is_expanded_by_cofactors(self):
-        # a 3x3 block without a unit entry, expanded by cofactors
-        mat = [[(0, [1, 1]), (0, [2]), (0, [1, -1])],
-               [(0, [2]), (-1, [1, 1]), (0, [3])],
-               [(0, [2, 1]), (1, [2]), (0, [1, 0, 1])]]
-        got = laurent_determinant([[laurent(e) for e in row] for row in mat])
-        assert equal_up_to_unit(got, {3: 1, 2: -11, 1: 8, 0: 9, -1: -1})
-        # the same block over the integers, at t = 1, where the determinant is 1 - 11 + 8 + 9 - 1
-        at_one = [[sum(e[1]) for e in row] for row in mat]
-        assert abs(expand(at_one)) == 6
-
-    def test_zero_row_or_column_gives_zero(self):
-        assert expand([[1, 0], [2, 0]]) == 0
-        assert expand([[1, 3], [0, 0]]) == 0
-        assert expand([]) == 1
-        assert laurent_determinant([[ONE, ZERO], [{0: 2}, ZERO]]) == ZERO
 
 
 # -- past the 6x6x6 grid: outputs only, never times -------------------------
@@ -555,8 +465,8 @@ def band_minor(d):
 
 
 def band_minor_determinant(d):
-    """The band minor, expanded through `laurent_determinant`."""
-    return laurent_determinant(band_minor(d))
+    """The band minor, expanded by `laplace`."""
+    return laplace(band_minor(d))
 
 
 def form_value(d):
