@@ -35,13 +35,21 @@ bands of 1 + n + (n + 1).  K >= bit_length(that bound) + 2 puts each
 coefficient in (-X/2, X/2): the value's balanced base-X digits, packed and
 decoded by one `struct` call each, are its coefficients.  K is a multiple
 of 32, so a digit is K/32 little-endian 32-bit words.
+
+A band's (lo, t^-lo S_n at t = 2^K) depends only on its exponent tuple and
+K, so `_band_value` memoizes it under that key, the last three (one
+diagram's bands) kept.  A sweep's c-loop at fixed (sign, a, b) keeps bands
+p = 2a and q = -2b-1, and their exponents with them, and only r changes, so
+from the second knot on at least two of the three bands are hits.  The
+memo stores values, not checks: every chain, glue, arc-count and label
+check still runs on every call.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, cycle, repeat
 from operator import add, and_, lshift, or_, rshift, sub
 from typing import List, NamedTuple, Sequence, Tuple
@@ -78,6 +86,8 @@ _EXPONENTS = (
     ((-1, -1), (1, 1), (-1, 1)),
 )
 
+_new_crossing = partial(tuple.__new__, Crossing)
+
 
 def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     """Combinatorial pretzel diagram P(p, q, r), none zero, with exactly one
@@ -100,7 +110,7 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
     twists = (p, q, r)
     if 0 in twists:
         raise DiagramError("zero twist bands are not supported")
-    parities = [t % 2 for t in twists]
+    parities = (p % 2, q % 2, r % 2)
     if parities.count(0) > 1:
         raise DiagramError(f"P{twists} is a link, not a knot")
     if 0 not in parities:
@@ -108,23 +118,24 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
                            "with exactly one even band")
     pairs = _EXPONENTS[parities.index(0)]
 
-    tops, bottoms, bands = [], [], []  # bands: (twist, start, raw y_0, y_1, y_n, y_{n+1})
+    bottoms, bands = [], []  # bands: (twist, start, raw y_0, y_1, y_n, y_{n+1})
     base = 0
     for t in twists:
         n = abs(t)
         y0, y1 = (base + 1, base) if t > 0 else (base, base + 1)
         yn = y1 if n == 1 else base + n  # after n crossings: y_n under, y_{n+1} over side
-        tops.append((base, base + 1))
         bottoms.append((base + n + 1, yn) if t > 0 else (yn, base + n + 1))
         bands.append((t, base, y0, y1, yn, base + n + 1))
         base += n + 2
 
-    # a single crossing makes a bottom end a top end, so a chain of `glue` can take several steps
-    glue = {end[1]: ends[(k + 1) % 3][0] for ends in (tops, bottoms) for k, end in enumerate(ends)}
+    # band k's top ends are (start_k, start_k + 1); a single crossing makes a
+    # bottom end a top end, so a chain of `glue` can take several steps
+    (_, s0, *_), (_, s1, *_), (_, s2, *_) = bands
+    (b0, u0), (b1, u1), (b2, u2) = bottoms
+    glue = {s0 + 1: s1, s1 + 1: s2, s2 + 1: s0, u0: b1, u1: b2, u2: b0}
     merged = sorted(glue)
 
     crossings: List[Crossing] = []
-    new_crossing = partial(tuple.__new__, Crossing)
     for band, (t, start, *ends) in enumerate(bands):
         n = abs(t)
         e0, e1 = pairs[band]
@@ -137,9 +148,9 @@ def build_pretzel_diagram(p: int, q: int, r: int) -> PretzelDiagram:
             while x in glue:
                 x = glue[x]
             y[j] = x - bisect_left(merged, x)
-        crossings.extend(map(new_crossing, zip(y[1:], y, y[2:], cycle((e0, e1)))))
+        crossings.extend(map(_new_crossing, zip(y[1:], y, y[2:], cycle((e0, e1)))))
 
-    return PretzelDiagram(twists=twists, crossings=tuple(crossings))
+    return tuple.__new__(PretzelDiagram, (twists, tuple(crossings)))
 
 
 def _digit_bits(bound: int) -> int:
@@ -203,6 +214,14 @@ def _band_transfer(exponents: Sequence[int]) -> Tuple[int, List[int]]:
     return lo, cs
 
 
+@lru_cache(maxsize=3)
+def _band_value(exponents: Tuple[int, ...], bits: int) -> Tuple[int, int]:
+    """(lo, t^-lo S_n at t = 2^bits) for one band, from `_band_transfer` and
+    `_evaluate`, memoized on the band's exponents and the digit width."""
+    lo, s_n = _band_transfer(exponents)
+    return lo, _evaluate(s_n, bits)
+
+
 # The minor without the last band's last relation and the first band's y_0
 # column, up to a unit, in each band's u = t^-lo, s = t^-lo S_n and
 # x = t^-lo S_{n+1}; keyed by (p > 0, q > 0, r > 0).
@@ -247,8 +266,7 @@ def fox_alexander(d: PretzelDiagram) -> Tuple[int, ...]:
         arcs.update(over_side, under_side)
         labels.update(overs)  # with the band's ends, every arc of a chained band
         relations += 1 if n == 1 else 2
-        lo, s_n = _band_transfer(exponents)
-        s = _evaluate(s_n, bits)  # S_{n+1} = S_n + (-1)^n t^(e_0 + ... + e_{n-1})
+        lo, s = _band_value(exponents, bits)  # S_{n+1} = S_n + (-1)^n t^(e_0 + ... + e_{n-1})
         values += (1 << bits * -lo, s, s + ((-1 if n % 2 else 1) << bits * (sum(exponents) - lo)))
     if len(arcs) != relations:
         raise DiagramError("arc/relation count mismatch; diagram is not a knot diagram")

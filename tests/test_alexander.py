@@ -18,6 +18,7 @@ from pretzelhfk.alexander import (
     DiagramError,
     PretzelDiagram,
     _band_transfer,
+    _band_value,
     _decode,
     _digit_bits,
     _evaluate,
@@ -382,10 +383,12 @@ class TestBandPreconditions:
                 fox_alexander(with_crossing(diagram, index, **changes))
 
     @pytest.mark.parametrize("index", [2, 3, 5, 8, 10])
-    def test_an_off_period_exponent_is_rejected(self, index):
-        # the name is kept from when a flipped exponent raised; the band
-        # transfer holds for any exponents, so a flipped one is not rejected:
-        # the oracle gives what the full Wirtinger minor gives
+    def test_a_flipped_exponent_gives_the_wirtinger_minor(self, index):
+        # the band transfer holds for any exponents, so a flipped one is not
+        # rejected: the oracle gives what the full Wirtinger minor gives.  The
+        # unflipped diagram goes first, so the band memo already holds the
+        # band that is flipped, and must not answer for it
+        assert fox_alexander(self.diagram) == (3, 0, -2, 1)
         flipped = with_crossing(self.diagram, index, exponent=-self.diagram.crossings[index].exponent)
         assert outcome(fox_alexander, flipped) == outcome(wirtinger_alexander, flipped)
 
@@ -428,6 +431,26 @@ class TestBandPreconditions:
             fox_alexander(self.diagram._replace(crossings=self.diagram.crossings[:-1]))
         with pytest.raises(DiagramError):
             fox_alexander(self.diagram._replace(twists=(6, 0, 5), crossings=self.diagram.crossings[:-3]))
+
+
+class TestBandMemo:
+    """`_band_value` keeps the last three bands, keyed by exponents and width."""
+
+    def test_a_sweeps_c_loops_hit_the_shared_bands(self):
+        # at (3, 2, c) bands p = 6 and q = -5 stay, and at c = 2 the + closure's
+        # r = 5 has q's exponents; the - closure's r = -5 has q's length but
+        # the other exponents, and must miss
+        loops = [[TangleParams(3, 2, c, sign).pretzel_triple() for c in range(1, 7)] for sign in "+-"]
+        cold = []
+        for twists in loops[0] + loops[1]:
+            _band_value.cache_clear()
+            cold.append(fox_alexander(build_pretzel_diagram(*twists)))
+        _band_value.cache_clear()
+        warm = [fox_alexander(build_pretzel_diagram(*twists)) for twists in loops[0]]
+        assert _band_value.cache_info()[:3] == (11, 7, 3)
+        warm += [fox_alexander(build_pretzel_diagram(*twists)) for twists in loops[1]]
+        assert _band_value.cache_info()[:2] == (23, 13)
+        assert warm == cold
 
 
 # -- reference: the band minor that each form was expanded from -------------

@@ -670,8 +670,10 @@ def test_ascii_plot_rejects_a_generator_off_the_mu_grid():
             {"s": 0, "delta_times_2": 2, "rank": 1},
         ],
     }
-    with pytest.raises(ValueError):
+    # both parities of delta_times_2: the even one lies half a mu row off the odd lowest
+    with pytest.raises(ValueError) as raised:
         cli._format_ascii(record)
+    assert str(raised.value) == "generator at s=0 is off the integer mu grid"
 
 
 def test_ascii_plot_columns_line_up_past_three_characters(capsys):
