@@ -3,6 +3,8 @@
 Output formats: json (the full record), csv (s,delta_times_2,rank rows),
 latex (a tabular of the rank table), ascii (a dot plot in the (s, mu) plane).
 Delta gradings are serialized as delta_times_2 so every field is an integer.
+The record carries its rows as int tuples, (s, delta_times_2, rank) per cell
+and (exp, coeff) per Alexander term; json writes each as an object.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when the
 reader closes stdout early (as `| head` does), without a traceback.
 
@@ -22,8 +24,8 @@ import os
 import sys
 import time
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
-from typing import Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .alexander import DiagramError, build_pretzel_diagram, fox_alexander, pretzel_determinant
@@ -31,7 +33,7 @@ from .algebra import (AlgebraError, alexander_terms, cell_alexander, cell_delta,
                       euler_characteristic, normalize_alexander)
 from .curves import CurveError, TangleParams
 # unused here: benchmarks/tracing.py BINDINGS and benchmarks/tests bind cli.compute_hfk
-from .hfk import compute_hfk, verify  # noqa: F401
+from .hfk import VerificationReport, compute_hfk, verify  # noqa: F401
 
 # The ascii plot grows with the square of a + b + c, the other formats
 # linearly.  At the ceiling, on a shared 2-vCPU host with CPython 3.11, the
@@ -52,23 +54,21 @@ def _over_ceiling(what: str, total: int, ceiling: int) -> bool:
     return True
 
 
-def _record(params: TangleParams) -> Dict:
-    start = time.perf_counter()
-    report = verify(params)
+def _record(report: VerificationReport, start: float) -> Dict:
+    """The compute record of a verified knot; meta.seconds counts from start."""
     try:
         alex = normalize_alexander(euler_characteristic(report.table))
     except AlgebraError:  # verify has failed the Euler check, so compute exits 1
         alex = ()
+    params = report.table.params
     p, q, r = params.pretzel_triple()
-    # (s, 2*delta, rank) rows of plain ints, built and sorted in C; a dict
-    # display per row is faster than dict(zip(keys, row))
+    # (s, 2*delta, rank) rows of plain ints, built and sorted in C
     entries = report.table.entries
     deltas = map(attrgetter("twice"), map(cell_delta, entries))
-    cells = sorted(zip(map(cell_alexander, entries), deltas, entries.values()))
     return {
         "knot": {"a": params.a, "b": params.b, "c": params.c, "sign": params.sign, "p": p, "q": q, "r": r},
-        "generators": [{"s": s, "delta_times_2": d, "rank": rk} for s, d, rk in cells],
-        "alexander": [{"exp": e, "coeff": a} for e, a in alexander_terms(alex)],
+        "generators": sorted(zip(map(cell_alexander, entries), deltas, entries.values())),
+        "alexander": list(alexander_terms(alex)),
         "classification": report.predicted.shape.value,
         "checks": dict(report.checks),
         "meta": {
@@ -78,29 +78,28 @@ def _record(params: TangleParams) -> Dict:
     }
 
 
-# one array row each, filled by % from the fields its itemgetter reads
+# one array object each, its keys in the order of the row tuple it is filled from
 _GENERATOR_ROW = '{\n      "s": %s,\n      "delta_times_2": %s,\n      "rank": %s\n    }'
-_GENERATOR_FIELDS = itemgetter("s", "delta_times_2", "rank")
 _ALEXANDER_ROW = '{\n      "exp": %s,\n      "coeff": %s\n    }'
-_ALEXANDER_FIELDS = itemgetter("exp", "coeff")
 
 
-def _rows(template: str, fields: itemgetter, rows: List[Dict]) -> str:
-    """A json.dumps(..., indent=2) array one level deep, in one `%` over the template repeated."""
+def _rows(template: str, rows: List[Tuple[int, ...]]) -> str:
+    """json.dumps(..., indent=2) of the rows as objects, in one `%` over the template repeated."""
     if not rows:
         return "[]"
-    body = ",\n    ".join(repeat(template, len(rows))) % tuple(chain.from_iterable(map(fields, rows)))
+    body = ",\n    ".join(repeat(template, len(rows))) % tuple(chain.from_iterable(rows))
     return f"[\n    {body}\n  ]"
 
 
 def _format_json(record: Dict) -> str:
-    """json.dumps(record, indent=2), byte for byte, from fixed row templates.
+    """json.dumps(record, indent=2), byte for byte, each row tuple written as its object.
 
     With indent, json.dumps runs CPython's pure-Python encoder, which is
-    several times slower on a large record.  Generator and Alexander rows hold
-    ints only; every other key and value goes through json.dumps, so strings
-    are escaped exactly as json escapes them: each object in one call without
-    indent, which runs the C encoder, its items split by the separator.
+    several times slower on a large record.  Generator and Alexander rows are
+    int tuples, filled into fixed row templates; every other key and value
+    goes through json.dumps, so strings are escaped exactly as json escapes
+    them: each object in one call without indent, which runs the C encoder,
+    its items split by the separator.
     """
 
     def scalars(obj: Dict) -> str:
@@ -108,8 +107,8 @@ def _format_json(record: Dict) -> str:
 
     fields = [
         ("knot", scalars(record["knot"])),
-        ("generators", _rows(_GENERATOR_ROW, _GENERATOR_FIELDS, record["generators"])),
-        ("alexander", _rows(_ALEXANDER_ROW, _ALEXANDER_FIELDS, record["alexander"])),
+        ("generators", _rows(_GENERATOR_ROW, record["generators"])),
+        ("alexander", _rows(_ALEXANDER_ROW, record["alexander"])),
         ("classification", json.dumps(record["classification"])),
         ("checks", scalars(record["checks"])),
         ("meta", scalars(record["meta"])),
@@ -118,7 +117,7 @@ def _format_json(record: Dict) -> str:
 
 
 def _format_csv(record: Dict) -> str:
-    return "\n".join(["s,delta_times_2,rank", *map("%s,%s,%s".__mod__, map(_GENERATOR_FIELDS, record["generators"]))])
+    return "\n".join(["s,delta_times_2,rank", *map("%s,%s,%s".__mod__, record["generators"])])
 
 
 def _format_latex(record: Dict) -> str:
@@ -128,10 +127,9 @@ def _format_latex(record: Dict) -> str:
         rf"\multicolumn{{3}}{{c}}{{$P({k['p']},{k['q']},{k['r']})$}} \\",
         r"$s$ & $\delta$ & rank \\ \hline",
     ]
-    for g in record["generators"]:
-        twice = g["delta_times_2"]
+    for s, twice, rank in record["generators"]:
         frac = str(twice // 2) if twice % 2 == 0 else rf"\frac{{{twice}}}{{2}}"
-        lines.append(rf"{g['s']} & ${frac}$ & {g['rank']} \\")
+        lines.append(rf"{s} & ${frac}$ & {rank} \\")
     lines.append(r"\end{tabular}")
     return "\n".join(lines)
 
@@ -150,13 +148,13 @@ def _format_ascii(record: Dict) -> str:
     ]
     if not gens:
         return out[0]
-    low = min(g["delta_times_2"] for g in gens)
+    low = min(twice for _, twice, _ in gens)
     points = {}
-    for g in gens:
-        mu2 = 2 * g["s"] - (g["delta_times_2"] - low)
+    for s, twice, rank in gens:
+        mu2 = 2 * s - (twice - low)
         if mu2 % 2:
-            raise ValueError(f"generator at s={g['s']} is off the integer mu grid")
-        points[(g["s"], mu2 // 2)] = g["rank"]
+            raise ValueError(f"generator at s={s} is off the integer mu grid")
+        points[(s, mu2 // 2)] = rank
     s_range = range(min(s for s, _ in points), max(s for s, _ in points) + 1)
     mus = range(max(mu for _, mu in points), min(mu for _, mu in points) - 1, -1)
     # a cell is one wider than the widest s label or rank, the mu column the widest mu; 3 at least
@@ -190,9 +188,10 @@ def cmd_compute(args) -> int:
     params = _knot(args)
     if params is None:
         return 2
-    record = _record(params)
-    print(FORMATS[args.format](record))
-    return 0 if all(v != "fail" for v in record["checks"].values()) else 1
+    start = time.perf_counter()
+    report = verify(params)
+    print(FORMATS[args.format](_record(report, start)))
+    return 0 if report.passed else 1
 
 
 def cmd_verify(args) -> int:

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import GRID
+
 from pretzelhfk import alexander
 from pretzelhfk.alexander import (
     _FORMS,
@@ -600,12 +602,9 @@ def random_knots(seed, count, bound):
 
 class TestAgainstTheWirtingerMinor:
     def test_grid(self):
-        for sign in ("+", "-"):
-            for a in range(1, 7):
-                for b in range(1, 7):
-                    for c in range(1, 7):
-                        d = build_pretzel_diagram(*TangleParams(a, b, c, sign).pretzel_triple())
-                        assert fox_alexander(d) == wirtinger_alexander(d), (a, b, c, sign)
+        for params in GRID:
+            d = build_pretzel_diagram(*params.pretzel_triple())
+            assert fox_alexander(d) == wirtinger_alexander(d), params
 
     def test_random_knots_with_short_bands(self):
         knots = random_knots(seed=2024, count=120, bound=41)
@@ -642,8 +641,7 @@ def test_any_exponents_agree_with_the_wirtinger_minor(signs, data):
 
 def pinned_knots():
     """The grid, the seeded short-band knots and six large knots up to the CLI ceiling."""
-    grid = [TangleParams(a, b, c, sign).pretzel_triple()
-            for sign in "+-" for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]
+    grid = [params.pretzel_triple() for params in GRID]
     large = [TangleParams(*k).pretzel_triple() for k in [
         (100, 20, 100, "+"), (100, 20, 100, "-"), (100, 99, 100, "-"),
         (20, 100, 20, "+"), (1, 499, 500, "+"), (333, 333, 334, "-")]]
@@ -833,12 +831,9 @@ def built(build, twists):
 
 class TestBuilderAgainstTheReference:
     def test_grid(self):
-        for sign in ("+", "-"):
-            for a in range(1, 7):
-                for b in range(1, 7):
-                    for c in range(1, 7):
-                        twists = TangleParams(a, b, c, sign).pretzel_triple()
-                        assert build_pretzel_diagram(*twists) == reference_diagram(*twists), twists
+        for params in GRID:
+            twists = params.pretzel_triple()
+            assert build_pretzel_diagram(*twists) == reference_diagram(*twists), twists
 
     def test_random_knots_with_short_bands(self):
         knots = random_knots(seed=606, count=300, bound=45)

@@ -9,11 +9,15 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from test_acceptance import GRID
 
 import pretzelhfk
 from pretzelhfk import cli, curves, hfk
@@ -254,11 +258,6 @@ class TestAlex:
         assert plain.stdout.endswith(f"determinant {pretzel_determinant(200, -41, 201)}\n")
 
 
-def grid_knots():
-    return [TangleParams(a, b, c, sign) for sign in "+-"
-            for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]
-
-
 def large_knots(seed):
     """100 knots with a, c in [20, 100] and b in [1, 100], one in ten with
     b = a - 1, both signs: one value from each of 100 equal slices of each
@@ -279,19 +278,31 @@ def large_knots(seed):
     return [TangleParams(*knot) for knot in zip(a, b, c, signs)]
 
 
+def record_of(params):
+    """The record compute writes for one knot."""
+    return cli._record(cli.verify(params), time.perf_counter())
+
+
+def json_view(record):
+    """The record with each row tuple turned into the object json writes for it."""
+    return dict(record,
+                generators=[dict(zip(("s", "delta_times_2", "rank"), row)) for row in record["generators"]],
+                alexander=[dict(zip(("exp", "coeff"), row)) for row in record["alexander"]])
+
+
 class TestJsonWriter:
     def test_grid_records_are_json_dumps_byte_for_byte(self):
-        for params in grid_knots():
-            record = cli._record(params)
+        for params in GRID:
+            record = record_of(params)
             for rec in (record, dict(record, checks={})):
-                assert cli._format_json(rec) == json.dumps(rec, indent=2), params
+                assert cli._format_json(rec) == json.dumps(json_view(rec), indent=2), params
 
     def test_large_knot_records_are_json_dumps_byte_for_byte(self):
         knots = large_knots(0)
         assert max(k.a for k in knots) > 90 and any(k.b == k.a - 1 for k in knots)
         for params in knots:
-            record = cli._record(params)
-            assert cli._format_json(record) == json.dumps(record, indent=2), params
+            record = record_of(params)
+            assert cli._format_json(record) == json.dumps(json_view(record), indent=2), params
 
     def test_empty_rows_and_escaped_strings(self):
         record = {"knot": {"sign": "\"+\u00e9"}, "generators": [], "alexander": [],
@@ -299,9 +310,9 @@ class TestJsonWriter:
         assert cli._format_json(record) == json.dumps(record, indent=2)
 
     def test_empty_objects(self):
-        record = {"knot": {}, "generators": [{"s": -1, "delta_times_2": 0, "rank": 2}],
-                  "alexander": [{"exp": 0, "coeff": 1}], "classification": "", "checks": {}, "meta": {}}
-        assert cli._format_json(record) == json.dumps(record, indent=2)
+        record = {"knot": {}, "generators": [(-1, 0, 2)],
+                  "alexander": [(0, 1)], "classification": "", "checks": {}, "meta": {}}
+        assert cli._format_json(record) == json.dumps(json_view(record), indent=2)
 
     @pytest.mark.parametrize("text", ['"', "\\", "\n", "\x01\x1f", "\u00e9\u2603\U0001f600", 'a"b\\c\nd\te'])
     def test_escaped_keys_and_values(self, text):
@@ -309,6 +320,67 @@ class TestJsonWriter:
         record = {"knot": scalars, "generators": [], "alexander": [], "classification": text,
                   "checks": {text: "pass", "k": text}, "meta": dict(scalars, version=text)}
         assert cli._format_json(record) == json.dumps(record, indent=2)
+
+
+LATEX_ROW = re.compile(r"(-?\d+) & \$(?:\\frac\{(-?\d+)\}\{2\}|(-?\d+))\$ & (\d+) \\\\")
+
+
+def cells_in(fmt, out):
+    """The (s, delta_times_2, rank) cells a compute output names, read back from its format.
+
+    The ascii plot's delta offset is conventional: its cells come back with
+    delta_times_2 counted from the lowest delta line.
+    """
+    if fmt == "json":
+        return [(g["s"], g["delta_times_2"], g["rank"]) for g in json.loads(out)["generators"]]
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["s", "delta_times_2", "rank"]
+        return [tuple(map(int, row)) for row in rows]
+    if fmt == "latex":
+        matches = [LATEX_ROW.fullmatch(line) for line in out.splitlines()[3:-1]]
+        assert all(matches), out
+        return [(int(s), int(half) if half else 2 * int(whole), int(rank))
+                for s, half, whole, rank in (m.groups() for m in matches)]
+    *rows, _, labels = out.splitlines()[1:]
+    s_labels = [int(label) for label in labels.split("=", 1)[1].split()]
+    cells = []
+    for row in rows:
+        head, body = row.split("|")
+        tokens = body.split()
+        assert len(tokens) == len(s_labels), row
+        mu = int(head[3:])
+        cells += [(s, 2 * (s - mu), int(t)) for s, t in zip(s_labels, tokens) if t != "."]
+    return sorted(cells)
+
+
+class TestRowForm:
+    """The record carries its rows as int tuples, and every format writes the same cells."""
+
+    def test_rows_are_sorted_tuples_of_plain_ints(self):
+        for params in (TangleParams(3, 1, 2, "+"), TangleParams(1, 1, 3, "-"), TangleParams(100, 20, 100, "+")):
+            record = record_of(params)
+            generators, alexander = record["generators"], record["alexander"]
+            assert generators and generators == sorted(generators), params
+            for rows, width in ((generators, 3), (alexander, 2)):
+                assert type(rows) is list and all(type(row) is tuple and len(row) == width for row in rows)
+                assert {type(x) for row in rows for x in row} == {int}, params
+
+    # two delta lines each: (3,1,2,+)'s overlap in Alexander grading, (1,1,3,-)'s form an L-space staircase
+    @pytest.mark.parametrize("knot", [(3, 1, 2, "+"), (1, 1, 3, "-")])
+    def test_every_format_names_the_same_cells(self, capsys, knot):
+        a, b, c, sign = knot
+        argv = ["compute", "--a", str(a), "--b", str(b), "--c", str(c), "--sign", sign, "--format"]
+        found = {}
+        for fmt in cli.FORMATS:
+            code, out = run(capsys, *argv, fmt)
+            assert code == 0
+            found[fmt] = cells_in(fmt, out)
+        cells = found["json"]
+        low = min(twice for _, twice, _ in cells)
+        assert len({twice for _, twice, _ in cells}) == 2
+        assert found["csv"] == found["latex"] == cells
+        assert found["ascii"] == sorted((s, twice - low, rank) for s, twice, rank in cells)
 
 
 def test_cli_output_bytes_are_pinned():
@@ -665,10 +737,7 @@ def test_the_closed_pipe_handler_closes_its_devnull_descriptor(monkeypatch):
 def test_ascii_plot_rejects_a_generator_off_the_mu_grid():
     record = {
         "knot": {"p": 2, "q": -3, "r": 5},
-        "generators": [
-            {"s": 0, "delta_times_2": 1, "rank": 1},
-            {"s": 0, "delta_times_2": 2, "rank": 1},
-        ],
+        "generators": [(0, 1, 1), (0, 2, 1)],
     }
     # both parities of delta_times_2: the even one lies half a mu row off the odd lowest
     with pytest.raises(ValueError) as raised:

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_acceptance import grading_reversed
+
 from pretzelhfk.curves import (
     CaseLabel,
     CurveError,
@@ -24,12 +26,6 @@ from pretzelhfk.curves import (
 from pretzelhfk.hfk import verify
 
 small = st.integers(min_value=1, max_value=8)
-
-
-def grading_reversed(curve):
-    """The involution (kind, m, M) -> (swapped kind, -M, -m) on graded curves."""
-    swapped = {CurveKind.SPECIAL14: CurveKind.SPECIAL23, CurveKind.SPECIAL23: CurveKind.SPECIAL14}
-    return curve._replace(kind=swapped.get(curve.kind, curve.kind), m=-curve.M, M=-curve.m)
 
 
 class TestReducedSlope:
